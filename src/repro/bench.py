@@ -141,29 +141,17 @@ def run_bench(
 
 
 def _annotate_speedups(record: dict) -> None:
-    """Cross-engine wall-time ratios per grid, where both sides ran.
-
-    ``speedup[<grid>]`` keeps the historical fast-vs-reference ratio;
-    ``speedup[<grid>:batched]`` is batched-vs-fast (> 1 means the
-    cohort path beat cell-by-cell fast on this grid).
-    """
+    """Fast-vs-reference wall-time ratio per grid, where both ran."""
     grids = record["grids"]
     speedups: Dict[str, float] = {}
     for entry in grids.values():
-        if not entry["wall_s"]:
+        if entry["engine"] != "fast" or not entry["wall_s"]:
             continue
-        if entry["engine"] == "fast":
-            ref = grids.get(f"{entry['grid']}@reference")
-            if ref:
-                speedups[entry["grid"]] = round(
-                    ref["wall_s"] / entry["wall_s"], 2
-                )
-        elif entry["engine"] == "batched":
-            fast = grids.get(f"{entry['grid']}@fast")
-            if fast:
-                speedups[f"{entry['grid']}:batched"] = round(
-                    fast["wall_s"] / entry["wall_s"], 2
-                )
+        ref = grids.get(f"{entry['grid']}@reference")
+        if ref:
+            speedups[entry["grid"]] = round(
+                ref["wall_s"] / entry["wall_s"], 2
+            )
     if speedups:
         record["speedup"] = speedups
 
@@ -256,13 +244,5 @@ def format_record(record: dict) -> str:
             f"{entry['cycles_per_s']:>12,.0f} cyc/s"
         )
     for grid, ratio in sorted(record.get("speedup", {}).items()):
-        if grid.endswith(":batched"):
-            lines.append(
-                f"speedup {grid.split(':')[0]}: {ratio:.2f}x "
-                f"batched vs fast"
-            )
-        else:
-            lines.append(
-                f"speedup {grid}: {ratio:.2f}x fast vs reference"
-            )
+        lines.append(f"speedup {grid}: {ratio:.2f}x fast vs reference")
     return "\n".join(lines)

@@ -27,19 +27,6 @@ Commands:
   (``--synth``: the synthetic-generator presets instead;
   ``--machines``: the machine-description presets with per-PU
   profiles; ``--json``: machine-readable).
-* ``serve`` — run the campaign service: an async job queue sharding
-  grid/fuzz submissions across worker processes behind an HTTP API
-  (SIGTERM drains: checkpoint, requeue, resume on restart).
-* ``chaos`` — seeded fault-injection campaign against an in-process
-  service; proves convergence to byte-identical results under
-  killed workers, hung shards, poison specs, journal write errors,
-  and cache corruption.
-* ``submit`` — submit a campaign to a running service
-  (``--wait`` polls until the job finishes and prints its report).
-* ``jobs`` — list a service's jobs (``--watch`` polls until the
-  queue drains).
-* ``fetch`` — fetch one cached run record from a service by its
-  spec hash.
 * ``gen`` — emit one seeded synthetic program as assembly text.
 * ``fuzz`` — differential fuzzing campaign: N generated programs
   × all four heuristic levels × both engines, cross-checked with
@@ -52,20 +39,26 @@ Commands:
   via its schema-versioned tune ledger, best-vs-baseline record
   grids diffable with ``repro report``.
 
-Grid commands execute through :mod:`repro.harness`: ``--jobs N``
-fans the grid out over N worker processes (0 = one per CPU), the
-artifact cache under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``)
-makes repeat sweeps near-instant (disable with ``--no-cache``),
-``--resume`` replays the run ledger to skip cells a previous
-(interrupted) invocation already finished, and ``--json PATH``
-writes the machine-readable record grid.
+Grid commands execute through :func:`repro.harness.run_specs`:
+``--jobs N`` fans the grid out over N worker processes (0 = one per
+CPU), the artifact cache under ``$REPRO_CACHE_DIR`` (default
+``~/.cache/repro``) makes repeat sweeps near-instant (disable with
+``--no-cache``), ``--resume`` replays the run ledger to skip cells a
+previous (interrupted) invocation already finished, and ``--json
+PATH`` writes the machine-readable record grid.
+
+Arguments naming a benchmark, heuristic level, engine, scale or PU
+count are validated by their argparse ``type=``: bad input exits 2
+with one line naming the value and the valid choices, before any
+cell is scheduled.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.compiler import HeuristicLevel
 from repro.experiments.breakdown import format_breakdown, run_breakdown
@@ -83,18 +76,88 @@ from repro.harness import (
     write_records_json,
 )
 from repro.harness.ledger import default_progress
-from repro.workloads import all_benchmarks
+from repro.sim.config import ENGINES
+from repro.workloads import all_benchmarks, get_benchmark
 
 _LEVELS = {level.value: level for level in HeuristicLevel}
 
 
+def _benchmark(value: str) -> str:
+    """argparse type: a registry or ``synth:<preset>:<seed>`` name."""
+    try:
+        get_benchmark(value)
+    except KeyError as exc:
+        message = exc.args[0]
+        if not value.startswith("synth:"):
+            message += ", or synth:<preset>:<seed>"
+        raise argparse.ArgumentTypeError(message) from None
+    return value
+
+
+def _level(value: str) -> str:
+    """argparse type: a heuristic level name."""
+    if value not in _LEVELS:
+        raise argparse.ArgumentTypeError(
+            f"unknown level {value!r} "
+            f"(choose from {', '.join(sorted(_LEVELS))})"
+        )
+    return value
+
+
+def _engine(value: str) -> str:
+    """argparse type: a simulation engine name."""
+    if value not in ENGINES:
+        raise argparse.ArgumentTypeError(
+            f"unknown engine {value!r} (choose from {', '.join(ENGINES)})"
+        )
+    return value
+
+
+def _scale(value: str) -> float:
+    """argparse type: a finite workload scale factor > 0."""
+    try:
+        scale = float(value)
+    except ValueError:
+        scale = math.nan
+    if not (scale > 0 and math.isfinite(scale)):
+        raise argparse.ArgumentTypeError(
+            f"scale must be a number > 0, got {value!r}"
+        )
+    return scale
+
+
+def _pu_count(value: str) -> int:
+    """argparse type: a PU count >= 1."""
+    try:
+        n_pus = int(value)
+    except ValueError:
+        n_pus = 0
+    if n_pus < 1:
+        raise argparse.ArgumentTypeError(
+            f"PU count must be an integer >= 1, got {value!r}"
+        )
+    return n_pus
+
+
+def _comma_list(item: Callable[[str], object]) -> Callable[[str], str]:
+    """argparse type: comma-separated ``item`` values, kept as given."""
+
+    def parse(value: str) -> str:
+        for part in value.split(","):
+            if part:
+                item(part)
+        return value
+
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--scale", type=float, default=1.0,
+        "--scale", type=_scale, default=1.0,
         help="workload scale factor (default 1.0)",
     )
     parser.add_argument(
-        "--benchmarks", default="",
+        "--benchmarks", type=_comma_list(_benchmark), default="",
         help="comma-separated benchmark names (default: all)",
     )
     parser.add_argument(
@@ -143,15 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one benchmark")
-    run_p.add_argument("benchmark")
+    run_p.add_argument("benchmark", type=_benchmark)
     run_p.add_argument(
         "--level", choices=sorted(_LEVELS), default="data_dependence"
     )
-    run_p.add_argument("--pus", type=int, default=4)
+    run_p.add_argument("--pus", type=_pu_count, default=4)
     run_p.add_argument("--in-order", action="store_true")
-    run_p.add_argument("--scale", type=float, default=1.0)
-    run_p.add_argument("--engine", choices=["fast", "batched", "reference"],
-                       default="fast",
+    run_p.add_argument("--scale", type=_scale, default=1.0)
+    run_p.add_argument("--engine", choices=ENGINES, default="fast",
                        help="simulation core (bit-identical results)")
     run_p.add_argument("--strategy", default="",
                        help="selection strategy name (see 'repro list "
@@ -162,10 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig_p = sub.add_parser("figure5", help="regenerate Figure 5")
     _add_common(fig_p)
-    fig_p.add_argument("--engine", choices=["fast", "batched", "reference"],
-                       default="fast",
+    fig_p.add_argument("--engine", choices=ENGINES, default="fast",
                        help="simulation core (bit-identical results)")
-    fig_p.add_argument("--pus", type=int, default=0,
+    fig_p.add_argument("--pus", type=_pu_count, default=0,
                        help="restrict to one PU count (default: 4 and 8)")
     fig_p.add_argument("--in-order", action="store_true",
                        help="in-order PUs only (default: both)")
@@ -190,11 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
              "gshare, hybrid; default: path)",
     )
     scal_p.add_argument(
-        "--levels", default="",
+        "--levels", type=_comma_list(_level), default="",
         help="comma-separated heuristic levels (default: all four)",
     )
-    scal_p.add_argument("--engine", choices=["fast", "batched", "reference"],
-                        default="fast",
+    scal_p.add_argument("--engine", choices=ENGINES, default="fast",
                         help="simulation core (bit-identical results)")
     scal_p.add_argument(
         "--baseline", default="paper-4x2",
@@ -207,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     tab_p = sub.add_parser("table1", help="regenerate Table 1")
     _add_common(tab_p)
-    tab_p.add_argument("--pus", type=int, default=8)
+    tab_p.add_argument("--pus", type=_pu_count, default=8)
     tab_p.add_argument("--json", default="",
                        help="also write the record grid as JSON to this path")
 
     brk_p = sub.add_parser("breakdown", help="Figure 2 cycle accounting")
     _add_common(brk_p)
-    brk_p.add_argument("--pus", type=int, default=4)
+    brk_p.add_argument("--pus", type=_pu_count, default=4)
     brk_p.add_argument("--json", default="",
                        help="also write the record grid as JSON to this path")
 
@@ -222,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="distributed vs centralized motivation study",
     )
     _add_common(cen_p)
-    cen_p.add_argument("--pus", type=int, default=8)
+    cen_p.add_argument("--pus", type=_pu_count, default=8)
 
     ver_p = sub.add_parser(
         "verify",
@@ -230,26 +290,25 @@ def build_parser() -> argparse.ArgumentParser:
              "under seeded fault injection)",
     )
     ver_p.add_argument(
-        "benchmarks", nargs="*",
+        "benchmarks", nargs="*", type=_benchmark,
         help="benchmarks to verify (default with --all: every one)",
     )
     ver_p.add_argument("--all", action="store_true",
                        help="verify every registered benchmark")
     ver_p.add_argument(
-        "--levels", default="",
+        "--levels", type=_comma_list(_level), default="",
         help="comma-separated heuristic levels (default: all four)",
     )
-    ver_p.add_argument("--pus", type=int, default=4)
+    ver_p.add_argument("--pus", type=_pu_count, default=4)
     ver_p.add_argument("--in-order", action="store_true")
-    ver_p.add_argument("--scale", type=float, default=1.0)
+    ver_p.add_argument("--scale", type=_scale, default=1.0)
     ver_p.add_argument(
         "--faults", type=int, default=0,
         help="inject N seeded faults per cell to exercise recovery",
     )
     ver_p.add_argument("--seed", type=int, default=0,
                        help="base seed for the fault plans")
-    ver_p.add_argument("--engine", choices=["fast", "batched", "reference"],
-                       default="fast",
+    ver_p.add_argument("--engine", choices=ENGINES, default="fast",
                        help="simulation core under test (default: fast)")
 
     bench_p = sub.add_parser(
@@ -262,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
              "default: smoke)",
     )
     bench_p.add_argument(
-        "--engines", default="fast",
-        help="comma-separated engines to time (fast, batched, "
-             "reference; default: fast)",
+        "--engines", type=_comma_list(_engine), default="fast",
+        help=f"comma-separated engines to time ({', '.join(ENGINES)}; "
+             f"default: fast)",
     )
     bench_p.add_argument("--jobs", type=int, default=1,
                          help="harness workers (default 1, the "
@@ -295,15 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="export one run's task timeline as Chrome trace-event "
              "JSON (open in Perfetto / chrome://tracing)",
     )
-    trace_p.add_argument("benchmark")
+    trace_p.add_argument("benchmark", type=_benchmark)
     trace_p.add_argument(
         "--level", choices=sorted(_LEVELS), default="data_dependence"
     )
-    trace_p.add_argument("--pus", type=int, default=4)
+    trace_p.add_argument("--pus", type=_pu_count, default=4)
     trace_p.add_argument("--in-order", action="store_true")
-    trace_p.add_argument("--scale", type=float, default=1.0)
-    trace_p.add_argument("--engine", choices=["fast", "batched", "reference"],
-                         default="fast",
+    trace_p.add_argument("--scale", type=_scale, default=1.0)
+    trace_p.add_argument("--engine", choices=ENGINES, default="fast",
                          help="simulation core (identical event streams; "
                               "fast adds cycle-skip diagnostics)")
     trace_p.add_argument("-o", "--output", default="trace.json",
@@ -332,15 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
         "profile-sim",
         help="cProfile one simulation and print the hotspots",
     )
-    prof_p.add_argument("benchmark")
+    prof_p.add_argument("benchmark", type=_benchmark)
     prof_p.add_argument(
         "--level", choices=sorted(_LEVELS), default="data_dependence"
     )
-    prof_p.add_argument("--pus", type=int, default=4)
+    prof_p.add_argument("--pus", type=_pu_count, default=4)
     prof_p.add_argument("--in-order", action="store_true")
-    prof_p.add_argument("--scale", type=float, default=1.0)
-    prof_p.add_argument("--engine", choices=["fast", "batched", "reference"],
-                        default="fast")
+    prof_p.add_argument("--scale", type=_scale, default=1.0)
+    prof_p.add_argument("--engine", choices=ENGINES, default="fast")
     prof_p.add_argument("--top", type=int, default=25,
                         help="number of hotspots to print (default 25)")
     prof_p.add_argument(
@@ -440,13 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
              "reproducer",
     )
     fuzz_p.add_argument(
-        "--engine", action="append", dest="extra_engines",
-        choices=["fast", "batched", "reference"], default=None,
-        help="add an engine to the differential (repeatable); "
-             "'--engine batched' cross-checks a third column beyond "
-             "the default fast-vs-reference pair",
-    )
-    fuzz_p.add_argument(
         "--strategy", action="append", dest="strategies", default=None,
         help="non-paper selection strategy to sweep as an extra cell "
              "group per program (repeatable; default cost_model; "
@@ -465,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
              "the selection genome, scored by simulated cycles",
     )
     tune_p.add_argument(
-        "benchmarks", nargs="*",
+        "benchmarks", nargs="*", type=_benchmark,
         help="target benchmark names (registry names or "
              "synth:<preset>:<seed>); fitness is summed cycles over "
              "all targets",
@@ -495,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pop", type=int, default=8,
         help="GA population size / random-search batch (default 8)",
     )
-    tune_p.add_argument("--n-pus", type=int, default=4,
+    tune_p.add_argument("--n-pus", type=_pu_count, default=4,
                         help="processing units (default 4)")
     tune_p.add_argument(
         "--machine", default="paper-4x2",
@@ -512,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--in-order", action="store_true",
         help="tune for in-order PUs (default out-of-order)",
     )
-    tune_p.add_argument("--scale", type=float, default=1.0,
+    tune_p.add_argument("--scale", type=_scale, default=1.0,
                         help="workload scale factor (default 1.0)")
     tune_p.add_argument(
         "--no-cache", action="store_true",
@@ -539,112 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the campaign summary as JSON",
     )
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the campaign service (async job queue + HTTP API)",
-    )
-    serve_p.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1)")
-    serve_p.add_argument("--port", type=int, default=8753,
-                         help="HTTP port (default 8753; 0 = ephemeral)")
-    serve_p.add_argument("--workers", type=int, default=2,
-                         help="shard worker processes (default 2)")
-    serve_p.add_argument(
-        "--journal", default="",
-        help="journal directory (default: <cache root>/service); a "
-             "restarted server resumes unfinished jobs from it",
-    )
-    serve_p.add_argument(
-        "--executor", choices=["process", "thread", "inline"],
-        default="process",
-        help="worker pool flavour (default process)",
-    )
-    serve_p.add_argument(
-        "--max-queue-depth", type=int, default=64,
-        help="queued jobs admitted before POST /jobs answers 429 "
-             "with Retry-After (default 64)",
-    )
-    serve_p.add_argument(
-        "--request-timeout", type=float, default=30.0,
-        help="seconds an HTTP handler waits on the event loop before "
-             "answering 503 (default 30)",
-    )
-    serve_p.add_argument(
-        "--drain-grace", type=float, default=30.0,
-        help="seconds SIGTERM gives in-flight shards to finish "
-             "before checkpointing and requeueing them (default 30)",
-    )
-
-    chaos_p = sub.add_parser(
-        "chaos",
-        help="seeded chaos campaign against an in-process service",
-    )
-    chaos_p.add_argument(
-        "--budget", type=int, default=25,
-        help="minimum faults to inject before stopping (default 25)",
-    )
-    chaos_p.add_argument("--seed", type=int, default=1,
-                         help="fault schedule seed (default 1)")
-    chaos_p.add_argument("--workers", type=int, default=2,
-                         help="shard workers (default 2)")
-    chaos_p.add_argument(
-        "--max-rounds", type=int, default=12,
-        help="submission rounds before giving up on the fault "
-             "budget (default 12)",
-    )
-    chaos_p.add_argument(
-        "--root", default="",
-        help="directory for the campaign's cache + journal "
-             "(default: a private temp dir, removed afterwards)",
-    )
-    chaos_p.add_argument("--json", action="store_true",
-                         help="emit the report as JSON")
-
-    sub_p = sub.add_parser(
-        "submit",
-        help="submit a campaign to a running service",
-    )
-    sub_p.add_argument(
-        "grid",
-        help="campaign to submit: figure5, table1, breakdown, "
-             "centralized, scaling, fuzz, or ablation:<sweep>",
-    )
-    sub_p.add_argument("--url", default="http://127.0.0.1:8753",
-                       help="service base URL")
-    sub_p.add_argument("--benchmarks", default="",
-                       help="comma-separated benchmark names")
-    sub_p.add_argument("--scale", type=float, default=None,
-                       help="workload scale factor")
-    sub_p.add_argument("--levels", default="",
-                       help="comma-separated heuristic levels")
-    sub_p.add_argument("--budget", type=int, default=None,
-                       help="fuzz: number of programs")
-    sub_p.add_argument("--seed", type=int, default=None,
-                       help="fuzz: campaign seed")
-    sub_p.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="extra request parameter (JSON value; repeatable)",
-    )
-    sub_p.add_argument("--wait", action="store_true",
-                       help="poll until the job finishes, print its report")
-    sub_p.add_argument("--timeout", type=float, default=600.0,
-                       help="--wait timeout in seconds (default 600)")
-
-    jobs_p = sub.add_parser("jobs", help="list a service's jobs")
-    jobs_p.add_argument("--url", default="http://127.0.0.1:8753",
-                        help="service base URL")
-    jobs_p.add_argument("--watch", action="store_true",
-                        help="poll until no job is queued or running")
-    jobs_p.add_argument("--timeout", type=float, default=600.0,
-                        help="--watch timeout in seconds (default 600)")
-
-    fetch_p = sub.add_parser(
-        "fetch",
-        help="fetch one cached run record from a service by spec hash",
-    )
-    fetch_p.add_argument("spec_hash", help="RunSpec content hash")
-    fetch_p.add_argument("--url", default="http://127.0.0.1:8753",
-                         help="service base URL")
     return parser
 
 
@@ -749,12 +693,6 @@ def _cmd_scaling(args: argparse.Namespace) -> str:
                 f"(choose from {', '.join(PREDICTOR_KINDS)})"
             )
     levels = [v for v in args.levels.split(",") if v]
-    for value in levels:
-        if value not in _LEVELS:
-            raise SystemExit(
-                f"repro scaling: unknown level {value!r} "
-                f"(choose from {', '.join(sorted(_LEVELS))})"
-            )
     axes: dict = {}
     if machines:
         axes["machines"] = tuple(machines)
@@ -1045,20 +983,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> str:
                                 progress=default_progress())
     else:
         ledger = None
-    from repro.synth.campaign import ENGINES
-
-    engines = list(ENGINES)
-    for engine in args.extra_engines or ():
-        if engine not in engines:
-            engines.append(engine)
     strategies = _fuzz_strategies(args.strategies)
     machines = _fuzz_machines(args.machines)
     result = run_campaign(
         budget=args.budget, seed=args.seed, preset=args.preset,
         jobs=args.jobs, cache=cache, ledger=ledger,
         resume=args.resume, minimize=args.minimize,
-        engines=tuple(engines), strategies=strategies,
-        machines=machines,
+        strategies=strategies, machines=machines,
     )
     lines = [result.summary()]
     counters = (result.metrics or {}).get("counters", {})
@@ -1346,200 +1277,6 @@ def _cmd_list(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_serve(args: argparse.Namespace) -> str:
-    from repro.service import CampaignService
-
-    cache = ArtifactCache()
-    service = CampaignService(
-        cache=cache,
-        journal_root=args.journal or None,
-        host=args.host, port=args.port,
-        workers=args.workers, executor=args.executor,
-        max_queue_depth=args.max_queue_depth,
-        request_timeout=args.request_timeout,
-    )
-    service.start()
-    service.install_sigterm_drain(grace=args.drain_grace)
-    print("\n".join([
-        f"campaign service listening on {service.base_url}",
-        f"cache root : {cache.root}",
-        f"journal    : {service.journal.root}",
-        f"workers    : {args.workers} ({args.executor})",
-        f"resumed    : {service.resumed} job(s)",
-        "Ctrl-C to stop; SIGTERM to drain (journalled jobs resume "
-        "on restart)",
-    ]), flush=True)
-    service.serve_forever()
-    return "campaign service stopped"
-
-
-def _cmd_chaos(args: argparse.Namespace) -> str:
-    import json as _json
-
-    from repro.service.chaos import run_chaos_campaign
-
-    report = run_chaos_campaign(
-        budget=args.budget,
-        seed=args.seed,
-        root=args.root or None,
-        workers=args.workers,
-        max_rounds=args.max_rounds,
-        # progress goes to stderr under --json so stdout stays a
-        # single parseable document even when redirected to a file
-        progress=lambda line: print(
-            f"  {line}", flush=True,
-            file=sys.stderr if args.json else sys.stdout,
-        ),
-    )
-    if args.json:
-        from dataclasses import asdict
-
-        payload = asdict(report)
-        payload["ok"] = report.ok
-        out = _json.dumps(payload, indent=2, sort_keys=True)
-    else:
-        out = report.summary()
-    if not report.ok:
-        raise SystemExit(out)
-    return out
-
-
-def _submit_params(args: argparse.Namespace) -> dict:
-    import json as _json
-
-    params: dict = {}
-    if args.benchmarks:
-        params["benchmarks"] = [
-            n for n in args.benchmarks.split(",") if n
-        ]
-    if args.scale is not None:
-        params["scale"] = args.scale
-    if args.levels:
-        params["levels"] = [v for v in args.levels.split(",") if v]
-    if args.budget is not None:
-        params["budget"] = args.budget
-    if args.seed is not None:
-        params["seed"] = args.seed
-    for item in args.param:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise SystemExit(
-                f"repro submit: --param needs KEY=VALUE, got {item!r}"
-            )
-        try:
-            params[key] = _json.loads(value)
-        except ValueError:
-            params[key] = value
-    return params
-
-
-def _format_job_row(job: dict) -> str:
-    cells = job.get("cells") or 0
-    misses = job.get("misses")
-    hits = job.get("hits")
-    tally = ""
-    if misses is not None or hits is not None:
-        tally = f"  ran={misses or 0} cached={hits or 0}"
-    flag = " (resumed)" if job.get("resumed") else ""
-    return (
-        f"{job['job_id']:<36} {job['state']:<10} "
-        f"cells={cells}{tally}{flag}"
-    )
-
-
-def _cmd_submit(args: argparse.Namespace) -> str:
-    from repro.service import ServiceUnavailable, parse_grid_arg
-    from repro.service.client import ServiceClient, ServiceError
-
-    payload = parse_grid_arg(args.grid)
-    payload["params"].update(_submit_params(args))
-    client = ServiceClient(args.url)
-    try:
-        job = client.submit(payload["kind"], payload["params"])
-    except (ServiceError, ServiceUnavailable) as exc:
-        raise SystemExit(f"repro submit: {exc}")
-    lines = [_format_job_row(job)]
-    if not args.wait:
-        return "\n".join(lines)
-    try:
-        view = client.wait(job["job_id"], timeout=args.timeout)
-    except (TimeoutError, ServiceUnavailable) as exc:
-        raise SystemExit(f"repro submit: {exc}")
-    except KeyboardInterrupt:
-        # The job keeps running server-side; leaving the wait is not
-        # an error.  Point at the watch command and exit cleanly.
-        return "\n".join(lines + [
-            f"wait interrupted; job {job['job_id']} continues — "
-            f"check it with: repro jobs --url {args.url}",
-        ])
-    final = view["job"]
-    lines = [_format_job_row(final)]
-    if final["state"] != "done":
-        detail = final.get("error") or final["state"]
-        raise SystemExit("\n".join(lines + [f"repro submit: {detail}"]))
-    result = view.get("result") or {}
-    if "report" in result:
-        lines.append(result["report"])
-    return "\n".join(lines)
-
-
-def _cmd_jobs(args: argparse.Namespace) -> str:
-    import time as _time
-
-    from repro.service import ServiceUnavailable
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
-    deadline = _time.monotonic() + args.timeout
-    jobs: list = []
-    try:
-        while True:
-            try:
-                jobs = client.jobs()
-            except ServiceUnavailable as exc:
-                raise SystemExit(f"repro jobs: {exc}")
-            if not args.watch:
-                break
-            active = [
-                j for j in jobs if j["state"] in ("queued", "running")
-            ]
-            if not active:
-                break
-            if _time.monotonic() >= deadline:
-                raise SystemExit(
-                    f"repro jobs: {len(active)} job(s) still active "
-                    f"after {args.timeout:.0f}s"
-                )
-            _time.sleep(0.2)
-    except KeyboardInterrupt:
-        # Ctrl-C out of --watch is a normal way to stop looking, not
-        # an error: show the last snapshot and exit cleanly.
-        print("", flush=True)
-        if not jobs:
-            return "watch interrupted; no jobs"
-        return "\n".join(
-            ["watch interrupted; last snapshot:"]
-            + [_format_job_row(job) for job in jobs]
-        )
-    if not jobs:
-        return "no jobs"
-    return "\n".join(_format_job_row(job) for job in jobs)
-
-
-def _cmd_fetch(args: argparse.Namespace) -> str:
-    import json as _json
-
-    from repro.service import ServiceUnavailable
-    from repro.service.client import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url)
-    try:
-        view = client.record(args.spec_hash)
-    except (ServiceError, ServiceUnavailable) as exc:
-        raise SystemExit(f"repro fetch: {exc}")
-    return _json.dumps(view, indent=2, sort_keys=True)
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "figure5": _cmd_figure5,
@@ -1557,11 +1294,6 @@ _COMMANDS = {
     "gen": _cmd_gen,
     "fuzz": _cmd_fuzz,
     "tune": _cmd_tune,
-    "serve": _cmd_serve,
-    "chaos": _cmd_chaos,
-    "submit": _cmd_submit,
-    "jobs": _cmd_jobs,
-    "fetch": _cmd_fetch,
 }
 
 

@@ -12,7 +12,7 @@
   sync-table / forwarding-policy sweeps (DESIGN.md §4).
 * :mod:`~repro.experiments.scaling` — the manycore scaling study:
   machine preset x heuristic level x predictor grids with per-PU
-  utilization telemetry (DESIGN.md §16).
+  utilization telemetry (DESIGN.md §14).
 
 All grid drivers accept ``jobs`` / ``cache`` / ``ledger`` and submit
 their cells through :mod:`repro.harness` — a process-pool scheduler

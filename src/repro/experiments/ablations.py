@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel, SelectionConfig
 from repro.experiments.runner import RunRecord
@@ -270,19 +270,6 @@ def profile_input_specs(
             profile_input="train",
         ))
     return keys, specs
-
-
-#: sweep name -> default-valued (keys, specs) builder taking
-#: ``(benchmarks, n_pus=, scale=)`` — the job-serialization registry
-#: the campaign service submits ablation grids through.
-SWEEPS: Dict[str, Callable[..., Tuple[List, List[RunSpec]]]] = {
-    "max_targets": max_targets_specs,
-    "thresholds": thresholds_specs,
-    "sync_table": sync_table_specs,
-    "arb_size": arb_size_specs,
-    "forward_policy": forward_policy_specs,
-    "profile_input": profile_input_specs,
-}
 
 
 def format_sweep(records: Dict, label: str) -> str:

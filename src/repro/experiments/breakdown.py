@@ -59,7 +59,7 @@ def breakdown_specs(
     levels: Sequence[HeuristicLevel] = BREAKDOWN_LEVELS,
     scale: float = 1.0,
 ) -> Tuple[List[Tuple[str, HeuristicLevel]], List[RunSpec]]:
-    """The grid's (keys, specs) — the job-serialization boundary."""
+    """The grid's (keys, specs), in the canonical submission order."""
     keys: List[Tuple[str, HeuristicLevel]] = []
     specs: List[RunSpec] = []
     for name in benchmarks:

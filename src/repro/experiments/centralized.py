@@ -76,7 +76,7 @@ def centralized_specs(
     n_pus: int = 8,
     scale: float = 1.0,
 ) -> Tuple[List[Tuple[str, str]], List[RunSpec]]:
-    """The grid's (keys, specs) — the job-serialization boundary."""
+    """The grid's (keys, specs), in the canonical submission order."""
     keys: List[Tuple[str, str]] = []
     specs: List[RunSpec] = []
     for name in benchmarks:

@@ -104,11 +104,9 @@ def figure5_specs(
 ) -> Tuple[List[Tuple[str, HeuristicLevel, ConfigKey]], List[RunSpec]]:
     """The grid's (keys, specs), in the canonical submission order.
 
-    This is the serialization boundary the campaign service shards
-    jobs on: the specs here *are* the grid, so any dispatcher that
-    executes them (in any order) and reads the records back by
-    content hash reconstructs exactly the grid ``run_figure5``
-    returns.
+    The specs here *are* the grid: executing them in any order and
+    zipping the records back onto ``keys`` reconstructs exactly the
+    grid ``run_figure5`` returns.
     """
     from repro.sim import SimConfig
 
@@ -143,12 +141,9 @@ def run_figure5(
     The grid is submitted through the harness: ``jobs`` workers
     (``0``/``None`` = one per CPU), with compilation shared per
     (benchmark, level) and optional persistent caching.  ``engine``
-    selects the simulation core (``"fast"``, ``"batched"`` or
-    ``"reference"``); all three are bit-identical, so this only
-    affects wall-clock time — and the cache key, which covers every
-    ``SimConfig`` field.  With ``"batched"`` the scheduler runs each
-    compile group (the machine configs of one (benchmark, level)) as
-    one lockstep cohort.
+    selects the simulation core (``"fast"`` or ``"reference"``); both
+    are bit-identical, so this only affects wall-clock time — and the
+    cache key, which covers every ``SimConfig`` field.
     """
     keys, specs = figure5_specs(benchmarks, configs, levels, scale, engine)
     records = run_specs(specs, jobs=jobs, cache=cache, ledger=ledger,

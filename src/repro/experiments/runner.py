@@ -94,29 +94,10 @@ class RunRecord:
 
 _compile_cache: Dict[_CompileKey, Compiled] = {}
 
-#: pre-built packed arrays donated for a pending compilation (see
-#: :func:`offer_packed`), consumed by the next matching compile
-_packed_offers: Dict[_CompileKey, object] = {}
-
 
 def clear_cache() -> None:
     """Drop all cached compilations (tests use this for isolation)."""
     _compile_cache.clear()
-    _packed_offers.clear()
-
-
-def offer_packed(key: _CompileKey, packed) -> None:
-    """Donate pre-built packed arrays for the compilation at ``key``.
-
-    The next :func:`compile_benchmark` call with this key adopts the
-    arrays instead of re-packing its trace — the shared-memory
-    warm-start path (:mod:`repro.harness.shm`).  Safe because
-    compilation is deterministic per key, the same contract the
-    artifact cache's compiled products rely on; ignored when the key
-    is already compiled in-process.
-    """
-    if key not in _compile_cache:
-        _packed_offers[key] = packed
 
 
 def resolve_selection(
@@ -183,7 +164,6 @@ def compile_benchmark(
     cached = _compile_cache.get(key)
     if cached is not None:
         return cached
-    offered = _packed_offers.pop(key, None)
     # Interpreting and packing a trace creates millions of short-lived
     # tracked objects; the cyclic collector only adds scan time here.
     gc_was_enabled = gc.isenabled()
@@ -205,7 +185,7 @@ def compile_benchmark(
             trace = partition.profile_trace
         else:
             trace = run_program(partition.program)
-        stream = build_task_stream(trace, partition, packed=offered)
+        stream = build_task_stream(trace, partition)
         release = ReleaseAnalysis(partition)
     finally:
         if gc_was_enabled:
@@ -213,29 +193,6 @@ def compile_benchmark(
     compiled = Compiled(partition, trace, stream, release)
     _compile_cache[key] = compiled
     return compiled
-
-
-def _machine_config(
-    sim: Optional[SimConfig], n_pus: int, out_of_order: bool
-) -> SimConfig:
-    """The concrete machine configuration one cell runs with.
-
-    A ``sim`` carrying a machine spec is already fully resolved (the
-    spec fixed ``n_pus``, topology and L1 scaling at construction) —
-    the spec is authoritative and the cell's ``n_pus`` is ignored.
-    The legacy homogeneous path scales the L1s for ``n_pus`` exactly
-    as before.
-    """
-    config = sim or SimConfig()
-    if config.machine is None:
-        config = config.scaled_for_pus(n_pus)
-    return replace(config, out_of_order=out_of_order)
-
-
-def _cell_tag(name: str, level: HeuristicLevel, n_pus: int,
-              out_of_order: bool) -> str:
-    """Machine label used in diagnostics and telemetry."""
-    return f"{name}/{level.value}/{n_pus}{'ooo' if out_of_order else 'ino'}"
 
 
 def _assemble_record(
@@ -247,11 +204,7 @@ def _assemble_record(
     compiled: Compiled,
     result,
 ) -> RunRecord:
-    """Fold one simulation result into the canonical record shape.
-
-    Shared by the single-cell and batched pipelines so a cell's record
-    is byte-identical regardless of which path executed it.
-    """
+    """Fold one simulation result into the canonical record shape."""
     stream = compiled.stream
     from repro.telemetry.metrics import run_metrics
 
@@ -305,71 +258,22 @@ def run_benchmark(
     compiled = compile_benchmark(
         name, level, scale, selection, input_set, profile_input
     )
+    config = sim or SimConfig()
+    # A machine spec already fixed n_pus, topology and L1 scaling at
+    # construction and is authoritative; the legacy homogeneous path
+    # scales the L1s for ``n_pus``.
+    if config.machine is None:
+        config = config.scaled_for_pus(n_pus)
     machine = MultiscalarMachine(
         compiled.stream,
-        _machine_config(sim, n_pus, out_of_order),
+        replace(config, out_of_order=out_of_order),
         compiled.release,
         monitor,
         fault_plan,
-        label=_cell_tag(name, level, n_pus, out_of_order),
+        label=f"{name}/{level.value}/{n_pus}{'ooo' if out_of_order else 'ino'}",
         tracer=tracer,
     )
     result = machine.run()
     return _assemble_record(
         name, benchmark.suite, level, n_pus, out_of_order, compiled, result
     )
-
-
-def run_benchmark_batch(specs) -> list:
-    """Run several cells of ONE compile group as a batched cohort.
-
-    ``specs`` is a sequence of :class:`~repro.harness.spec.RunSpec`
-    sharing a compile signature (same benchmark, level, scale,
-    selection, inputs — the harness scheduler groups by exactly this).
-    The group compiles once, then every machine configuration advances
-    in lockstep through :func:`repro.sim.batched.run_cohort`; records
-    come back aligned with ``specs`` and are byte-identical to what
-    :func:`run_benchmark` would produce cell by cell (the batched
-    engine is validated bit-for-bit against the reference engine).
-    """
-    specs = list(specs)
-    first = specs[0]
-    benchmark = get_benchmark(first.benchmark)
-    compiled = compile_benchmark(
-        first.benchmark,
-        first.level,
-        first.scale,
-        first.selection,
-        first.input_set,
-        first.profile_input,
-    )
-    from repro.sim.batched import run_cohort
-
-    machines = []
-    for spec in specs:
-        config = _machine_config(spec.sim, spec.n_pus, spec.out_of_order)
-        if config.engine != "batched":
-            config = replace(config, engine="batched")
-        machines.append(
-            MultiscalarMachine(
-                compiled.stream,
-                config,
-                compiled.release,
-                label=_cell_tag(
-                    spec.benchmark, spec.level, spec.n_pus, spec.out_of_order
-                ),
-            )
-        )
-    results = run_cohort(machines)
-    return [
-        _assemble_record(
-            spec.benchmark,
-            benchmark.suite,
-            spec.level,
-            spec.n_pus,
-            spec.out_of_order,
-            compiled,
-            result,
-        )
-        for spec, result in zip(specs, results)
-    ]

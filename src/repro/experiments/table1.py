@@ -55,7 +55,7 @@ def table1_specs(
     n_pus: int = 8,
     scale: float = 1.0,
 ) -> Tuple[List[Tuple[str, HeuristicLevel]], List[RunSpec]]:
-    """The grid's (keys, specs) — the job-serialization boundary."""
+    """The grid's (keys, specs), in the canonical submission order."""
     names = list(benchmarks) or [bm.name for bm in all_benchmarks()]
     keys: List[Tuple[str, HeuristicLevel]] = []
     specs: List[RunSpec] = []

@@ -30,7 +30,6 @@ from repro.harness.scheduler import (
     backoff_delay,
     execute_spec,
     run_specs,
-    shard_specs,
 )
 from repro.harness.serialize import (
     grid_records,
@@ -60,6 +59,5 @@ __all__ = [
     "record_to_dict",
     "records_to_json",
     "run_specs",
-    "shard_specs",
     "write_records_json",
 ]

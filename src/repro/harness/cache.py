@@ -65,13 +65,6 @@ def code_version() -> str:
     return _code_version_cache
 
 
-def _is_hex_hash(value: str) -> bool:
-    """True for a plausible lowercase-hex content hash (8..64 chars)."""
-    if not isinstance(value, str) or not 8 <= len(value) <= 64:
-        return False
-    return all(c in "0123456789abcdef" for c in value)
-
-
 def default_cache_root() -> Path:
     """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
     env = os.environ.get("REPRO_CACHE_DIR")
@@ -197,18 +190,6 @@ class ArtifactCache:
     def get_record(self, spec: RunSpec):
         return self._load(self.records_dir / f"{spec.spec_hash(self.salt)}.pkl")
 
-    def get_record_by_hash(self, spec_hash: str):
-        """Load a finished record by its spec hash alone.
-
-        This is the service's read path: ``GET /records/<spec_hash>``
-        answers from the content-addressed store without rebuilding
-        the spec.  The hash is validated as lowercase hex so request
-        strings can never traverse outside ``records/``.
-        """
-        if not _is_hex_hash(spec_hash):
-            return None
-        return self._load(self.records_dir / f"{spec_hash}.pkl")
-
     def put_record(self, spec: RunSpec, record) -> None:
         self._store(
             self.records_dir / f"{spec.spec_hash(self.salt)}.pkl", record
@@ -302,14 +283,14 @@ class ArtifactCache:
     def prune(self, max_bytes: int) -> Dict[str, int]:
         """Evict least-recently-used artifacts until the store fits.
 
-        A long-running campaign server accretes records without bound;
-        ``prune`` caps the ``records/`` + ``compiled/`` payload at
-        ``max_bytes``, evicting by ``st_mtime`` (oldest first — every
-        cache *write* refreshes mtime via ``os.replace``, and hits on
-        a served record touch it through :meth:`_load`'s caller, so
-        mtime approximates recency of use).  Quarantined entries and
-        the ledger are never candidates: quarantine is evidence, not
-        cache, and the ledger is the audit trail.
+        Repeated sweeps accrete records without bound; ``prune`` caps
+        the ``records/`` + ``compiled/`` payload at ``max_bytes``,
+        evicting by ``st_mtime`` (oldest first — every cache *write*
+        refreshes mtime via ``os.replace``, and every hit touches it
+        in :meth:`_load`, so mtime approximates recency of use).
+        Quarantined entries and the ledger are never candidates:
+        quarantine is evidence, not cache, and the ledger is the audit
+        trail.
 
         Returns ``{"removed", "freed_bytes", "kept", "kept_bytes"}``.
         """

@@ -30,11 +30,11 @@ parse.
 
 Appends are **single-write**: each line is encoded once and written
 with one ``os.write`` on an ``O_APPEND`` descriptor, so concurrent
-writers (the campaign service's shard workers share one per-job
-ledger file) never interleave partial JSON lines.  A reader racing a
-writer can still observe a torn *tail* (the final line mid-write);
-``read_ledger`` skips unparseable lines, so torn tails degrade to
-"not yet visible" instead of crashing ``--resume``.
+writers (e.g. two grids run against one cache's ledger file) never
+interleave partial JSON lines.  A reader racing a writer can still
+observe a torn *tail* (the final line mid-write); ``read_ledger``
+skips unparseable lines, so torn tails degrade to "not yet visible"
+instead of crashing ``--resume``.
 
 The ledger is the audit trail for sweeps: it answers "what actually
 ran, how long did it take, and what came from the cache" without
@@ -66,8 +66,8 @@ def append_jsonl_line(path, payload: dict) -> None:
     concurrent appenders from interleaving partial lines: POSIX makes
     each append-mode write land at the (atomically advanced) end of
     file, so lines from different writers may be *reordered* but
-    never spliced into each other.  Both the run ledger and the
-    campaign-service journal append through here.
+    never spliced into each other.  Both the run ledger and the tune
+    ledger append through here.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -228,25 +228,6 @@ def read_ledger(path) -> List[dict]:
             except json.JSONDecodeError:
                 continue
     return entries
-
-
-def ledger_events(path, kind: Optional[str] = None) -> List[dict]:
-    """Lifecycle event lines from a ledger (``pool_broken``,
-    ``spec_quarantined``, ...), optionally filtered by ``kind``.
-
-    Spec entries (lines without an ``event`` field) are skipped; the
-    campaign service and the chaos report both read shard ledgers
-    through here to count what the harness survived.
-    """
-    out = []
-    for entry in read_ledger(path):
-        event = entry.get("event")
-        if not event:
-            continue
-        if kind is not None and event != kind:
-            continue
-        out.append(entry)
-    return out
 
 
 def completed_spec_hashes(path) -> set:

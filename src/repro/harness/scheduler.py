@@ -60,11 +60,6 @@ from repro.harness.spec import RunSpec
 #: a worker maps one spec to one record (injectable for tests)
 Worker = Callable[[RunSpec], RunRecord]
 
-#: minimum cells sharing a compile group before the scheduler routes
-#: the group through the array-batched cohort kernel instead of
-#: cell-by-cell execution (a cohort of one only adds overhead)
-BATCH_MIN_CELLS = 2
-
 #: re-raised per group after retries are exhausted
 class HarnessError(RuntimeError):
     """One or more jobs failed after all retries."""
@@ -92,44 +87,6 @@ def execute_spec(spec: RunSpec) -> RunRecord:
     )
 
 
-def shard_specs(
-    specs: Sequence[RunSpec],
-    shards: int,
-    salt: str = "",
-) -> List[List[RunSpec]]:
-    """Partition specs into at most ``shards`` batches by content hash.
-
-    The shard of a spec is a pure function of its ``spec_hash``, so
-    any number of dispatchers (the campaign service's workers, or a
-    future multi-host fleet) agree on the placement without
-    coordination, and a resubmitted grid lands on the same shards —
-    which keeps per-shard ledgers and caches warm.  Empty shards are
-    dropped; order within a shard follows the input order.
-    """
-    if shards <= 0:
-        raise ValueError("shard_specs needs shards >= 1")
-    buckets: List[List[RunSpec]] = [[] for _ in range(shards)]
-    for spec in specs:
-        buckets[int(spec.spec_hash(salt), 16) % shards].append(spec)
-    return [bucket for bucket in buckets if bucket]
-
-
-def shard_deadline(n_specs: int, base: float = 30.0,
-                   per_spec: float = 10.0) -> float:
-    """Watchdog deadline (seconds) for a shard of ``n_specs`` cells.
-
-    Scales with the work the shard was handed: a shard that blows
-    past ``base + per_spec * n`` is treated as hung (worker deadlock,
-    OOM thrash, a runaway simulation) and retried on a fresh pool by
-    the campaign service's watchdog.  The linear model is deliberate —
-    cells are independent, so honest wall time grows at most linearly
-    in the shard size.
-    """
-    if n_specs < 0:
-        raise ValueError("shard_deadline needs n_specs >= 0")
-    return base + per_spec * n_specs
-
-
 def backoff_delay(attempt: int, base: float, cap: float = 30.0,
                   rng: Optional[random.Random] = None) -> float:
     """Full-jitter exponential backoff: uniform in [0, base * 2^attempt].
@@ -150,89 +107,39 @@ def _sleep_backoff(attempt: int, base: float, cap: float) -> None:
         time.sleep(delay)
 
 
-def _batchable(specs: Sequence[RunSpec], worker: Worker) -> bool:
-    """Should this compile group run as one batched cohort?
-
-    Only the canonical worker is batchable (injected test workers see
-    each spec individually), only when at least ``BATCH_MIN_CELLS``
-    cells share the compilation, and only when *every* cell explicitly
-    asks for the batched engine — mixed groups keep the cell-by-cell
-    path so a record's engine is always exactly what its spec named.
-    """
-    return (
-        worker is execute_spec
-        and len(specs) >= BATCH_MIN_CELLS
-        and all(
-            spec.sim is not None and spec.sim.engine == "batched"
-            for spec in specs
-        )
-    )
-
-
-def _group_compile_key(specs: Sequence[RunSpec]):
-    """The in-memory compile-cache key shared by one group's cells."""
-    first = specs[0]
-    return compile_cache_key(
-        first.benchmark,
-        first.level,
-        first.scale,
-        first.selection,
-        first.input_set,
-        first.profile_input,
-    )
-
-
 def _run_group(
     specs: Sequence[RunSpec],
     worker: Worker,
     cache: Optional[ArtifactCache],
-    packed_token: Optional[dict] = None,
 ) -> List[Tuple[RunRecord, float]]:
     """Execute one compile group; runs inside a worker process.
 
     With the default worker, the group's compilation is warm-started
     from the persistent cache and, when freshly built, written back —
     so sibling groups in later sweeps (and crashed runs) reuse it.
-    ``packed_token`` optionally names a shared-memory segment holding
-    the group's packed trace arrays, exported by a parent whose
-    in-memory cache was warm; adopting them skips this worker's
-    packing pass (best-effort: any failure falls back to packing
-    locally).
     """
     use_artifacts = cache is not None and worker is execute_spec
-    key = _group_compile_key(specs) if worker is execute_spec else None
+    key = None
     seeded = False
     if use_artifacts:
-        compiled = cache.get_compiled(specs[0])
+        first = specs[0]
+        key = compile_cache_key(
+            first.benchmark,
+            first.level,
+            first.scale,
+            first.selection,
+            first.input_set,
+            first.profile_input,
+        )
+        compiled = cache.get_compiled(first)
         if compiled is not None:
             seed_compiled(key, compiled)
             seeded = True
-    if packed_token is not None and key is not None and not seeded:
-        from repro.experiments.runner import offer_packed
-        from repro.harness.shm import attach_packed
-
-        packed = attach_packed(packed_token)
-        if packed is not None:
-            offer_packed(key, packed)
     out: List[Tuple[RunRecord, float]] = []
-    if _batchable(specs, worker):
-        # Whole-group cohort: compile once, advance every machine
-        # configuration in lockstep through the batched kernel.
-        # Records are byte-identical to the cell-by-cell path (the
-        # batched engine is bit-validated against the reference
-        # engine); wall time is split evenly across the cells for
-        # the ledger since the cohort interleaves them.
-        from repro.experiments.runner import run_benchmark_batch
-
+    for spec in specs:
         start = time.perf_counter()
-        records = run_benchmark_batch(specs)
-        per_cell = (time.perf_counter() - start) / len(specs)
-        out = [(record, per_cell) for record in records]
-    else:
-        for spec in specs:
-            start = time.perf_counter()
-            record = worker(spec)
-            out.append((record, time.perf_counter() - start))
+        record = worker(spec)
+        out.append((record, time.perf_counter() - start))
     if use_artifacts and not seeded:
         compiled = peek_compiled(key)
         if compiled is not None:
@@ -398,30 +305,9 @@ def _run_pool(
     pool_cls = ThreadPoolExecutor if use_threads else ProcessPoolExecutor
     pool: Executor = pool_cls(max_workers=jobs)
     degraded: List[List[Tuple[int, RunSpec]]] = []
-
-    # Shared-memory warm start: groups whose compilation is already
-    # warm in THIS process export their packed trace arrays once;
-    # workers attach instead of re-packing.  Threads share the
-    # in-memory compile cache directly, so only process pools export.
-    segments: list = []
-    tokens: Dict[int, dict] = {}
-    if not use_threads and worker is execute_spec:
-        from repro.harness.shm import export_packed
-
-        for g, group in enumerate(groups):
-            group_specs = [s for _, s in group]
-            compiled = peek_compiled(_group_compile_key(group_specs))
-            if compiled is None:
-                continue
-            segment, token = export_packed(compiled.stream.packed)
-            if segment is not None:
-                segments.append(segment)
-                tokens[g] = token
-
     try:
         futures: Dict[int, Future] = {
-            g: pool.submit(_run_group, [s for _, s in group], worker,
-                           cache, tokens.get(g))
+            g: pool.submit(_run_group, [s for _, s in group], worker, cache)
             for g, group in enumerate(groups)
         }
         attempts_left = {g: retries for g in futures}
@@ -434,8 +320,7 @@ def _run_pool(
             _sleep_backoff(attempts_used[g] - 1, backoff, backoff_cap)
             try:
                 futures[g] = pool.submit(
-                    _run_group, [s for _, s in groups[g]], worker, cache,
-                    tokens.get(g),
+                    _run_group, [s for _, s in groups[g]], worker, cache
                 )
             except (BrokenExecutor, RuntimeError):
                 return False
@@ -485,12 +370,4 @@ def _run_pool(
                 )
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
-        # Unlink only removes the name: workers that already attached
-        # keep their mapping, and a worker attaching after this point
-        # fails the attach and packs locally — both graceful.
-        if segments:
-            from repro.harness.shm import release_segment
-
-            for segment in segments:
-                release_segment(segment)
     return degraded

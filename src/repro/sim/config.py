@@ -14,6 +14,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
+#: the cycle-loop implementations :attr:`SimConfig.engine` accepts
+ENGINES = ("fast", "reference")
+
 
 class ForwardPolicy(enum.Enum):
     """When a task forwards an inter-task register value.
@@ -110,12 +113,10 @@ class SimConfig:
     #: safety valve: abort runs exceeding this many cycles
     max_cycles: int = 50_000_000
 
-    #: cycle-loop implementation: "fast" (event-driven, skips
-    #: quiescent spans), "batched" (per-PU event spans + cohort
-    #: batching over cells sharing a workload), or "reference"
-    #: (uniform per-cycle tick).  Results are bit-identical; the
-    #: reference engine is the oracle the others are validated
-    #: against.
+    #: cycle-loop implementation (one of :data:`ENGINES`): "fast"
+    #: (event-driven, skips quiescent spans) or "reference" (uniform
+    #: per-cycle tick).  Results are bit-identical; the reference
+    #: engine is the oracle the fast engine is validated against.
     engine: str = "fast"
 
     #: optional machine description: a preset name (resolved through
@@ -148,9 +149,9 @@ class SimConfig:
                 value = getattr(spec, attr)
                 if value is not None:
                     object.__setattr__(self, attr, value)
-        if self.engine not in ("fast", "batched", "reference"):
+        if self.engine not in ENGINES:
             raise ValueError(
-                "engine must be 'fast', 'batched' or 'reference', "
+                f"engine must be one of {', '.join(ENGINES)}, "
                 f"got {self.engine!r}"
             )
         if self.n_pus < 1:

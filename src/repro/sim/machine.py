@@ -644,10 +644,6 @@ class MultiscalarMachine:
         try:
             if self.config.engine == "reference":
                 cycles = self._run_reference()
-            elif self.config.engine == "batched":
-                from repro.sim.batched import run_cell
-
-                cycles = run_cell(self)
             else:
                 cycles = self._run_fast()
         finally:

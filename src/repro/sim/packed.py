@@ -199,18 +199,6 @@ class PackedTrace:
         #: object gets a fresh computation instead of a stale alias.
         self._release_cache: Dict[str, Tuple[Optional[object], bytearray]] = {}
 
-    def adopt(self, stream) -> None:
-        """Bind these arrays to the stream they describe.
-
-        Used when the arrays arrived pre-built (decoded from a
-        shared-memory segment — see :mod:`repro.harness.shm`) instead
-        of being packed from ``stream`` locally: the stream reference
-        and the per-policy release cache are the only state that is
-        process-local rather than a pure function of the trace.
-        """
-        self._stream = stream
-        self._release_cache = {}
-
     def release_now(self, policy: ForwardPolicy, release=None) -> bytearray:
         """Per-instruction "forward at completion" flags for ``policy``.
 

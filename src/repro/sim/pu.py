@@ -198,14 +198,6 @@ class ProcessingUnit:
         #: retires leave their memoization intact.
         self.issue_retire_key = -1
         self.retire_sensitive = False
-        #: batched engine: first cycle this PU must be visited again
-        #: (0 = always due; other engines ignore these three fields)
-        self.span_wake = 0
-        #: breakdown slot charged per skipped cycle since ``span_from``
-        #: (-1 = no deferred charge open)
-        self.span_slot = -1
-        #: first cycle of the open deferred-charge span
-        self.span_from = 0
 
     @property
     def idle(self) -> bool:

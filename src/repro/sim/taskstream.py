@@ -100,18 +100,8 @@ class TaskStreamError(RuntimeError):
     """The partition cannot explain the dynamic control flow."""
 
 
-def build_task_stream(
-    trace: Trace,
-    partition: TaskPartition,
-    packed: Optional[PackedTrace] = None,
-) -> TaskStream:
-    """Split ``trace`` into dynamic task instances under ``partition``.
-
-    ``packed`` optionally donates pre-built packed arrays (e.g.
-    decoded from a shared-memory segment exported by another process
-    — see :mod:`repro.harness.shm`); they are adopted instead of
-    re-packing the trace when their instruction count matches.
-    """
+def build_task_stream(trace: Trace, partition: TaskPartition) -> TaskStream:
+    """Split ``trace`` into dynamic task instances under ``partition``."""
     entries = trace.block_entries
     insts = trace.insts
     if not entries:
@@ -216,8 +206,5 @@ def build_task_stream(
         )
     )
     stream = TaskStream(trace, partition, tasks, absorbed)
-    if packed is not None and packed.n == len(insts):
-        packed.adopt(stream)
-        stream._packed = packed
     stream.packed  # pack eagerly: once per stream, shared by every run
     return stream

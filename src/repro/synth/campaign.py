@@ -55,6 +55,7 @@ from repro.reliability.oracle import (
     sequential_reference,
 )
 from repro.sim import MultiscalarMachine, SimConfig, build_task_stream
+from repro.sim.config import ENGINES
 from repro.synth.generator import (
     generate_program,
     program_source_hash,
@@ -64,10 +65,6 @@ from repro.synth.params import PRESETS
 from repro.telemetry.metrics import MetricsRegistry, TASK_SIZE_BOUNDS
 
 ALL_LEVELS: Tuple[HeuristicLevel, ...] = tuple(HeuristicLevel)
-
-#: the engines every cell is cross-checked between by default; the
-#: CLI's ``--engine batched`` appends a third differential column
-ENGINES: Tuple[str, ...] = ("fast", "reference")
 
 #: heuristic level strategy-sweep cells run at (multi-block and
 #: profile-fed, so non-paper strategies exercise their full pipeline)
@@ -161,7 +158,6 @@ def fuzz_specs(
     seed: int = 1,
     preset: str = "default",
     levels: Sequence[HeuristicLevel] = ALL_LEVELS,
-    engines: Sequence[str] = ENGINES,
     strategies: Sequence[str] = (),
     machines: Sequence[str] = (),
 ) -> Tuple[List[RunSpec], List[str]]:
@@ -198,7 +194,7 @@ def fuzz_specs(
         name = synth_name(preset, pseed)
         names.append(name)
         for level in levels:
-            for engine in engines:
+            for engine in ENGINES:
                 specs.append(RunSpec(
                     benchmark=name,
                     level=level,
@@ -209,7 +205,7 @@ def fuzz_specs(
             selection = SelectionConfig(
                 level=FUZZ_STRATEGY_LEVEL, strategy=strategy
             )
-            for engine in engines:
+            for engine in ENGINES:
                 specs.append(RunSpec(
                     benchmark=name,
                     level=FUZZ_STRATEGY_LEVEL,
@@ -218,7 +214,7 @@ def fuzz_specs(
                     source_hash=source,
                 ))
         for machine in machine_specs:
-            for engine in engines:
+            for engine in ENGINES:
                 specs.append(RunSpec(
                     benchmark=name,
                     level=FUZZ_STRATEGY_LEVEL,
@@ -359,37 +355,29 @@ def _stub_record(spec: RunSpec, compiled) -> "RunRecord":
 
 def _compare_engines(label: str,
                      by_engine: Dict[str, "RunRecord"]) -> List[str]:
-    """Bit-identity divergences among the engines of one cell.
-
-    Every engine is compared against the oracle (``reference`` when
-    present, else ``fast``), so a three-column campaign reports
-    exactly which engine drifted rather than one opaque mismatch.
-    """
-    baseline_engine = "reference" if "reference" in by_engine else "fast"
-    baseline = by_engine.get(baseline_engine)
-    if baseline is None or len(by_engine) < 2:
+    """Bit-identity divergences between the two engines of one cell."""
+    fast = by_engine.get("fast")
+    reference = by_engine.get("reference")
+    if fast is None or reference is None:
         return []
     out: List[str] = []
-    base_bd = baseline.breakdown.as_dict()
-    for engine, record in by_engine.items():
-        if engine == baseline_engine:
-            continue
-        for field_name in _COMPARE_FIELDS:
-            a = getattr(record, field_name)
-            b = getattr(baseline, field_name)
-            if a != b:
-                out.append(
-                    f"{label}: engines diverge on {field_name}: "
-                    f"{engine}={a!r} {baseline_engine}={b!r}"
-                )
-        engine_bd = record.breakdown.as_dict()
-        for category in sorted(set(engine_bd) | set(base_bd)):
-            if engine_bd.get(category) != base_bd.get(category):
-                out.append(
-                    f"{label}: engines diverge on breakdown[{category}]: "
-                    f"{engine}={engine_bd.get(category)!r} "
-                    f"{baseline_engine}={base_bd.get(category)!r}"
-                )
+    for field_name in _COMPARE_FIELDS:
+        a = getattr(fast, field_name)
+        b = getattr(reference, field_name)
+        if a != b:
+            out.append(
+                f"{label}: engines diverge on {field_name}: "
+                f"fast={a!r} reference={b!r}"
+            )
+    fast_bd = fast.breakdown.as_dict()
+    ref_bd = reference.breakdown.as_dict()
+    for category in sorted(set(fast_bd) | set(ref_bd)):
+        if fast_bd.get(category) != ref_bd.get(category):
+            out.append(
+                f"{label}: engines diverge on breakdown[{category}]: "
+                f"fast={fast_bd.get(category)!r} "
+                f"reference={ref_bd.get(category)!r}"
+            )
     return out
 
 
@@ -403,7 +391,6 @@ def run_campaign(
     resume: bool = False,
     minimize: bool = False,
     levels: Sequence[HeuristicLevel] = ALL_LEVELS,
-    engines: Sequence[str] = ENGINES,
     strategies: Sequence[str] = (),
     machines: Sequence[str] = (),
 ) -> CampaignResult:
@@ -412,16 +399,13 @@ def run_campaign(
     Returns a :class:`CampaignResult`; never raises on divergence
     (the CLI exits non-zero on ``not result.ok``).  With ``minimize``,
     every divergent program is delta-debugged to a minimal reproducer
-    (``result.reduced``).  ``engines`` widens the differential — e.g.
-    ``("fast", "reference", "batched")`` cross-checks three columns.
-    ``strategies`` sweeps non-paper selection strategies, and
+    (``result.reduced``).  ``strategies`` sweeps non-paper selection strategies, and
     ``machines`` heterogeneous machine presets, as extra cell groups
     (see :func:`fuzz_specs`).
     """
     result = CampaignResult(budget=budget, seed=seed, preset=preset)
     specs, names = fuzz_specs(budget, seed, preset, levels=levels,
-                              engines=engines, strategies=strategies,
-                              machines=machines)
+                              strategies=strategies, machines=machines)
     result.programs = names
     records = run_specs(
         specs, jobs=jobs, cache=cache, ledger=ledger,
@@ -454,7 +438,7 @@ def run_campaign(
         if machine:
             cell_label = f"{cell_label}/{machine}"
         cell_divs: List[str] = []
-        for engine in engines:
+        for engine in ENGINES:
             record = by_engine.get(engine)
             if record is None:
                 continue
@@ -508,7 +492,6 @@ def check_program(
     levels: Sequence[HeuristicLevel] = ALL_LEVELS,
     n_pus: int = 4,
     max_instructions: int = 2_000_000,
-    engines: Sequence[str] = ENGINES,
     strategies: Sequence[str] = (),
     machines: Sequence[str] = (),
 ) -> List[str]:
@@ -564,7 +547,7 @@ def check_program(
         stream = build_task_stream(trace, partition)
         release = ReleaseAnalysis(partition)
         results = {}
-        for engine in engines:
+        for engine in ENGINES:
             if machine_spec is not None:
                 config = SimConfig(engine=engine, machine=machine_spec)
             else:
@@ -597,24 +580,18 @@ def check_program(
                 f"{tag}[{engine}]: {d}"
                 for d in compare_states(ref_state, replay_state)
             )
-        baseline_engine = "reference" if "reference" in results else "fast"
-        baseline = results.get(baseline_engine)
-        if baseline is None:
-            continue
-        for engine, sim_result in results.items():
-            if engine == baseline_engine:
-                continue
+        if len(results) == 2:
+            fast, reference = results["fast"], results["reference"]
             for field_name in (
                 "cycles", "committed_instructions", "dynamic_tasks",
                 "task_predictions", "task_mispredictions",
                 "control_squashes", "memory_squashes", "branch_count",
             ):
-                a = getattr(sim_result, field_name)
-                b = getattr(baseline, field_name)
+                a = getattr(fast, field_name)
+                b = getattr(reference, field_name)
                 if a != b:
                     divergences.append(
                         f"{tag}: engines diverge on "
-                        f"{field_name}: {engine}={a!r} "
-                        f"{baseline_engine}={b!r}"
+                        f"{field_name}: fast={a!r} reference={b!r}"
                     )
     return divergences

@@ -32,7 +32,6 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     run_metrics,
@@ -46,7 +45,6 @@ from repro.telemetry.report import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "ReportRow",

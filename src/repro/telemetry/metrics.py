@@ -42,26 +42,6 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A point-in-time value (queue depth, in-flight shards, ...).
-
-    Unlike a :class:`Counter` it moves both ways; the campaign
-    service's ``/metrics`` endpoint samples gauges on every request.
-    """
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: float = 0) -> None:
-        self.name = name
-        self.value = value
-
-    def set(self, value) -> None:
-        self.value = value
-
-    def add(self, amount=1) -> None:
-        self.value += amount
-
-
 class Histogram:
     """Fixed-bucket histogram with an overflow slot.
 
@@ -126,7 +106,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
@@ -135,13 +114,6 @@ class MetricsRegistry:
         if counter is None:
             counter = self._counters[name] = Counter(name)
         return counter
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge called ``name`` (created at zero on first use)."""
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge(name)
-        return gauge
 
     def histogram(self, name: str,
                   bounds: Optional[Sequence[float]] = None) -> Histogram:
@@ -162,13 +134,8 @@ class MetricsRegistry:
         return histogram
 
     def summary(self) -> Dict:
-        """The whole registry as JSON-ready primitives.
-
-        ``gauges`` is emitted only when one was registered, so run
-        records and ledgers from before gauges existed byte-compare
-        equal to ones serialized now.
-        """
-        out = {
+        """The whole registry as JSON-ready primitives."""
+        return {
             "counters": {
                 name: counter.value
                 for name, counter in sorted(self._counters.items())
@@ -178,59 +145,6 @@ class MetricsRegistry:
                 for name, histogram in sorted(self._histograms.items())
             },
         }
-        if self._gauges:
-            out["gauges"] = {
-                name: gauge.value
-                for name, gauge in sorted(self._gauges.items())
-            }
-        return out
-
-
-def merge_summaries(a: Dict, b: Dict) -> Dict:
-    """Combine two registry summaries into one (JSON-ready) summary.
-
-    Counters and histogram contents add; histogram ``max`` takes the
-    larger; gauges are point-in-time, so the *later* summary (``b``)
-    wins where both sampled one.  Used to aggregate service metrics
-    across a drain + restart — the chaos report's counters span both
-    server generations even though each process kept its own
-    registry.  Histograms with mismatched bounds refuse to merge.
-    """
-    out: Dict = {"counters": {}, "histograms": {}}
-    for summary in (a, b):
-        for name, value in summary.get("counters", {}).items():
-            out["counters"][name] = out["counters"].get(name, 0) + value
-        for name, hist in summary.get("histograms", {}).items():
-            merged = out["histograms"].get(name)
-            if merged is None:
-                out["histograms"][name] = {
-                    "bounds": list(hist["bounds"]),
-                    "counts": list(hist["counts"]),
-                    "count": hist["count"],
-                    "sum": hist["sum"],
-                    "max": hist["max"],
-                }
-                continue
-            if merged["bounds"] != list(hist["bounds"]):
-                raise ValueError(
-                    f"histogram {name!r} has mismatched bounds"
-                )
-            merged["counts"] = [
-                x + y for x, y in zip(merged["counts"], hist["counts"])
-            ]
-            merged["count"] += hist["count"]
-            merged["sum"] += hist["sum"]
-            merged["max"] = max(merged["max"], hist["max"])
-    for hist in out["histograms"].values():
-        hist["mean"] = hist["sum"] / hist["count"] if hist["count"] else 0.0
-    gauges: Dict = {}
-    for summary in (a, b):
-        gauges.update(summary.get("gauges", {}))
-    if gauges:
-        out["gauges"] = gauges
-    out["counters"] = dict(sorted(out["counters"].items()))
-    out["histograms"] = dict(sorted(out["histograms"].items()))
-    return out
 
 
 def task_size_counts(stream) -> List[int]:

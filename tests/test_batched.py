@@ -1,47 +1,39 @@
-"""Batched-engine equivalence: lockstep cohorts vs the reference loop.
+"""Batched-grid equivalence: cells run as one batch vs the reference loop.
 
-The batched engine (``sim/batched.py``) advances many machine
-configurations of one compiled workload in lockstep slices.  Its only
-licence to exist is the same one the fast engine holds: bit-identity.
-Every cell — run alone or inside a cohort, in any cohort composition,
-through the scheduler's group routing or the campaign service — must
-produce exactly the same ``SimResult`` as the cycle-by-cycle
-reference loop, down to the per-reason cycle breakdown and the
-telemetry histograms.  These tests sweep every benchmark at every
-heuristic level, vary machine shapes and forwarding policies, and
-check the cohort driver's order- and composition-independence
-directly.
+A grid runs one way: :func:`repro.harness.scheduler.run_specs` groups
+its cells by compile signature, compiles each group once and simulates
+every machine configuration of the group back to back on the shared
+task stream.  Batching is an execution detail, never a result detail:
+every cell of a batch must produce exactly the record the
+cycle-by-cycle reference engine produces for that cell run alone,
+down to the per-reason cycle breakdown and the telemetry histograms.
+These tests run one batch covering every benchmark at every heuristic
+level, with sibling machine shapes and forwarding policies sharing the
+groups, and hold each checked cell to a lone reference run.
 """
-
-import asyncio
-import json
 
 import pytest
 
 from repro.compiler import HeuristicLevel
-from repro.experiments.runner import (
-    clear_cache,
-    compile_benchmark,
-    run_benchmark,
-    run_benchmark_batch,
-)
-from repro.harness.scheduler import (
-    BATCH_MIN_CELLS,
-    _batchable,
-    execute_spec,
-    run_specs,
-)
+from repro.experiments.runner import clear_cache, run_benchmark
+from repro.harness.cache import ArtifactCache
+from repro.harness.scheduler import run_specs
 from repro.harness.spec import RunSpec
-from repro.sim import MultiscalarMachine, SimConfig
-from repro.sim.batched import BatchCohort, run_cohort
+from repro.sim import SimConfig
 from repro.sim.config import ForwardPolicy
-from repro.sim.machine import SimulationStuck
 from repro.workloads import all_benchmarks
 
 SMALL = 0.1
 
 ALL_BENCHMARKS = [bm.name for bm in all_benchmarks()]
 ALL_LEVELS = list(HeuristicLevel)
+
+#: simulated just before each (benchmark, level) cell's 4-PU OoO run
+#: in the same group, so state one simulation left on the shared
+#: compiled stream would show in the next
+_SIBLING = (8, False)
+
+_SHAPES = [(8, True), (4, False), (8, False), (2, True)]
 
 #: every RunRecord field that is a pure function of the simulation
 #: (breakdown and metrics are compared separately for readable diffs)
@@ -58,363 +50,80 @@ _RESULT_FIELDS = (
 )
 
 
-def assert_equivalent(name, level, **kwargs):
-    """Run one cell batched and reference; demand identical records."""
-    sim = kwargs.pop("sim", None) or SimConfig()
-    batched = run_benchmark(
-        name, level,
-        sim=SimConfig(**{**sim.__dict__, "engine": "batched"}), **kwargs,
-    )
+def _spec(name, level, n_pus=4, out_of_order=True, sim=None):
+    return RunSpec(benchmark=name, level=level, n_pus=n_pus,
+                   out_of_order=out_of_order, scale=SMALL, sim=sim)
+
+
+@pytest.fixture(scope="module")
+def batch(tmp_path_factory):
+    """Every cell this module checks, run as one ``run_specs`` batch."""
+    specs = [
+        _spec(name, level, *shape)
+        for name in ALL_BENCHMARKS
+        for level in ALL_LEVELS
+        for shape in (_SIBLING, (4, True))
+    ]
+    specs += [_spec("compress", HeuristicLevel.TASK_SIZE, *shape)
+              for shape in _SHAPES]
+    specs += [_spec("tomcatv", HeuristicLevel.DATA_DEPENDENCE, 8, True,
+                    SimConfig(forward_policy=policy))
+              for policy in ForwardPolicy]
+    clear_cache()
+    cache = ArtifactCache(root=tmp_path_factory.mktemp("cache"))
+    records = run_specs(specs, jobs=1, cache=cache)
+    return {spec.spec_hash(): record for spec, record in zip(specs, records)}
+
+
+def assert_equivalent(batch, spec):
+    """Demand the batch's record for ``spec`` equal a lone reference run."""
+    batched = batch[spec.spec_hash()]
+    sim = spec.sim or SimConfig()
     reference = run_benchmark(
-        name, level,
-        sim=SimConfig(**{**sim.__dict__, "engine": "reference"}), **kwargs,
+        spec.benchmark, spec.level, n_pus=spec.n_pus,
+        out_of_order=spec.out_of_order, scale=spec.scale,
+        sim=SimConfig(**{**sim.__dict__, "engine": "reference"}),
     )
+    label = f"{spec.benchmark}/{spec.level.value}/{spec.n_pus}"
     for field in _RESULT_FIELDS:
         assert getattr(batched, field) == getattr(reference, field), (
-            f"{name}/{level.value}: batched.{field}="
-            f"{getattr(batched, field)} != reference.{field}="
-            f"{getattr(reference, field)}"
+            f"{label}: batched.{field}={getattr(batched, field)} != "
+            f"reference.{field}={getattr(reference, field)}"
         )
     assert batched.breakdown == reference.breakdown, (
-        f"{name}/{level.value}: cycle breakdowns differ"
+        f"{label}: cycle breakdowns differ"
     )
     assert batched.metrics == reference.metrics, (
-        f"{name}/{level.value}: telemetry summaries differ"
+        f"{label}: telemetry summaries differ"
     )
+    assert batched == reference, f"{label}: records differ"
 
 
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
 @pytest.mark.parametrize(
     "level", ALL_LEVELS, ids=[lvl.value for lvl in ALL_LEVELS]
 )
-def test_batched_matches_reference_every_cell(name, level):
+def test_batched_matches_reference_every_cell(batch, name, level):
     """Bit-identity on every (benchmark, level) cell, 4 PUs OoO."""
-    assert_equivalent(name, level, n_pus=4, out_of_order=True, scale=SMALL)
+    assert_equivalent(batch, _spec(name, level))
 
 
-@pytest.mark.parametrize("n_pus,out_of_order",
-                         [(8, True), (4, False), (8, False), (2, True)])
-def test_batched_matches_reference_machine_shapes(n_pus, out_of_order):
-    """Bit-identity across PU counts and issue disciplines."""
+@pytest.mark.parametrize("n_pus,out_of_order", _SHAPES)
+def test_batched_matches_reference_machine_shapes(batch, n_pus,
+                                                  out_of_order):
+    """Bit-identity across PU counts and issue disciplines in one group."""
     assert_equivalent(
-        "compress", HeuristicLevel.TASK_SIZE,
-        n_pus=n_pus, out_of_order=out_of_order, scale=SMALL,
+        batch,
+        _spec("compress", HeuristicLevel.TASK_SIZE, n_pus, out_of_order),
     )
 
 
 @pytest.mark.parametrize("policy", list(ForwardPolicy),
                          ids=[p.value for p in ForwardPolicy])
-def test_batched_matches_reference_forward_policies(policy):
-    """Bit-identity under every register forwarding policy."""
+def test_batched_matches_reference_forward_policies(batch, policy):
+    """Bit-identity under every register forwarding policy in one group."""
     assert_equivalent(
-        "tomcatv", HeuristicLevel.DATA_DEPENDENCE,
-        n_pus=8, out_of_order=True, scale=SMALL,
-        sim=SimConfig(forward_policy=policy),
+        batch,
+        _spec("tomcatv", HeuristicLevel.DATA_DEPENDENCE, 8, True,
+              SimConfig(forward_policy=policy)),
     )
-
-
-@pytest.mark.parametrize("name,level", [
-    ("compress", HeuristicLevel.DATA_DEPENDENCE),
-    ("m88ksim", HeuristicLevel.CONTROL_FLOW),
-    ("tomcatv", HeuristicLevel.TASK_SIZE),
-])
-def test_batched_charging_sums_per_category(name, level):
-    """Deferred span charges land in the right Figure-2 buckets.
-
-    The batched engine charges a held PU's skipped span to its stall
-    category when the span is reconciled at the next visit; this
-    checks the per-category totals — not just the aggregate — against
-    the reference engine's cycle-by-cycle accounting, and that both
-    engines attribute every PU-cycle (categories + squash penalties +
-    idle sum to the same grand total).
-    """
-    batched = run_benchmark(
-        name, level, n_pus=4, scale=SMALL, sim=SimConfig(engine="batched"),
-    )
-    reference = run_benchmark(
-        name, level, n_pus=4, scale=SMALL,
-        sim=SimConfig(engine="reference"),
-    )
-    batched_dict = batched.breakdown.as_dict()
-    ref_dict = reference.breakdown.as_dict()
-    for category in ref_dict:
-        assert batched_dict[category] == ref_dict[category], (
-            f"{name}/{level.value}: category {category}: "
-            f"batched={batched_dict[category]} "
-            f"reference={ref_dict[category]}"
-        )
-    assert (
-        batched.breakdown.total_pu_cycles
-        == reference.breakdown.total_pu_cycles
-    )
-
-
-# -- the cohort driver ------------------------------------------------
-
-
-def _machines(cells, level=HeuristicLevel.TASK_SIZE, name="compress"):
-    """Fresh batched machines for ``cells`` = [(n_pus, ooo), ...]."""
-    compiled = compile_benchmark(name, level, scale=SMALL)
-    machines = []
-    for n_pus, out_of_order in cells:
-        config = SimConfig(engine="batched").scaled_for_pus(n_pus)
-        config = SimConfig(**{**config.__dict__,
-                              "out_of_order": out_of_order})
-        machines.append(
-            MultiscalarMachine(
-                compiled.stream, config, compiled.release,
-                label=f"{name}/{n_pus}{'ooo' if out_of_order else 'ino'}",
-            )
-        )
-    return machines
-
-
-_CELLS = [(4, True), (8, True), (4, False), (2, True)]
-
-
-def _result_key(result):
-    """Everything a SimResult measures, as a comparable value."""
-    return (
-        result.cycles,
-        result.committed_instructions,
-        result.dynamic_tasks,
-        result.task_predictions,
-        result.task_mispredictions,
-        result.control_squashes,
-        result.memory_squashes,
-        result.gshare_accuracy,
-        result.branch_count,
-        result.mean_window_span,
-        result.breakdown,
-        result.cache_stats,
-        result.squash_depths,
-    )
-
-
-def test_cohort_matches_individual_cells():
-    """A cohort's results equal each cell run alone through run_cell."""
-    together = run_cohort(_machines(_CELLS))
-    # engine="batched" on a lone machine dispatches to run_cell
-    alone = [machine.run() for machine in _machines(_CELLS)]
-    assert [_result_key(r) for r in together] == [
-        _result_key(r) for r in alone
-    ]
-
-
-def test_cohort_results_are_order_independent():
-    """Permuting the cohort permutes the results and changes nothing.
-
-    Cells share nothing but immutable compiled arrays, so the lockstep
-    schedule — which interleaves their slices — must not let one
-    cell's progress influence another's measurements.
-    """
-    base = run_cohort(_machines(_CELLS))
-    order = [2, 0, 3, 1]
-    permuted = run_cohort(_machines([_CELLS[i] for i in order]))
-    assert [_result_key(base[i]) for i in order] == [
-        _result_key(r) for r in permuted
-    ]
-
-
-def test_cohort_results_are_composition_independent():
-    """Splitting a cohort into sub-cohorts changes nothing."""
-    whole = run_cohort(_machines(_CELLS))
-    front = run_cohort(_machines(_CELLS[:2]))
-    back = run_cohort(_machines(_CELLS[2:]))
-    assert [_result_key(r) for r in whole] == [
-        _result_key(r) for r in front + back
-    ]
-
-
-def test_cohort_slice_size_is_immaterial():
-    """Any slice granularity yields the same per-cell results."""
-    base = run_cohort(_machines(_CELLS))
-    for slice_cycles in (1, 64, 1 << 20):
-        again = run_cohort(_machines(_CELLS), slice_cycles=slice_cycles)
-        assert [_result_key(r) for r in again] == [
-            _result_key(r) for r in base
-        ]
-
-
-def test_cohort_rejects_bad_slice():
-    with pytest.raises(ValueError):
-        BatchCohort(_machines([(4, True)]), slice_cycles=0)
-
-
-def test_run_cell_respects_max_cycles():
-    """A stuck batched cell dies with the same diagnostic contract."""
-    with pytest.raises(SimulationStuck) as exc_info:
-        run_benchmark(
-            "compress", HeuristicLevel.BASIC_BLOCK, n_pus=4, scale=SMALL,
-            sim=SimConfig(max_cycles=50, engine="batched"),
-        )
-    message = str(exc_info.value)
-    assert "compress/basic_block/4ooo" in message
-    assert "engine=" in message
-
-
-# -- harness integration ----------------------------------------------
-
-
-def _batched_specs(levels=(HeuristicLevel.TASK_SIZE,), engine="batched"):
-    sim = SimConfig(engine=engine)
-    return [
-        RunSpec(benchmark="compress", level=level, n_pus=n_pus,
-                out_of_order=ooo, scale=SMALL, sim=sim)
-        for level in levels
-        for n_pus, ooo in _CELLS
-    ]
-
-
-def test_batchable_group_policy():
-    """Only full batched groups under the canonical worker batch."""
-    specs = _batched_specs()
-    assert _batchable(specs, execute_spec)
-    assert not _batchable(specs[:BATCH_MIN_CELLS - 1], execute_spec)
-    assert not _batchable(specs, lambda spec: None)  # injected worker
-    mixed = specs[:-1] + _batched_specs(engine="fast")[-1:]
-    assert not _batchable(mixed, execute_spec)
-    default_engine = [
-        RunSpec(benchmark="compress", level=HeuristicLevel.TASK_SIZE,
-                n_pus=n, out_of_order=o, scale=SMALL)
-        for n, o in _CELLS
-    ]
-    assert not _batchable(default_engine, execute_spec)
-
-
-def test_run_benchmark_batch_matches_run_benchmark():
-    """The batch pipeline's records equal the single-cell pipeline's."""
-    specs = _batched_specs(levels=[HeuristicLevel.TASK_SIZE,
-                                   HeuristicLevel.DATA_DEPENDENCE])
-    groups = {}
-    for spec in specs:
-        groups.setdefault(spec.level, []).append(spec)
-    for level, group in groups.items():
-        batch = run_benchmark_batch(group)
-        for spec, record in zip(group, batch):
-            single = run_benchmark(
-                spec.benchmark, spec.level, n_pus=spec.n_pus,
-                out_of_order=spec.out_of_order, scale=spec.scale,
-                sim=spec.sim,
-            )
-            assert record.__dict__ == single.__dict__, (
-                f"{spec.benchmark}/{spec.level.value}/{spec.n_pus}: "
-                f"batch record differs"
-            )
-
-
-def test_scheduler_routes_batched_groups(tmp_path, monkeypatch):
-    """run_specs routes batched groups through the cohort pipeline
-    and the records match a cell-by-cell fast-engine grid exactly."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    clear_cache()
-    levels = [HeuristicLevel.TASK_SIZE, HeuristicLevel.BASIC_BLOCK]
-    batched = run_specs(_batched_specs(levels=levels), jobs=1)
-    clear_cache()
-    fast = run_specs(_batched_specs(levels=levels, engine="fast"), jobs=1)
-    assert [r.__dict__ for r in batched] == [r.__dict__ for r in fast]
-
-
-def test_engine_salts_the_cache_key():
-    """Batched runs must never alias fast or reference cache entries."""
-    def spec(engine):
-        return RunSpec(
-            benchmark="compress", level=HeuristicLevel.BASIC_BLOCK,
-            sim=SimConfig(engine=engine),
-        )
-
-    hashes = {engine: spec(engine).spec_hash()
-              for engine in ("fast", "batched", "reference")}
-    assert len(set(hashes.values())) == 3
-
-
-def test_fault_plans_fall_back_to_the_fast_loop():
-    """Cells with fault plans run faulted but stay oracle-green."""
-    from repro.reliability import verify_workload
-
-    report = verify_workload(
-        "compress", HeuristicLevel.CONTROL_FLOW, n_pus=4, scale=SMALL,
-        faults=10, seed=7, sim=SimConfig(engine="batched"),
-    )
-    assert report.ok, report.summary()
-    assert report.faults_injected > 0
-
-
-# -- the campaign service's shard path --------------------------------
-
-
-def _run(coro):
-    loop = asyncio.new_event_loop()
-    try:
-        return loop.run_until_complete(coro)
-    finally:
-        loop.close()
-
-
-def test_service_batched_job_matches_fast_job(tmp_path, monkeypatch):
-    """A figure5 job on the batched engine is byte-identical to fast.
-
-    The service shards a job and runs each shard with ``jobs=1``; a
-    shard whose cells all name the batched engine goes through the
-    cohort pipeline.  The resulting records_json must match the fast
-    engine's byte for byte — engine choice is an execution detail,
-    never a result detail.
-    """
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    clear_cache()
-    from repro.harness.cache import ArtifactCache
-    from repro.service import JobQueue, JobRequest, ServiceJournal
-
-    params = {"benchmarks": ["compress"], "scale": 0.05,
-              "levels": ["basic_block"]}
-
-    async def scenario():
-        cache = ArtifactCache(root=tmp_path / "cache")
-        journal = ServiceJournal(tmp_path / "svc")
-        queue = JobQueue(cache, journal, workers=2, executor="thread")
-        await queue.start()
-        try:
-            results = {}
-            for engine in ("fast", "batched"):
-                req = JobRequest.from_payload({
-                    "kind": "figure5",
-                    "params": {**params, "engine": engine},
-                })
-                job = await queue.submit(req)
-                job = await queue.wait(job.job_id, timeout=180)
-                assert job.state == "done", job.state
-                results[engine] = journal.read_result(job.job_id)
-            return results
-        finally:
-            await queue.close()
-
-    results = _run(scenario())
-    assert results["batched"]["records_json"] == (
-        results["fast"]["records_json"]
-    )
-    parsed = json.loads(results["batched"]["records_json"])
-    assert len(parsed["records"]) == 4
-
-
-# -- bench bookkeeping ------------------------------------------------
-
-
-def test_bench_annotates_batched_speedup():
-    """BENCH records carry both cross-engine wall-time ratios."""
-    from repro.bench import _annotate_speedups, format_record
-
-    def entry(engine, wall_s):
-        return {"grid": "smoke", "engine": engine, "wall_s": wall_s,
-                "cells": 1, "sim_cycles": 10,
-                "cycles_per_s": 10 / wall_s}
-
-    record = {"grids": {
-        "smoke@fast": entry("fast", 4.0),
-        "smoke@reference": entry("reference", 6.0),
-        "smoke@batched": entry("batched", 2.0),
-    }}
-    _annotate_speedups(record)
-    assert record["speedup"] == {"smoke": 1.5, "smoke:batched": 2.0}
-    text = format_record(record)
-    assert "batched vs fast" in text
-    assert "fast vs reference" in text

@@ -117,20 +117,3 @@ def test_stats_reports_split_byte_counts(tmp_path):
     assert stats["records"] == 2
     assert stats["compiled_bytes"] == 0
     assert stats["bytes"] >= stats["records_bytes"]
-
-
-def test_get_record_by_hash(tmp_path):
-    cache = ArtifactCache(root=tmp_path)
-    spec = RunSpec(benchmark="compress",
-                   level=HeuristicLevel.BASIC_BLOCK,
-                   n_pus=4, out_of_order=True, scale=0.05)
-    [record] = run_specs([spec], jobs=1, cache=cache)
-    spec_hash = spec.spec_hash(cache.salt)
-    fetched = cache.get_record_by_hash(spec_hash)
-    assert fetched is not None
-    assert fetched.cycles == record.cycles
-    assert cache.get_record_by_hash("0" * 64) is None
-    # traversal and junk are rejected, not turned into paths
-    assert cache.get_record_by_hash("../../etc/passwd") is None
-    assert cache.get_record_by_hash("UPPER") is None
-    assert cache.get_record_by_hash("") is None

@@ -88,20 +88,32 @@ class TestParser:
         ["trace", "compress"],
         ["profile-sim", "compress"],
     ], ids=lambda c: c[0])
-    def test_engine_choices_include_batched(self, command):
-        args = build_parser().parse_args(command + ["--engine", "batched"])
-        assert args.engine == "batched"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(command + ["--engine", "warp"])
+    def test_engine_choices_reject_batched(self, command):
+        args = build_parser().parse_args(command + ["--engine", "reference"])
+        assert args.engine == "reference"
+        for engine in ("batched", "warp"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--engine", engine])
 
-    def test_fuzz_extra_engines(self):
-        assert build_parser().parse_args(
-            ["fuzz", "--budget", "1"]).extra_engines is None
-        args = build_parser().parse_args(
-            ["fuzz", "--budget", "1",
-             "--engine", "batched", "--engine", "reference"]
+    def test_fuzz_has_no_engine_flag(self):
+        """fast and reference always run; there is no engine to add."""
+        assert not hasattr(
+            build_parser().parse_args(["fuzz", "--budget", "1"]),
+            "extra_engines",
         )
-        assert args.extra_engines == ["batched", "reference"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["fuzz", "--budget", "1", "--engine", "reference"]
+            )
+
+    @pytest.mark.parametrize(
+        "command", ["serve", "chaos", "submit", "jobs", "fetch"]
+    )
+    def test_service_commands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_report_options(self):
         args = build_parser().parse_args(
@@ -140,13 +152,13 @@ class TestCommands:
         assert main(["run", "compress", "--scale", "0.1", "--in-order"]) == 0
         assert "in-order" in capsys.readouterr().out
 
-    def test_run_batched_engine_output_matches_fast(self, capsys):
+    def test_run_reference_engine_output_matches_fast(self, capsys):
         assert main(
-            ["run", "compress", "--scale", "0.1", "--engine", "batched"]
+            ["run", "compress", "--scale", "0.1", "--engine", "reference"]
         ) == 0
-        batched = capsys.readouterr().out
+        reference = capsys.readouterr().out
         assert main(["run", "compress", "--scale", "0.1"]) == 0
-        assert batched == capsys.readouterr().out
+        assert reference == capsys.readouterr().out
 
     def test_figure5(self, capsys):
         assert main(
@@ -261,7 +273,7 @@ class TestCommands:
         assert [e["cache"] for e in entries[-3:]] == ["resume"] * 3
 
     def test_unknown_benchmark_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit):
             main(["run", "nonexistent", "--scale", "0.1"])
 
     def test_trace_writes_valid_chrome_trace(self, capsys, tmp_path):
@@ -299,34 +311,7 @@ class TestCommands:
             main(["report", "no-such-file.json", "also-missing.json"])
 
 
-class TestServiceCLI:
-    def test_serve_parser_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.host == "127.0.0.1"
-        assert args.port == 8753
-        assert args.workers == 2
-        assert args.journal == ""
-        assert args.executor == "process"
-
-    def test_submit_parser(self):
-        args = build_parser().parse_args(
-            ["submit", "figure5", "--benchmarks", "compress",
-             "--scale", "0.1", "--levels", "basic_block", "--wait",
-             "--param", "engine=\"fast\""]
-        )
-        assert args.grid == "figure5"
-        assert args.benchmarks == "compress"
-        assert args.scale == 0.1
-        assert args.wait
-        assert args.param == ['engine="fast"']
-
-    def test_jobs_and_fetch_parsers(self):
-        args = build_parser().parse_args(["jobs", "--watch"])
-        assert args.watch
-        assert args.url == "http://127.0.0.1:8753"
-        args = build_parser().parse_args(["fetch", "abc123"])
-        assert args.spec_hash == "abc123"
-
+class TestCacheAndListCLI:
     def test_cache_prune_parser(self):
         args = build_parser().parse_args(
             ["cache", "prune", "--max-bytes", "1024"]
@@ -373,43 +358,53 @@ class TestServiceCLI:
         sample = payload["presets"][0]
         assert "region_weights" in sample
 
-    def test_submit_unreachable_service_exits(self):
-        with pytest.raises(SystemExit, match="repro submit"):
-            main(["submit", "figure5", "--url", "http://127.0.0.1:9"])
 
-    def test_jobs_unreachable_service_exits(self):
-        with pytest.raises(SystemExit, match="repro jobs"):
-            main(["jobs", "--url", "http://127.0.0.1:9"])
+#: (argv, the bad value, a valid choice the error line must name)
+_BAD_INPUT = [
+    (["run", "nosuch"], "nosuch", "compress"),
+    (["trace", "nosuch"], "nosuch", "compress"),
+    (["profile-sim", "nosuch"], "nosuch", "compress"),
+    (["verify", "nosuch"], "nosuch", "compress"),
+    (["figure5", "--benchmarks", "compress,nosuch"], "nosuch", "compress"),
+    (["scaling", "--benchmarks", "nosuch"], "nosuch", "compress"),
+    (["tune", "nosuch"], "nosuch", "compress"),
+    (["verify", "compress", "--levels", "bogus"], "bogus", "basic_block"),
+    (["run", "compress", "--scale", "0"], "'0'", "> 0"),
+    (["run", "compress", "--scale", "-1"], "'-1'", "> 0"),
+    (["table1", "--pus", "0"], "'0'", ">= 1"),
+    (["bench", "--engines", "warp"], "warp", "fast, reference"),
+]
 
-    def test_submit_and_fetch_against_live_service(self, capsys,
-                                                   tmp_path):
-        from repro.harness.cache import ArtifactCache
-        from repro.service import CampaignService
 
-        service = CampaignService(
-            cache=ArtifactCache(root=tmp_path / "cache"),
-            journal_root=tmp_path / "svc",
-            port=0, workers=2, executor="thread",
+class TestBadInput:
+    """Bad arguments exit 2 at parse time, before any cell runs."""
+
+    @pytest.mark.parametrize(
+        "argv, bad, valid", _BAD_INPUT,
+        ids=["-".join(case[0]) for case in _BAD_INPUT],
+    )
+    def test_rejected_before_any_work(self, argv, bad, valid, capsys,
+                                      monkeypatch):
+        import repro.cli as cli
+
+        def no_work(args):
+            raise AssertionError("a command ran on bad input")
+
+        monkeypatch.setattr(
+            cli, "_COMMANDS", {name: no_work for name in cli._COMMANDS}
         )
-        with service:
-            url = service.base_url
-            assert main(
-                ["submit", "figure5", "--url", url,
-                 "--benchmarks", "compress", "--scale", "0.05",
-                 "--levels", "basic_block", "--wait"]
-            ) == 0
-            out = capsys.readouterr().out
-            assert "done" in out
-            assert "Figure 5" in out
-            assert main(["jobs", "--url", url, "--watch"]) == 0
-            out = capsys.readouterr().out
-            assert "figure5-" in out and "done" in out
-            # fetch one record by the hash the ledger reports
-            from repro.service.client import ServiceClient
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        [error] = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert bad in error and valid in error
 
-            client = ServiceClient(url)
-            job_id = client.jobs()[0]["job_id"]
-            spec_hash = client.ledger_lines(job_id)[0]["spec_hash"]
-            assert main(["fetch", spec_hash, "--url", url]) == 0
-            payload = json.loads(capsys.readouterr().out)
-            assert payload["record"]["benchmark"] == "compress"
+    def test_synth_benchmark_names_still_parse(self):
+        args = build_parser().parse_args(["run", "synth:loops:7"])
+        assert args.benchmark == "synth:loops:7"
+
+    def test_figure5_keeps_both_pu_counts_by_default(self):
+        assert build_parser().parse_args(["figure5"]).pus == 0

@@ -7,8 +7,8 @@ is a regression net at the opposite end of the spectrum from the big
 registry workloads: each program is a handful of blocks exercising
 one shape the generator targets — loops, calls, diamonds, aliasing
 memory, FP, long def-use chains — and every one is pushed through the
-full differential check (all heuristic levels x all three engines x
-the commit-log oracle) on every test run.
+full differential check (all heuristic levels x both engines x the
+commit-log oracle) on every test run.
 """
 
 from __future__ import annotations
@@ -54,7 +54,5 @@ def test_corpus_program_is_valid(path):
     "path", CORPUS, ids=[p.stem for p in CORPUS]
 )
 def test_corpus_program_passes_differential_check(path):
-    divergences = check_program(
-        _load(path), engines=("fast", "batched", "reference")
-    )
+    divergences = check_program(_load(path))
     assert divergences == [], divergences

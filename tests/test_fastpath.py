@@ -203,3 +203,23 @@ def test_engine_salts_the_cache_key():
 def test_engine_rejects_unknown_value():
     with pytest.raises(ValueError):
         SimConfig(engine="warp")
+    with pytest.raises(ValueError, match="fast, reference"):
+        SimConfig(engine="batched")
+
+
+def test_bench_annotates_speedup():
+    """BENCH records carry the fast-vs-reference wall-time ratio."""
+    from repro.bench import _annotate_speedups, format_record
+
+    def entry(engine, wall_s):
+        return {"grid": "smoke", "engine": engine, "wall_s": wall_s,
+                "cells": 1, "sim_cycles": 10,
+                "cycles_per_s": 10 / wall_s}
+
+    record = {"grids": {
+        "smoke@fast": entry("fast", 4.0),
+        "smoke@reference": entry("reference", 6.0),
+    }}
+    _annotate_speedups(record)
+    assert record["speedup"] == {"smoke": 1.5}
+    assert "fast vs reference" in format_record(record)

@@ -1,7 +1,7 @@
 """Concurrent ledger appends: no interleaved partial JSON lines.
 
-The campaign service points several shard workers at one per-job
-ledger file.  Appends are single ``os.write`` calls on an
+Several processes can append to one ledger file (two grids run
+against one artifact cache).  Appends are single ``os.write`` calls on an
 ``O_APPEND`` descriptor, which POSIX guarantees are atomic with
 respect to other appenders — lines may reorder across writers, but
 they can never splice into each other.  The readers (schema 2 and 3
@@ -70,8 +70,8 @@ def test_two_process_writers_never_interleave(tmp_path):
 
 
 def test_two_ledger_objects_share_one_file(tmp_path):
-    """Two RunLedger handles on one path (the service's shard
-    workers) both append; the merged file stays fully parseable."""
+    """Two RunLedger handles on one path (two grids sharing one
+    cache) both append; the merged file stays fully parseable."""
     path = tmp_path / "ledger.jsonl"
     a = RunLedger(path, progress=None)
     b = RunLedger(path, progress=None)
