@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Callable, List, Optional
 
@@ -1299,7 +1300,17 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    print(_COMMANDS[args.command](args))
+    output = _COMMANDS[args.command](args)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro list | head``).  Point
+        # stdout at devnull so the interpreter's exit flush does not
+        # raise again, and exit 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return 0
 
 

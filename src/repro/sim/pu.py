@@ -20,13 +20,14 @@ bookkeeping costs a couple of list indexings instead of enum-keyed
 dict updates.
 
 For the event-driven engine the PU also exposes
-:meth:`next_event_cycle`: after a globally quiescent cycle it reports
-the earliest future cycle at which this PU could act (next completion,
-fetch resume, ring-forward arrival, task-start boundary) plus the
-stall category it keeps charging until then.  ``issue`` records the
-two facts the probe needs as it scans — the blocking reason of the
-oldest unissued instruction and the earliest ring-forward arrival
-among blocked candidates — so the probe itself does no rescanning.
+:meth:`next_event_cycle`: after a cycle in which the PU made no
+progress it reports the earliest future cycle at which this PU could
+act (next completion, fetch resume, ring-forward arrival, task-start
+boundary) plus the stall category it keeps charging until then.
+``issue`` records the two facts the probe needs as it scans — the
+blocking reason of the oldest unissued instruction and the earliest
+ring-forward arrival among blocked candidates — so the probe itself
+does no rescanning.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ _NEVER = 1 << 60
 
 _N_REASONS = len(REASON_INDEX)
 _R_FETCH = REASON_INDEX[StallReason.FETCH]
-_R_LOAD_IMBALANCE = REASON_INDEX[StallReason.LOAD_IMBALANCE]
 _R_TASK_START = REASON_INDEX[StallReason.TASK_START]
 _R_USEFUL = REASON_INDEX[StallReason.USEFUL]
 
@@ -198,6 +198,21 @@ class ProcessingUnit:
         #: retires leave their memoization intact.
         self.issue_retire_key = -1
         self.retire_sensitive = False
+        #: (store, load) trace-index pairs whose sync-table entry the
+        #: last blocked scan touched, in scan order (None: no touch).
+        #: A memo replay touches them again, so the table's LRU order
+        #: is the one a re-run scan would leave.
+        self.sync_touches: Optional[List[Tuple[int, int]]] = None
+        # Per-PU schedule state, kept by the fast engine only.
+        #: 0 while awake; while asleep, the cycle of this PU's next own
+        #: event, at which the engine visits it again
+        self.sleep_until = 0
+        #: first cycle of the sleep span not yet charged, and its slot
+        self.sleep_from = 0
+        self.sleep_slot = _R_FETCH
+        #: first cycle charged to LOAD_IMBALANCE once done (-1: not
+        #: done); the engine charges the span when the commit starts
+        self.imbalance_from = -1
 
     @property
     def idle(self) -> bool:
@@ -426,9 +441,10 @@ class ProcessingUnit:
         occurs — and before any recorded ring-forward arrival
         (``issue_wake``) — re-running this computation cannot change
         its outcome, so the tick loop replays ``(0, last_block)``
-        without calling in.  Results that touched the memory sync
-        table's LRU are never memoized: the touch itself must re-run
-        every cycle to keep the reference engine's eviction order.
+        without calling in.  A scan that hit the memory sync table
+        records the pairs it touched (``sync_touches``); the replay
+        touches them again in the same order, and the result is
+        retire-sensitive because being the head task lifts a sync wait.
 
         The per-candidate blocking analysis (register operands,
         program-order memory, ARB capacity, sync table) and the issue
@@ -438,6 +454,7 @@ class ProcessingUnit:
         """
         self.issue_wake = _NEVER
         self.retire_sensitive = False
+        self.sync_touches = None
         unissued = self.unissued
         if self.dyn_task is None or self.done or not unissued:
             self.last_block = None
@@ -484,7 +501,7 @@ class ProcessingUnit:
         mem_head = self.mem_head
         issued_mem = 0
         issue_wake = _NEVER
-        sync_block = False
+        sync_touches: Optional[List[Tuple[int, int]]] = None
         retire_sensitive = False
 
         for pos in range(limit):
@@ -575,8 +592,11 @@ class ProcessingUnit:
                                 # Not forwarded by the ARB yet.
                                 if machine.is_synchronised(p, idx):
                                     # Touched the sync table's LRU:
-                                    # never memoize this result.
-                                    sync_block = True
+                                    # a memo replay must touch it too.
+                                    if sync_touches is None:
+                                        sync_touches = []
+                                    sync_touches.append((p, idx))
+                                    retire_sensitive = True
                                     if not at_head:
                                         reason = StallReason.SYNC_WAIT
                                 # else: speculate
@@ -634,43 +654,33 @@ class ProcessingUnit:
         if first_block is not None:
             self.last_slot = first_block.slot
         self.retire_sensitive = retire_sensitive
-        if sync_block:
-            self.issue_cache_key = -1
-        else:
-            self.issue_cache_key = machine._mut_version
-            self.issue_retire_key = machine._retire_version
+        self.sync_touches = sync_touches
+        self.issue_cache_key = machine._mut_version
+        self.issue_retire_key = machine._retire_version
         return 0, first_block
 
     # ---------------------------------------------------------- event probe
 
-    def next_event_cycle(
-        self, t: int, machine
-    ) -> Tuple[int, Optional[int]]:
+    def next_event_cycle(self, t: int, machine) -> Tuple[int, int]:
         """Earliest cycle >= ``t`` this PU could act, and the stall slot
-        (a ``REASONS`` index, or None) it charges until then.
+        (a ``REASONS`` index) it charges until then.
 
-        Only meaningful immediately after a cycle in which this PU made
-        no progress (nothing drained, issued, or fetched): the blocking
-        state observed by that cycle's ``issue`` call then holds for
-        every cycle before the returned wake-up point, so the machine
-        can charge the whole quiescent span in one step.  Wake-up
-        sources that live on *other* units (a producer task's
-        completion, the retire chain, the sequencer) are deliberately
-        not bounded here — the machine takes the minimum across all
-        units, and any of those events ends the span globally.
+        Only meaningful for a PU holding a real, unfinished task,
+        immediately after a cycle in which it made no progress (nothing
+        drained, issued, or fetched): the blocking state observed by
+        that cycle's ``issue`` call then holds for every cycle before
+        the returned wake-up point, so the machine can charge the whole
+        span in one step.  Wake-up sources that live on *other* units
+        (a producer task's completion, the retire chain, the sequencer)
+        are deliberately not bounded here — the machine takes the
+        minimum across all units, and wakes a sleeping PU on those
+        events itself.
         """
-        if self.wrong or self.retiring:
-            return _NEVER, None
-        dyn = self.dyn_task
-        if dyn is None:
-            return _NEVER, None  # charged as machine-level IDLE
-        if self.done:
-            return _NEVER, _R_LOAD_IMBALANCE
         in_flight = self.in_flight
         wake = in_flight[0][0] if in_flight else _NEVER
         if (
             self.pending_branch < 0
-            and self.fetch_ptr < dyn.end
+            and self.fetch_ptr < self.fetch_end
             and self.rob_count < self.config.rob_size
         ):
             resume = self.fetch_resume

@@ -1,6 +1,9 @@
 """Tests for the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -408,3 +411,25 @@ class TestBadInput:
 
     def test_figure5_keeps_both_pu_counts_by_default(self):
         assert build_parser().parse_args(["figure5"]).pus == 0
+
+
+def test_closed_stdout_exits_without_traceback():
+    """``repro list | head`` must not print a BrokenPipeError traceback:
+    the child writes into a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in ("src", env.get("PYTHONPATH", "")) if p
+    )
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "list"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=env, timeout=120,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+    finally:
+        os.close(write_end)
+    assert result.stderr == ""
+    assert result.returncode == 1

@@ -44,6 +44,7 @@ from repro.predict.taskpred import (
     make_task_predictor,
 )
 from repro.sim import SimConfig
+from repro.sim.config import ForwardPolicy
 
 ENGINES = ("fast", "reference")
 
@@ -130,17 +131,38 @@ def test_heterogeneous_presets_differentiate():
     assert len(set(seen.values())) == len(seen)
 
 
-def test_heterogeneous_machine_engine_identical():
-    """Profiles/predictors propagate identically into all engines."""
-    for machine in ("big-little-8", "hetero-16"):
-        identities = {
-            engine: record_identity(run_benchmark(
-                "compress", HeuristicLevel.DATA_DEPENDENCE, scale=0.2,
-                sim=SimConfig(engine=engine, machine=machine),
-            ))
-            for engine in ENGINES
-        }
-        assert identities["fast"] == identities["reference"], machine
+@pytest.mark.parametrize("machine,bench,level,out_of_order,policy", [
+    ("big-little-8", "compress", HeuristicLevel.DATA_DEPENDENCE, True, None),
+    ("hetero-16", "compress", HeuristicLevel.DATA_DEPENDENCE, True, None),
+    ("manycore-32", "compress", HeuristicLevel.DATA_DEPENDENCE, True, None),
+    ("manycore-64", "compress", HeuristicLevel.DATA_DEPENDENCE, True, None),
+    ("manycore-32", "m88ksim", HeuristicLevel.BASIC_BLOCK, True, None),
+    ("manycore-64", "tomcatv", HeuristicLevel.CONTROL_FLOW, True, None),
+    ("manycore-32", "m88ksim", HeuristicLevel.TASK_SIZE, False, None),
+    ("manycore-32", "tomcatv", HeuristicLevel.DATA_DEPENDENCE, True,
+     ForwardPolicy.LAZY),
+    ("manycore-32", "tomcatv", HeuristicLevel.DATA_DEPENDENCE, True,
+     ForwardPolicy.SCHEDULE),
+], ids=[
+    "big-little-8", "hetero-16", "manycore-32", "manycore-64",
+    "m88ksim-bb", "tomcatv-cf", "in-order", "lazy", "schedule",
+])
+def test_heterogeneous_machine_engine_identical(machine, bench, level,
+                                                out_of_order, policy):
+    """Profiles/predictors propagate identically into all engines, and
+    on the large rings, where the fast engine sleeps the most PUs, its
+    per-PU schedule (deferred stall and imbalance charges) matches the
+    reference loop's every-PU, every-cycle accounting, per-PU metrics
+    included."""
+    sim_kwargs = {} if policy is None else {"forward_policy": policy}
+    identities = {
+        engine: record_identity(run_benchmark(
+            bench, level, scale=0.2, out_of_order=out_of_order,
+            sim=SimConfig(engine=engine, machine=machine, **sim_kwargs),
+        ))
+        for engine in ENGINES
+    }
+    assert identities["fast"] == identities["reference"], machine
 
 
 def test_per_pu_telemetry_shape():

@@ -43,6 +43,51 @@ def build_conflict_program(iterations=40):
     return b.build()
 
 
+def build_rotating_conflicts(paths=3, iterations=60):
+    """A loop whose iterations cycle through ``paths`` code paths.
+
+    Path k loads the word the previous iteration's path stored, so the
+    ARB conflict pairs (store PC, load PC) rotate through ``paths``
+    distinct pairs, with several PUs waiting on different pairs at once.
+    """
+    b = IRBuilder()
+    with b.function("main"):
+        b.li("r1", 0)
+        b.li("r2", iterations)
+        b.store("r0", "r0", 600)
+        head = b.new_label("head")
+        done = b.new_label("done")
+        arms = [b.new_label(f"arm{k}") for k in range(paths)]
+        latch = b.new_label("latch")
+        b.jump(head)
+        with b.block(head):
+            b.remi("r5", "r1", paths)
+            for k in range(paths - 1):
+                test = b.new_label(f"test{k}")
+                b.seqi("r6", "r5", k)
+                b.bnez("r6", arms[k], fallthrough=test)
+                b.open_block(test)
+            b.jump(arms[-1])
+        for k, arm in enumerate(arms):
+            with b.block(arm):
+                b.load("r3", "r0", 600)
+                b.addi("r3", "r3", k + 1)
+                b.muli("r8", "r3", 3)
+                b.div("r9", "r8", "r3")
+                b.add("r3", "r3", "r9")
+                b.store("r3", "r0", 600)
+                b.jump(latch)
+        with b.block(latch):
+            b.addi("r1", "r1", 1)
+            b.slt("r9", "r1", "r2")
+            b.bnez("r9", head, fallthrough=done)
+        with b.block(done):
+            b.load("r4", "r0", 600)
+            b.store("r4", "r0", 601)
+            b.halt()
+    return b.build()
+
+
 def make_machine(program, level=HeuristicLevel.CONTROL_FLOW, n_pus=4,
                  monitor=None, **sim_kwargs):
     part = select_tasks(program, SelectionConfig(level=level))
@@ -195,6 +240,54 @@ class TestStoreViolation:
         assign_tasks(m, 2)
         m._check_store_violation(10**6, cycle=3)
         assert m.memory_squashes == 0
+
+
+class _PairRecordingMachine(MultiscalarMachine):
+    """Records every distinct (store PC, load PC) pair the table learns."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.learned = set()
+
+    def _learn_sync(self, store_idx, load_idx):
+        pc = self.state.pc
+        self.learned.add((pc[store_idx], pc[load_idx]))
+        super()._learn_sync(store_idx, load_idx)
+
+
+class TestSyncTableEviction:
+    """Both engines with a sync table smaller than the pairs learned.
+
+    A memoized sync wait replays its table touches; if the replay
+    touched differently from the reference loop's re-run scan, a later
+    eviction would pick another victim and the runs would diverge.
+    """
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("level,n_pus,out_of_order", [
+        (HeuristicLevel.CONTROL_FLOW, 4, True),
+        (HeuristicLevel.DATA_DEPENDENCE, 8, True),
+        (HeuristicLevel.CONTROL_FLOW, 8, False),
+    ], ids=["cf-4ooo", "dd-8ooo", "cf-8ino"])
+    def test_engines_identical_under_evictions(self, size, level, n_pus,
+                                               out_of_order):
+        part = select_tasks(build_rotating_conflicts(),
+                            SelectionConfig(level=level))
+        stream = build_task_stream(run_program(part.program), part)
+        identities = {}
+        for engine in ("fast", "reference"):
+            m = _PairRecordingMachine(stream, SimConfig(
+                n_pus=n_pus, out_of_order=out_of_order, engine=engine,
+                sync_table_size=size,
+            ))
+            r = m.run()
+            assert len(m.learned) > size, "no eviction happened"
+            identities[engine] = (
+                r.cycles, r.breakdown.as_dict(), r.memory_squashes,
+                r.control_squashes, r.squash_depths, r.pu_useful,
+                r.pu_occupied, r.cache_stats,
+            )
+        assert identities["fast"] == identities["reference"]
 
 
 class TestFullRunReconciliation:
