@@ -70,7 +70,7 @@ def test_bench_harness_warm(benchmark, results_dir, tmp_path):
     # recompiled (the interpreter only runs inside compile_benchmark).
     entries = read_ledger(tmp_path / "warm.jsonl")
     assert entries and all(e["cache"] == "hit" for e in entries)
-    assert not _compile_cache
+    assert not _compile_cache.compiled
     warm_seconds = sum(e["wall_seconds"] for e in entries) or 1e-9
     publish(
         results_dir,

@@ -9,8 +9,10 @@ Pipeline (Figure 3, Sections 3.1–3.4):
 3. strategy transforms (unrolling, hoisting, communication
    scheduling — for the paper strategies exactly the level-gated
    progression of Figure 3);
-4. profile the transformed program functionally iff the strategy
-   wants one (data dependence ranking, CALL_THRESH, cost models);
+4. iff the strategy wants a profile (data dependence ranking,
+   CALL_THRESH, cost models), take it from the :class:`TraceMemo`:
+   the transformed program is interpreted and profiled only the first
+   time a selection yields it;
 5. strategy decides absorbed (small) callees;
 6. strategy builds the partition — for the paper strategies a
    coverage traversal growing a task at every exposed target, steered
@@ -24,6 +26,8 @@ program, not the input.
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.compiler.control_flow import GrowthContext
@@ -31,23 +35,81 @@ from repro.compiler.heuristics import SelectionConfig
 from repro.compiler.strategy import get_strategy
 from repro.compiler.task import TaskPartition
 from repro.compiler.transforms import clone_program
+from repro.ir.asmtext import program_to_text
 from repro.ir.cfg import build_cfg
 from repro.ir.program import Program
-from repro.ir.interp import run_program
+from repro.ir.interp import Trace, run_program
 from repro.profiling import Profile, profile_trace
+
+
+@dataclass
+class _Run:
+    trace: Trace
+    profile: Optional[Profile] = None
+
+
+class TraceMemo:
+    """Functional runs of transformed programs, shared across selections.
+
+    A program's trace depends only on its code and its memory image;
+    task selection only decides where that trace is cut into tasks
+    (DESIGN.md §5).  Every selection whose transforms yield the same
+    program therefore shares one trace, one profile and, through the
+    trace, the timing model's trace-only packed arrays.
+
+    Runs are keyed by a digest of :func:`~repro.ir.asmtext.program_to_text`,
+    which round-trips the whole program: code, function and block
+    order (and so pcs), fallthroughs, ``main_name`` and the memory
+    image.  The instruction limit is not part of the key: the
+    interpreter raises at its limit, so a trace that exists is
+    complete.  A program must never be mutated once its trace is
+    memoized.
+    """
+
+    def __init__(self) -> None:
+        self._runs: Dict[bytes, _Run] = {}
+
+    def _run(self, program: Program, max_instructions: int) -> _Run:
+        key = hashlib.sha256(program_to_text(program).encode()).digest()
+        run = self._runs.get(key)
+        if run is None:
+            run = self._runs[key] = _Run(
+                run_program(program, max_instructions=max_instructions)
+            )
+        return run
+
+    def trace(
+        self, program: Program, max_instructions: int = 2_000_000
+    ) -> Trace:
+        """The trace of ``program``, interpreted on first request."""
+        return self._run(program, max_instructions).trace
+
+    def profile(
+        self, program: Program, max_instructions: int = 2_000_000
+    ) -> Profile:
+        """The profile of ``program``'s trace, built on first request."""
+        run = self._run(program, max_instructions)
+        if run.profile is None:
+            run.profile = profile_trace(run.trace)
+        return run.profile
+
+    def clear(self) -> None:
+        """Forget every run."""
+        self._runs.clear()
 
 
 def select_tasks(
     program: Program,
     config: Optional[SelectionConfig] = None,
-    profile: Optional[Profile] = None,
     max_profile_instructions: int = 2_000_000,
+    traces: Optional[TraceMemo] = None,
 ) -> TaskPartition:
     """Partition ``program`` into Multiscalar tasks.
 
-    ``profile`` may be supplied to reuse an existing profile **of the
-    transformed program**; normally leave it ``None`` and the driver
-    profiles internally after applying transforms.
+    ``traces`` shares functional runs with other selections (and with
+    the caller, who can take the measured trace of
+    ``partition.program`` from it); without one the call profiles
+    through a fresh memo of its own.
     """
     config = config or SelectionConfig()
     strategy = get_strategy(config)
@@ -55,16 +117,10 @@ def select_tasks(
     strategy.transform(prog, config)
     prog.validate()
 
-    profiled_trace = None
-    if strategy.wants_profile(config) and profile is None:
-        # Keep the trace alongside the profile: selection only picks
-        # task boundaries from here on (no further code changes), so
-        # the caller can reuse it instead of re-interpreting the
-        # program to obtain the measured trace.
-        profiled_trace = run_program(
-            prog, max_instructions=max_profile_instructions
-        )
-        profile = profile_trace(profiled_trace)
+    profile = None
+    if strategy.wants_profile(config):
+        memo = traces if traces is not None else TraceMemo()
+        profile = memo.profile(prog, max_profile_instructions)
 
     absorbed: Set[str] = strategy.absorbed_functions(prog, profile, config)
 
@@ -76,5 +132,4 @@ def select_tasks(
     partition = TaskPartition(prog)
     strategy.build(partition, contexts, profile, config)
     partition.validate()
-    partition.profile_trace = profiled_trace
     return partition

@@ -181,11 +181,6 @@ class TaskPartition:
         self.program = program
         self._by_root: Dict[BlockId, Task] = {}
         self._next_id = 0
-        #: dynamic trace of ``program`` recorded while profiling for
-        #: selection, when a profile was taken.  Selection never
-        #: mutates the program after profiling, so callers that would
-        #: re-interpret the same program (same input) can reuse this.
-        self.profile_trace = None
 
     def new_task(
         self,

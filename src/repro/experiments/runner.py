@@ -3,9 +3,18 @@
 ``run_benchmark`` executes the full flow of Section 4: build the
 workload, apply the task selection heuristics, execute functionally,
 split the trace into dynamic tasks, and replay it on the timing model.
-Compilation products (partition / trace / stream) are cached per
-``(benchmark, level, scale)`` so that machine sweeps (PU counts,
-in-order vs out-of-order) reuse them.
+The in-memory compile cache keeps two things under two keys:
+
+* compilation products (partition / trace / stream / release) per
+  :func:`compile_cache_key` — benchmark, scale, input sets and every
+  selection field — so that machine sweeps (PU counts, in-order vs
+  out-of-order) reuse them;
+* functional runs (trace, profile and, on the trace, the trace-only
+  packed arrays) per *transformed program*, in a
+  :class:`~repro.compiler.partition.TraceMemo` keyed by the program's
+  text, so that selections whose transforms yield the same program
+  interpret, profile and pack it once and redo only the work that
+  depends on the partition.
 """
 
 from __future__ import annotations
@@ -15,8 +24,12 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from repro.compiler import HeuristicLevel, SelectionConfig, TaskPartition, select_tasks
+from repro.compiler.partition import TraceMemo
 from repro.compiler.regcomm import ReleaseAnalysis
-from repro.ir.interp import Trace, run_program
+from repro.compiler.transforms import clone_program
+# ``run_program`` is not called here (the trace memo interprets), but
+# perf/spans.py wraps ``runner.run_program`` by this name.
+from repro.ir.interp import Trace, run_program  # noqa: F401
 from repro.metrics import normalized_branch_misprediction, window_span
 from repro.sim import (
     CycleBreakdown,
@@ -92,11 +105,27 @@ class RunRecord:
         )
 
 
-_compile_cache: Dict[_CompileKey, Compiled] = {}
+class CompileCache:
+    """Compilation products per compile key, functional runs per program."""
+
+    def __init__(self) -> None:
+        self.compiled: Dict[_CompileKey, Compiled] = {}
+        self.traces = TraceMemo()
+
+    def clear(self) -> None:
+        """Forget every compilation and every functional run."""
+        self.compiled.clear()
+        self.traces.clear()
+
+
+_compile_cache = CompileCache()
 
 
 def clear_cache() -> None:
-    """Drop all cached compilations (tests use this for isolation)."""
+    """Drop all cached compilations and functional runs.
+
+    Tests use this for isolation, and benchmark passes to start cold.
+    """
     _compile_cache.clear()
 
 
@@ -133,12 +162,12 @@ def compile_cache_key(
 
 def seed_compiled(key: _CompileKey, compiled: Compiled) -> None:
     """Pre-populate the in-memory cache (harness warm-start path)."""
-    _compile_cache.setdefault(key, compiled)
+    _compile_cache.compiled.setdefault(key, compiled)
 
 
 def peek_compiled(key: _CompileKey) -> Optional[Compiled]:
     """Look up a compilation without building it."""
-    return _compile_cache.get(key)
+    return _compile_cache.compiled.get(key)
 
 
 def compile_benchmark(
@@ -161,9 +190,10 @@ def compile_benchmark(
     key = compile_cache_key(
         name, level, scale, selection, input_set, profile_input
     )
-    cached = _compile_cache.get(key)
+    cached = _compile_cache.compiled.get(key)
     if cached is not None:
         return cached
+    traces = _compile_cache.traces
     # Interpreting and packing a trace creates millions of short-lived
     # tracked objects; the cyclic collector only adds scan time here.
     gc_was_enabled = gc.isenabled()
@@ -171,27 +201,25 @@ def compile_benchmark(
     try:
         benchmark = get_benchmark(name)
         program = benchmark.build(scale, input_set=profile_input)
-        partition = select_tasks(program, selection)
+        partition = select_tasks(program, selection, traces=traces)
         if profile_input != input_set:
             # Same static code, different data: measure the ref input
             # on the train-profiled partition (transforms never touch
-            # data).
-            measured = benchmark.build(scale, input_set=input_set)
-            partition.program.memory_image = dict(measured.memory_image)
-            trace = run_program(partition.program)
-        elif partition.profile_trace is not None:
-            # Selection already interpreted this exact program on this
-            # exact input while profiling — reuse its trace.
-            trace = partition.profile_trace
-        else:
-            trace = run_program(partition.program)
+            # data).  The measured run gets its own program object,
+            # because the profiled one is memoized with its trace.
+            measured = clone_program(partition.program)
+            measured.memory_image = dict(
+                benchmark.build(scale, input_set=input_set).memory_image
+            )
+            partition.program = measured
+        trace = traces.trace(partition.program)
         stream = build_task_stream(trace, partition)
         release = ReleaseAnalysis(partition)
     finally:
         if gc_was_enabled:
             gc.enable()
     compiled = Compiled(partition, trace, stream, release)
-    _compile_cache[key] = compiled
+    _compile_cache.compiled[key] = compiled
     return compiled
 
 

@@ -99,6 +99,10 @@ class Trace:
         self.insts: List[DynInst] = []
         #: dynamic block entry events as (trace index of first inst, block id)
         self.block_entries: List[Tuple[int, BlockId]] = []
+        #: the timing model's partition-independent packed arrays
+        #: (:class:`repro.sim.packed.TraceArrays`), built on first use
+        #: and shared by every task stream cut from this trace
+        self.arrays = None
 
     def __len__(self) -> int:
         return len(self.insts)

@@ -1,11 +1,22 @@
-"""Packed dynamic-trace arrays, built once per task stream.
+"""Packed dynamic-trace arrays, built once per trace and once per stream.
 
 The timing model never looks at a :class:`~repro.ir.interp.DynInst`
 in its hot loops: everything a replay needs is lowered here into flat
-parallel arrays indexed by trace position — opcode class codes,
-latencies, effective addresses, interned register producers resolved
-to trace indices, per-instruction flags, and the precomputed gshare
-outcome stream.  The arrays are immutable and shared: every
+parallel arrays indexed by trace position.  They come in two parts:
+
+* :class:`TraceArrays` — opcode class codes, latencies, pcs,
+  effective addresses, register and memory producers resolved to
+  trace indices, per-instruction flags and the precomputed gshare
+  outcome stream.  None of it depends on a partition, so it is built
+  once per :class:`~repro.ir.interp.Trace` and shared by every task
+  stream cut from that trace (compiles whose transforms yield the
+  same program share the trace, see
+  :class:`~repro.compiler.partition.TraceMemo`).
+* :class:`PackedTrace` — the arrays that depend on where the
+  partition cuts the trace: the dynamic task of each instruction, the
+  cross-task consumer flags and lists, and the release flags.
+
+Both are immutable and shared: every
 :class:`~repro.sim.runstate.RunState` (one per machine run) aliases
 them instead of re-deriving them, so a machine sweep over one
 compiled stream pays the packing cost exactly once — at
@@ -42,11 +53,13 @@ _OPCLASS_ID = {
 }
 
 
-class PackedTrace:
-    """Flat, immutable per-instruction arrays for one task stream."""
+class TraceArrays:
+    """Flat, immutable per-instruction arrays of one trace.
 
-    def __init__(self, stream) -> None:
-        trace = stream.trace
+    Build them through :meth:`of`, which caches them on the trace.
+    """
+
+    def __init__(self, trace) -> None:
         insts = trace.insts
         n = len(insts)
         self.n = n
@@ -59,23 +72,15 @@ class PackedTrace:
         self.is_cond_branch = bytearray(n)
         self.block_start = bytearray(n)
         self.has_write = bytearray(n)
-        self.has_remote_consumer = bytearray(n)
         self.gshare_mispred = bytearray(n)
         self.pc = array("q", bytes(8 * n))
         self.addr = array("q", bytes(8 * n))
         self.producers: List[Tuple[int, ...]] = [()] * n
         self.mem_producer: List[int] = [-1] * n
-        self.task_seq: List[int] = [0] * n
 
         for start_idx, _block in trace.block_entries:
             if start_idx < n:
                 self.block_start[start_idx] = 1
-
-        task_seq = self.task_seq
-        for seq, dyn_task in enumerate(stream.tasks):
-            span = dyn_task.end - dyn_task.start
-            if span > 0:
-                task_seq[dyn_task.start : dyn_task.end] = [seq] * span
 
         # Register names are interned to dense ids so the producer
         # resolution below keys its tables by small ints; the names
@@ -101,37 +106,17 @@ class PackedTrace:
         producers = self.producers
         mem_producer = self.mem_producer
 
-        # Cross-task consumer tracking, folded into the main packing
-        # pass (producers always precede their readers in the trace,
-        # and ``task_seq`` is fully populated above).  Completion of an
-        # instruction without the ``cross_consumer`` flag cannot
-        # unblock any *other* task: no later task reads its register
-        # value and no later task's load memory-depends on it.  For
-        # flagged instructions ``consumer_seqs`` lists exactly the
-        # dynamic tasks whose issue decisions can observe the
-        # completion — the event engine invalidates only those tasks'
-        # memoized blocked-issue results instead of everyone's.
-        has_remote = self.has_remote_consumer
-        cross = bytearray(n)
-        consumers: Dict[int, set] = {}
-        consumer_entry = consumers.setdefault
-
         for i, dyn in enumerate(insts):
             op = dyn.op
             opcls[i] = opclass_of[op.op_class]
             latency[i] = op.latency
             pc[i] = dyn.pc
-            seq = task_seq[i]
             if op is Opcode.LOAD:
                 is_load[i] = 1
                 is_mem[i] = 1
                 assert dyn.addr is not None
                 addr[i] = dyn.addr
-                p = last_store.get(dyn.addr, -1)
-                mem_producer[i] = p
-                if p >= 0 and task_seq[p] != seq:
-                    cross[p] = 1
-                    consumer_entry(p, set()).add(seq)
+                mem_producer[i] = last_store.get(dyn.addr, -1)
             elif op is Opcode.STORE:
                 is_store[i] = 1
                 is_mem[i] = 1
@@ -158,11 +143,6 @@ class PackedTrace:
                     if len(prods) > 1:
                         prods = tuple(sorted(prods))
                     producers[i] = prods
-                    for p in prods:
-                        if task_seq[p] != seq:
-                            has_remote[p] = 1
-                            cross[p] = 1
-                            consumer_entry(p, set()).add(seq)
             write = dyn.write
             if write is not None:
                 has_write[i] = 1
@@ -170,11 +150,6 @@ class PackedTrace:
                 if r is None:
                     r = reg_ids[write] = len(reg_ids)
                 last_writer[r] = i
-
-        self.cross_consumer = cross
-        self.consumer_seqs: Dict[int, Tuple[int, ...]] = {
-            p: tuple(seqs) for p, seqs in consumers.items()
-        }
 
         # Issue fast path: an instruction with no register producers
         # and no memory semantics can never block on operands, memory
@@ -188,9 +163,64 @@ class PackedTrace:
                 simple[i] = 1
 
         # Gshare outcomes are a pure function of the trace, so the
-        # predictor's end-of-run statistics are frozen here.
+        # predictor's end-of-run statistics are frozen here.  Its
+        # prediction count is the trace's conditional branch count.
         self.gshare_predictions = gshare.predictions
         self.gshare_accuracy = gshare.accuracy
+        self.control_transfers = trace.control_transfer_count()
+
+    @staticmethod
+    def of(trace) -> "TraceArrays":
+        """``trace``'s arrays, built on first use and kept on the trace."""
+        arrays = trace.arrays
+        if arrays is None:
+            arrays = trace.arrays = TraceArrays(trace)
+        return arrays
+
+
+class PackedTrace:
+    """One task stream's arrays: the trace's :class:`TraceArrays`
+    (as :attr:`arrays`) plus the ones that depend on the partition."""
+
+    def __init__(self, stream) -> None:
+        arrays = TraceArrays.of(stream.trace)
+        self.arrays = arrays
+        n = arrays.n
+        self.n = n
+
+        self.task_seq: List[int] = [0] * n
+        task_seq = self.task_seq
+        for seq, dyn_task in enumerate(stream.tasks):
+            span = dyn_task.end - dyn_task.start
+            if span > 0:
+                task_seq[dyn_task.start : dyn_task.end] = [seq] * span
+
+        # Cross-task consumer tracking.  Completion of an instruction
+        # without the ``cross_consumer`` flag cannot unblock any
+        # *other* task: no later task reads its register value and no
+        # later task's load memory-depends on it.  For flagged
+        # instructions ``consumer_seqs`` lists exactly the dynamic
+        # tasks whose issue decisions can observe the completion — the
+        # event engine invalidates only those tasks' memoized
+        # blocked-issue results instead of everyone's.
+        self.has_remote_consumer = has_remote = bytearray(n)
+        self.cross_consumer = cross = bytearray(n)
+        consumers: Dict[int, set] = {}
+        consumer_entry = consumers.setdefault
+        for seq, p, prods in zip(
+            task_seq, arrays.mem_producer, arrays.producers
+        ):
+            if p >= 0 and task_seq[p] != seq:
+                cross[p] = 1
+                consumer_entry(p, set()).add(seq)
+            for p in prods:
+                if task_seq[p] != seq:
+                    has_remote[p] = 1
+                    cross[p] = 1
+                    consumer_entry(p, set()).add(seq)
+        self.consumer_seqs: Dict[int, Tuple[int, ...]] = {
+            p: tuple(seqs) for p, seqs in consumers.items()
+        }
 
         self._stream = stream
         #: release flags per forward policy, computed on demand.  The
@@ -224,8 +254,9 @@ class PackedTrace:
         flags = bytearray(n)
         if policy is ForwardPolicy.LAZY:
             return flags
+        has_write = self.arrays.has_write
         if policy is ForwardPolicy.EAGER:
-            flags[:] = self.has_write
+            flags[:] = has_write
             return flags
         if release is None:
             from repro.compiler.regcomm import ReleaseAnalysis
@@ -235,14 +266,21 @@ class PackedTrace:
         absorbed = stream.absorbed_flags
         tasks = stream.tasks
         task_seq = self.task_seq
-        has_write = self.has_write
         is_release = release.is_release
+        # The answer depends only on the static position, so each
+        # (task, block, instruction) is analysed once per stream.
+        memo: Dict[Tuple[int, Tuple[str, str], int], bool] = {}
         for i, dyn in enumerate(stream.trace.insts):
             if not has_write[i] or absorbed[i]:
                 continue
             task = tasks[task_seq[i]].task
-            if dyn.block in task.blocks and is_release(
-                task, dyn.block, dyn.iidx, dyn.write
-            ):
+            block = dyn.block
+            key = (task.task_id, block, dyn.iidx)
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = block in task.blocks and is_release(
+                    task, block, dyn.iidx, dyn.write
+                )
+            if hit:
                 flags[i] = 1
         return flags

@@ -2,9 +2,10 @@
 
 The static per-instruction arrays (operand producers, memory
 producers, latencies, release points, gshare outcomes) live in the
-stream's shared :class:`~repro.sim.packed.PackedTrace` — built once
-per ``(trace, partition)`` and aliased here, so constructing a
-machine costs O(tasks), not O(trace).  Only the mutable completion /
+stream's shared :class:`~repro.sim.packed.PackedTrace` and the
+trace's :class:`~repro.sim.packed.TraceArrays` under it — built once
+per ``(trace, partition)`` and once per trace — and are aliased here,
+so constructing a machine costs O(tasks), not O(trace).  Only the mutable completion /
 forward-time arrays the cycle loop updates are allocated per run.
 Squashes reset the mutable slices of the affected dynamic task spans.
 """
@@ -50,24 +51,25 @@ class RunState:
 
         packed = stream.packed
         self.packed = packed
+        arrays = packed.arrays
         n = packed.n
 
         # ---- static arrays: aliases into the shared packed trace ----------
-        self.opcls = packed.opcls
-        self.latency = packed.latency
-        self.is_load = packed.is_load
-        self.is_store = packed.is_store
-        self.is_mem = packed.is_mem
-        self.is_cond_branch = packed.is_cond_branch
-        self.pc = packed.pc
-        self.addr = packed.addr
-        self.block_start = packed.block_start
-        self.producers = packed.producers
-        self.issue_simple = packed.issue_simple
-        self.mem_producer = packed.mem_producer
+        self.opcls = arrays.opcls
+        self.latency = arrays.latency
+        self.is_load = arrays.is_load
+        self.is_store = arrays.is_store
+        self.is_mem = arrays.is_mem
+        self.is_cond_branch = arrays.is_cond_branch
+        self.pc = arrays.pc
+        self.addr = arrays.addr
+        self.block_start = arrays.block_start
+        self.producers = arrays.producers
+        self.issue_simple = arrays.issue_simple
+        self.mem_producer = arrays.mem_producer
         self.task_seq = packed.task_seq
-        self.gshare_mispred = packed.gshare_mispred
-        self.has_write = packed.has_write
+        self.gshare_mispred = arrays.gshare_mispred
+        self.has_write = arrays.has_write
         self.has_remote_consumer = packed.has_remote_consumer
         self.cross_consumer = packed.cross_consumer
         self.consumer_seqs = packed.consumer_seqs
@@ -94,9 +96,9 @@ class RunState:
     @property
     def gshare_accuracy(self) -> float:
         """Program-order intra-task branch prediction accuracy."""
-        return self.packed.gshare_accuracy
+        return self.packed.arrays.gshare_accuracy
 
     @property
     def branch_count(self) -> int:
         """Dynamic conditional branches in the trace."""
-        return self.packed.gshare_predictions
+        return self.packed.arrays.gshare_predictions

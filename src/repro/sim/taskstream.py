@@ -86,14 +86,13 @@ class TaskStream:
         """Average dynamic control transfer instructions per task."""
         if not self.tasks:
             return 0.0
-        return self.trace.control_transfer_count() / len(self.tasks)
+        return self.packed.arrays.control_transfers / len(self.tasks)
 
     def mean_conditional_branches(self) -> float:
         """Average dynamic conditional branches per task."""
         if not self.tasks:
             return 0.0
-        branches = sum(1 for d in self.trace if d.op.is_branch)
-        return branches / len(self.tasks)
+        return self.packed.arrays.gshare_predictions / len(self.tasks)
 
 
 class TaskStreamError(RuntimeError):

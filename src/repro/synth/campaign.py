@@ -38,13 +38,12 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel, SelectionConfig
-from repro.compiler.partition import select_tasks
+from repro.compiler.partition import TraceMemo, select_tasks
 from repro.compiler.regcomm import ReleaseAnalysis
 from repro.harness.ledger import LedgerEntry, RunLedger
 from repro.harness.scheduler import run_specs
 from repro.harness.spec import RunSpec
 from repro.ir.asmtext import parse_program, program_to_text
-from repro.ir.interp import run_program
 from repro.ir.program import Program
 from repro.ir.validate import partition_issues, well_formed
 from repro.reliability.monitors import InvariantMonitor, InvariantViolation
@@ -531,19 +530,18 @@ def check_program(
              resolve_machine(machine))
             for machine in machines
         ]
+    traces = TraceMemo()
     for tag, selection, machine_spec in selections:
         partition = select_tasks(
             parse_program(text), selection,
-            max_profile_instructions=max_instructions,
+            max_profile_instructions=max_instructions, traces=traces,
         )
         prog = partition.program
         divergences.extend(
             f"{tag}: partition: {i}"
             for i in partition_issues(prog, partition)
         )
-        trace = partition.profile_trace or run_program(
-            prog, max_instructions=max_instructions
-        )
+        trace = traces.trace(prog, max_instructions=max_instructions)
         stream = build_task_stream(trace, partition)
         release = ReleaseAnalysis(partition)
         results = {}

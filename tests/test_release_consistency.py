@@ -9,7 +9,16 @@ against ground truth across real benchmarks and all heuristic levels.
 
 import pytest
 
-from repro.compiler import HeuristicLevel, SelectionConfig, select_tasks
+from repro.compiler import (
+    HeuristicLevel,
+    SelectionConfig,
+    Target,
+    TargetKind,
+    TaskPartition,
+    select_tasks,
+)
+from repro.compiler.regcomm import ReleaseAnalysis
+from repro.ir.asmtext import parse_program
 from repro.ir.interp import run_program
 from repro.sim import SimConfig, build_task_stream
 from repro.sim.config import ForwardPolicy
@@ -72,3 +81,56 @@ def test_schedule_policy_releases_most_last_writers(name):
         pytest.skip("no inter-task register traffic")
     released = sum(1 for i in remote_producers if state.release_now[i])
     assert released / len(remote_producers) > 0.5
+
+
+#: ``a`` is replicated: internal to the task rooted at ``entry`` (where
+#: nothing after it redefines r1) and the root of a task that also
+#: holds ``b`` (which does)
+_OVERLAP = """
+.func main
+entry:
+    li      r2, #3
+    jump    @a
+a:
+    li      r1, #1
+    jump    @b
+b:
+    li      r1, #2
+    sub     r2, r2, #1
+    bnez    r2, @a, @done
+done:
+    halt
+"""
+
+
+def test_release_flags_depend_on_the_task_as_well_as_the_position():
+    """The per-stream flags analyse each (task, block, instruction)
+    once; one block's write must still get each task's own answer."""
+    program = parse_program(_OVERLAP)
+    entry, a, b, done = (("main", x) for x in ("entry", "a", "b", "done"))
+    to_a, to_b = Target(TargetKind.BLOCK, a), Target(TargetKind.BLOCK, b)
+    to_done = Target(TargetKind.BLOCK, done)
+    part = TaskPartition(program)
+    part.new_task("main", entry, {entry, a}, {(entry, a)}, [to_b])
+    part.new_task("main", a, {a, b}, {(a, b)}, [to_a, to_done])
+    part.new_task("main", b, {b}, set(), [to_a, to_done])
+    part.new_task("main", done, {done}, set(), [Target(TargetKind.HALT)])
+    trace = run_program(program)
+    stream = build_task_stream(trace, part)
+    release = ReleaseAnalysis(part)
+    flags = stream.packed.release_now(ForwardPolicy.SCHEDULE, release)
+
+    by_task = {}
+    for dyn_task in stream:
+        for i in range(dyn_task.start, dyn_task.end):
+            dyn = trace[i]
+            if dyn.write is not None:
+                expected = release.is_release(
+                    dyn_task.task, dyn.block, dyn.iidx, dyn.write
+                )
+                assert flags[i] == expected, (dyn_task.task.root, i)
+                if dyn.block == a:
+                    by_task.setdefault(dyn_task.task.root, set()).add(
+                        flags[i]
+                    )
+    assert by_task == {entry: {1}, a: {0}}
