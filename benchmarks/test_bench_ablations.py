@@ -9,14 +9,15 @@ table, and the register forwarding policy.  Reports land in
 
 from benchmarks.conftest import bench_scale, bench_subset, publish
 from repro.experiments.ablations import (
+    arb_size_specs,
     format_sweep,
-    sweep_arb_size,
-    sweep_forward_policy,
-    sweep_max_targets,
-    sweep_profile_input,
-    sweep_sync_table,
-    sweep_thresholds,
+    forward_policy_specs,
+    max_targets_specs,
+    profile_input_specs,
+    sync_table_specs,
+    thresholds_specs,
 )
+from repro.harness import run_keyed
 
 DEFAULT_SUBSET = ["compress", "m88ksim", "hydro2d"]
 
@@ -27,8 +28,8 @@ def _names():
 
 def test_bench_ablation_max_targets(benchmark, results_dir):
     def run():
-        return sweep_max_targets(_names(), values=(1, 2, 4, 8),
-                                 scale=bench_scale())
+        return run_keyed(*max_targets_specs(
+            _names(), values=(1, 2, 4, 8), scale=bench_scale()))
 
     records = benchmark.pedantic(run, rounds=1, iterations=1)
     publish(results_dir, "ablation_max_targets.txt",
@@ -43,8 +44,8 @@ def test_bench_ablation_max_targets(benchmark, results_dir):
 
 def test_bench_ablation_thresholds(benchmark, results_dir):
     def run():
-        return sweep_thresholds(_names(), values=(10, 30, 100),
-                                scale=bench_scale())
+        return run_keyed(*thresholds_specs(
+            _names(), values=(10, 30, 100), scale=bench_scale()))
 
     records = benchmark.pedantic(run, rounds=1, iterations=1)
     publish(results_dir, "ablation_thresholds.txt",
@@ -58,7 +59,7 @@ def test_bench_ablation_thresholds(benchmark, results_dir):
 
 def test_bench_ablation_sync_table(benchmark, results_dir):
     def run():
-        return sweep_sync_table(_names(), scale=bench_scale())
+        return run_keyed(*sync_table_specs(_names(), scale=bench_scale()))
 
     records = benchmark.pedantic(run, rounds=1, iterations=1)
     publish(results_dir, "ablation_sync_table.txt",
@@ -74,7 +75,8 @@ def test_bench_ablation_forward_policy(benchmark, results_dir):
     from repro.sim.config import ForwardPolicy
 
     def run():
-        return sweep_forward_policy(_names(), scale=bench_scale())
+        return run_keyed(*forward_policy_specs(_names(),
+                                               scale=bench_scale()))
 
     records = benchmark.pedantic(run, rounds=1, iterations=1)
     publish(results_dir, "ablation_forward_policy.txt",
@@ -88,8 +90,8 @@ def test_bench_ablation_forward_policy(benchmark, results_dir):
 
 def test_bench_ablation_arb_size(benchmark, results_dir):
     def run():
-        return sweep_arb_size(_names(), values=(4, 32, 0),
-                              scale=bench_scale())
+        return run_keyed(*arb_size_specs(
+            _names(), values=(4, 32, 0), scale=bench_scale()))
 
     records = benchmark.pedantic(run, rounds=1, iterations=1)
     publish(results_dir, "ablation_arb_size.txt",
@@ -100,7 +102,8 @@ def test_bench_ablation_arb_size(benchmark, results_dir):
 
 def test_bench_ablation_profile_input(benchmark, results_dir):
     def run():
-        return sweep_profile_input(_names(), scale=bench_scale())
+        return run_keyed(*profile_input_specs(_names(),
+                                              scale=bench_scale()))
 
     records = benchmark.pedantic(run, rounds=1, iterations=1)
     publish(results_dir, "ablation_profile_input.txt",

@@ -7,7 +7,12 @@ progression.  Report: ``results/breakdown.txt``.
 """
 
 from benchmarks.conftest import bench_scale, bench_subset, publish
-from repro.experiments.breakdown import format_breakdown, run_breakdown
+from repro.experiments.breakdown import (
+    BreakdownResult,
+    breakdown_specs,
+    format_breakdown,
+)
+from repro.harness import run_keyed
 
 DEFAULT_SUBSET = ["compress", "m88ksim", "li", "tomcatv", "hydro2d", "fpppp"]
 
@@ -16,7 +21,8 @@ def test_bench_breakdown(benchmark, results_dir):
     names = bench_subset() or DEFAULT_SUBSET
 
     def run():
-        return run_breakdown(names, n_pus=4, scale=bench_scale())
+        return BreakdownResult(run_keyed(*breakdown_specs(
+            names, n_pus=4, scale=bench_scale())))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     publish(results_dir, "breakdown.txt", format_breakdown(result))

@@ -7,9 +7,11 @@ window.  Report: ``results/centralized.txt``.
 
 from benchmarks.conftest import bench_scale, bench_subset, publish
 from repro.experiments.centralized import (
+    CentralizedResult,
+    centralized_specs,
     format_centralized,
-    run_centralized_comparison,
 )
+from repro.harness import run_keyed
 
 DEFAULT_SUBSET = ["compress", "m88ksim", "go", "tomcatv", "mgrid", "wave5"]
 
@@ -18,7 +20,8 @@ def test_bench_centralized(benchmark, results_dir):
     names = bench_subset() or DEFAULT_SUBSET
 
     def run():
-        return run_centralized_comparison(names, n_pus=8, scale=bench_scale())
+        return CentralizedResult(8, run_keyed(*centralized_specs(
+            names, n_pus=8, scale=bench_scale())))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     publish(results_dir, "centralized.txt", format_centralized(result))

@@ -9,7 +9,12 @@ percentages lands in ``results/figure5_*.txt``.
 import pytest
 
 from benchmarks.conftest import bench_scale, bench_subset, publish
-from repro.experiments.figure5 import format_figure5, run_figure5
+from repro.experiments.figure5 import (
+    Figure5Result,
+    figure5_specs,
+    format_figure5,
+)
+from repro.harness import run_keyed
 
 CONFIGS = [(4, True), (8, True), (4, False), (8, False)]
 
@@ -21,9 +26,8 @@ def test_bench_figure5(benchmark, config, results_dir):
     names = bench_subset() or []
 
     def run():
-        return run_figure5(
-            benchmarks=names, configs=[config], scale=bench_scale()
-        )
+        return Figure5Result(run_keyed(*figure5_specs(
+            names, [config], scale=bench_scale())))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     n_pus, ooo = config

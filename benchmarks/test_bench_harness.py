@@ -14,9 +14,9 @@ import pytest
 from benchmarks.conftest import bench_scale, bench_subset, publish
 from repro.compiler import HeuristicLevel
 from repro.experiments import clear_cache
-from repro.experiments.figure5 import run_figure5
+from repro.experiments.figure5 import Figure5Result, figure5_specs
 from repro.experiments.runner import _compile_cache
-from repro.harness import ArtifactCache, RunLedger, read_ledger
+from repro.harness import ArtifactCache, RunLedger, read_ledger, run_keyed
 
 SUBGRID_LEVELS = (HeuristicLevel.BASIC_BLOCK, HeuristicLevel.DATA_DEPENDENCE)
 SUBGRID_CONFIGS = [(4, True), (8, True)]
@@ -27,15 +27,10 @@ def _names():
 
 
 def _run(cache, ledger_path, jobs):
-    return run_figure5(
-        benchmarks=_names(),
-        configs=SUBGRID_CONFIGS,
-        levels=SUBGRID_LEVELS,
-        scale=bench_scale(),
-        jobs=jobs,
-        cache=cache,
-        ledger=RunLedger(ledger_path),
-    )
+    keys, specs = figure5_specs(_names(), SUBGRID_CONFIGS, SUBGRID_LEVELS,
+                                scale=bench_scale())
+    return Figure5Result(run_keyed(keys, specs, jobs=jobs, cache=cache,
+                                   ledger=RunLedger(ledger_path)))
 
 
 def test_bench_harness_cold(benchmark, results_dir, tmp_path):

@@ -8,14 +8,16 @@ per-branch misprediction percentages, and window span for basic block
 
 from benchmarks.conftest import bench_scale, bench_subset, publish
 from repro.compiler import HeuristicLevel
-from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.table1 import Table1Result, format_table1, table1_specs
+from repro.harness import run_keyed
 
 
 def test_bench_table1(benchmark, results_dir):
     names = bench_subset() or []
 
     def run():
-        return run_table1(benchmarks=names, n_pus=8, scale=bench_scale())
+        return Table1Result(run_keyed(*table1_specs(
+            names, n_pus=8, scale=bench_scale())))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     publish(results_dir, "table1.txt", format_table1(result))

@@ -94,23 +94,22 @@ def run_grid(grid: str, engine: str = "fast", jobs: int = 1) -> dict:
     invocations measure the same work.
     """
     from repro.experiments import runner
-    from repro.experiments.figure5 import run_figure5
+    from repro.experiments.figure5 import figure5_specs
+    from repro.harness.scheduler import run_specs
 
     spec = GRIDS[grid]
+    _, specs = figure5_specs(spec.benchmarks, spec.configs,
+                             scale=spec.scale, engine=engine)
     runner.clear_cache()
     start = time.perf_counter()
-    result = run_figure5(
-        benchmarks=spec.benchmarks, configs=spec.configs,
-        scale=spec.scale, jobs=jobs, cache=None, ledger=None,
-        engine=engine,
-    )
+    records = run_specs(specs, jobs=jobs)
     wall_s = time.perf_counter() - start
-    sim_cycles = sum(rec.cycles for rec in result.records.values())
+    sim_cycles = sum(rec.cycles for rec in records)
     return {
         "grid": grid,
         "engine": engine,
         "wall_s": round(wall_s, 3),
-        "cells": len(result.records),
+        "cells": len(records),
         "sim_cycles": sim_cycles,
         "cycles_per_s": round(sim_cycles / wall_s, 1) if wall_s else 0.0,
         "scale": spec.scale,

@@ -39,18 +39,25 @@ Commands:
   via its schema-versioned tune ledger, best-vs-baseline record
   grids diffable with ``repro report``.
 
-Grid commands execute through :func:`repro.harness.run_specs`:
-``--jobs N`` fans the grid out over N worker processes (0 = one per
-CPU), the artifact cache under ``$REPRO_CACHE_DIR`` (default
-``~/.cache/repro``) makes repeat sweeps near-instant (disable with
-``--no-cache``), ``--resume`` replays the run ledger to skip cells a
-previous (interrupted) invocation already finished, and ``--json
-PATH`` writes the machine-readable record grid.
+Grid commands (``figure5``, ``scaling``, ``table1``, ``breakdown``,
+``centralized``) are rows of one table, :data:`_GRIDS`: a spec
+builder over the parsed arguments, a formatter, the row's ``--pus``
+default and any extra flags.  :func:`_cmd_grid` runs every row
+through :func:`repro.harness.run_keyed`: ``--jobs N`` fans the grid
+out over N worker processes (0 = one per CPU), the artifact cache
+under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``) makes repeat
+sweeps near-instant (disable with ``--no-cache``), ``--resume``
+replays the run ledger to skip cells a previous (interrupted)
+invocation already finished, and ``--json PATH`` writes the
+machine-readable record grid.
 
-Arguments naming a benchmark, heuristic level, engine, scale or PU
-count are validated by their argparse ``type=``: bad input exits 2
-with one line naming the value and the valid choices, before any
-cell is scheduled.
+Every argument that names something — a benchmark, heuristic level,
+engine, machine preset, predictor, selection strategy, synth preset
+or bench grid — and every scale and count (PUs, ``--jobs``,
+``--budget``, ``--faults``, ``--max-bytes``) is validated by its
+argparse ``type=``, and ``--resume`` excludes ``--no-cache`` wherever
+both exist.  Bad input exits 2 with one line naming the value and
+the valid choices, before any cell is scheduled.
 """
 
 from __future__ import annotations
@@ -59,24 +66,46 @@ import argparse
 import math
 import os
 import sys
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.compiler import HeuristicLevel
-from repro.experiments.breakdown import format_breakdown, run_breakdown
-from repro.experiments.centralized import (
-    format_centralized,
-    run_centralized_comparison,
+from repro import bench
+from repro.compiler import HeuristicLevel, strategy_names
+from repro.compiler.strategy import REFERENCE_STRATEGIES
+from repro.experiments.breakdown import (
+    BreakdownResult,
+    breakdown_specs,
+    format_breakdown,
 )
-from repro.experiments.figure5 import format_figure5, run_figure5
+from repro.experiments.centralized import (
+    CentralizedResult,
+    centralized_specs,
+    format_centralized,
+)
+from repro.experiments.figure5 import (
+    LEVELS,
+    Figure5Result,
+    figure5_specs,
+    format_figure5,
+)
 from repro.experiments.runner import run_benchmark
-from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.scaling import (
+    DEFAULT_MACHINES,
+    DEFAULT_PREDICTORS,
+    ScalingResult,
+    format_scaling,
+    scaling_specs,
+)
+from repro.experiments.table1 import Table1Result, format_table1, table1_specs
 from repro.harness import (
     ArtifactCache,
     RunLedger,
     grid_records,
+    run_keyed,
     write_records_json,
 )
 from repro.harness.ledger import default_progress
+from repro.machines import PREDICTOR_KINDS, machine_names
 from repro.sim.config import ENGINES
 from repro.workloads import all_benchmarks, get_benchmark
 
@@ -95,23 +124,45 @@ def _benchmark(value: str) -> str:
     return value
 
 
-def _level(value: str) -> str:
-    """argparse type: a heuristic level name."""
-    if value not in _LEVELS:
-        raise argparse.ArgumentTypeError(
-            f"unknown level {value!r} "
-            f"(choose from {', '.join(sorted(_LEVELS))})"
-        )
-    return value
+def _named(kind: str, names: Callable[[], Sequence[str]],
+           *extra: str) -> Callable[[str], str]:
+    """argparse type: one of ``names()``, read at parse time, or ``extra``."""
+
+    def parse(value: str) -> str:
+        known = [*names(), *extra]
+        if value not in known:
+            raise argparse.ArgumentTypeError(
+                f"unknown {kind} {value!r} (choose from {', '.join(known)})"
+            )
+        return value
+
+    return parse
 
 
-def _engine(value: str) -> str:
-    """argparse type: a simulation engine name."""
-    if value not in ENGINES:
-        raise argparse.ArgumentTypeError(
-            f"unknown engine {value!r} (choose from {', '.join(ENGINES)})"
-        )
-    return value
+def _synth_presets() -> List[str]:
+    from repro.synth import PRESETS  # the synth package is slow to import
+
+    return list(PRESETS)
+
+
+def _tune_genes(gene: str) -> Callable[[], Sequence[str]]:
+    def names() -> Sequence[str]:
+        from repro.tune.genome import GENE_SPACE  # slow, like synth
+
+        return GENE_SPACE[gene]
+
+    return names
+
+
+def _extra_strategies() -> List[str]:
+    return [s for s in strategy_names() if s not in REFERENCE_STRATEGIES]
+
+
+_level = _named("level", lambda: sorted(_LEVELS))
+_engine = _named("engine", lambda: ENGINES)
+_machine = _named("machine preset", machine_names)
+_predictor = _named("predictor", lambda: PREDICTOR_KINDS)
+_synth_preset = _named("synth preset", _synth_presets)
 
 
 def _scale(value: str) -> float:
@@ -127,29 +178,41 @@ def _scale(value: str) -> float:
     return scale
 
 
-def _pu_count(value: str) -> int:
-    """argparse type: a PU count >= 1."""
-    try:
-        n_pus = int(value)
-    except ValueError:
-        n_pus = 0
-    if n_pus < 1:
-        raise argparse.ArgumentTypeError(
-            f"PU count must be an integer >= 1, got {value!r}"
-        )
-    return n_pus
+def _count(what: str, minimum: int) -> Callable[[str], int]:
+    """argparse type: an integer ``what`` >= ``minimum``."""
+
+    def parse(value: str) -> int:
+        try:
+            count = int(value)
+        except ValueError:
+            count = minimum - 1
+        if count < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be an integer >= {minimum}, got {value!r}"
+            )
+        return count
+
+    return parse
+
+
+_pu_count = _count("PU count", 1)
+_jobs = _count("worker count", 0)
 
 
 def _comma_list(item: Callable[[str], object]) -> Callable[[str], str]:
     """argparse type: comma-separated ``item`` values, kept as given."""
 
     def parse(value: str) -> str:
-        for part in value.split(","):
-            if part:
-                item(part)
+        for part in _items(value):
+            item(part)
         return value
 
     return parse
+
+
+def _items(value: str) -> List[str]:
+    """The non-empty parts of a comma-separated argument."""
+    return [part for part in value.split(",") if part]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -159,41 +222,140 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--benchmarks", type=_comma_list(_benchmark), default="",
-        help="comma-separated benchmark names (default: all)",
+        help="comma-separated benchmark names (default: all for "
+             "figure5 and table1, four for the other grids)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=0,
+        "--jobs", type=_jobs, default=0,
         help="worker processes for the grid (default 0 = one per CPU)",
     )
-    parser.add_argument(
+    _add_cache_flags(parser)
+
+
+def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
+    """``--no-cache`` or ``--resume``: resumed records come from the cache."""
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument(
         "--no-cache", action="store_true",
         help="bypass the persistent artifact cache",
     )
-    parser.add_argument(
+    group.add_argument(
         "--resume", action="store_true",
         help="skip cells the run ledger records as already finished",
     )
 
 
-def _names(args: argparse.Namespace) -> List[str]:
-    return [n for n in args.benchmarks.split(",") if n]
+def _add_engine(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--engine", choices=ENGINES, default="fast",
+                        help="simulation core (bit-identical results)")
 
 
-def _harness_kwargs(args: argparse.Namespace) -> dict:
-    """jobs / cache / ledger wiring shared by every grid command."""
-    if args.no_cache:
-        return {"jobs": args.jobs, "cache": None, "ledger": None}
-    cache = ArtifactCache()
-    ledger = RunLedger(cache.ledger_path, progress=default_progress())
-    return {"jobs": args.jobs, "cache": cache, "ledger": ledger,
-            "resume": getattr(args, "resume", False)}
+def _no_flags(parser: argparse.ArgumentParser) -> None:
+    pass
 
 
-def _maybe_json(args: argparse.Namespace, command: str, records_dict) -> None:
-    if getattr(args, "json", None):
-        write_records_json(
-            args.json, command, grid_records(records_dict), args.scale
-        )
+@dataclass(frozen=True)
+class _Grid:
+    """One grid subcommand: ``specs(args)`` run by :func:`run_keyed`,
+    then ``report(records, args)``."""
+
+    help: str
+    specs: Callable[[argparse.Namespace], Tuple[list, list]]
+    report: Callable[[Dict, argparse.Namespace], str]
+    #: the ``--pus`` default; None = the row declares no ``--pus``
+    pus: Optional[int] = None
+    #: adds the row's own flags
+    flags: Callable[[argparse.ArgumentParser], None] = _no_flags
+
+
+def _figure5_flags(parser: argparse.ArgumentParser) -> None:
+    _add_engine(parser)
+    parser.add_argument("--pus", type=_pu_count, default=0,
+                        help="restrict to one PU count (default: 4 and 8)")
+    parser.add_argument("--in-order", action="store_true",
+                        help="in-order PUs only (default: both)")
+
+
+def _figure5_configs(args: argparse.Namespace) -> List[Tuple[int, bool]]:
+    pus = [args.pus] if args.pus else [4, 8]
+    modes = [False] if args.in_order else [True, False]
+    return [(n, ooo) for ooo in modes for n in pus]
+
+
+def _scaling_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--machines", type=_comma_list(_machine), default="",
+        help="comma-separated machine presets (see 'repro list "
+             "--machines'; default: paper-4x2, big-little-8, "
+             "hetero-16, manycore-32)",
+    )
+    parser.add_argument(
+        "--predictors", type=_comma_list(_predictor), default="",
+        help="comma-separated inter-task predictor kinds (path, "
+             "gshare, hybrid; default: path)",
+    )
+    parser.add_argument(
+        "--levels", type=_comma_list(_level), default="",
+        help="comma-separated heuristic levels (default: all four)",
+    )
+    _add_engine(parser)
+    parser.add_argument(
+        "--baseline", type=_machine, default="paper-4x2",
+        help="machine preset heuristic rankings are compared against "
+             "(default: paper-4x2)",
+    )
+
+
+def _scaling_specs(args: argparse.Namespace) -> Tuple[list, list]:
+    return scaling_specs(
+        _items(args.benchmarks),
+        _items(args.machines) or DEFAULT_MACHINES,
+        _items(args.predictors) or DEFAULT_PREDICTORS,
+        [_LEVELS[v] for v in _items(args.levels)] or LEVELS,
+        args.scale,
+        args.engine,
+    )
+
+
+#: every grid subcommand, in ``repro --help`` order
+_GRIDS: Dict[str, _Grid] = {
+    "figure5": _Grid(
+        "regenerate Figure 5",
+        lambda a: figure5_specs(_items(a.benchmarks), _figure5_configs(a),
+                                scale=a.scale, engine=a.engine),
+        lambda records, a: format_figure5(Figure5Result(records),
+                                          _figure5_configs(a)),
+        flags=_figure5_flags,
+    ),
+    "scaling": _Grid(
+        "manycore scaling study: machine preset x heuristic level x "
+        "predictor, with per-PU utilization telemetry",
+        _scaling_specs,
+        lambda records, a: format_scaling(ScalingResult(records),
+                                          a.baseline),
+        flags=_scaling_flags,
+    ),
+    "table1": _Grid(
+        "regenerate Table 1",
+        lambda a: table1_specs(_items(a.benchmarks), a.pus, a.scale),
+        lambda records, a: format_table1(Table1Result(records)),
+        pus=8,
+    ),
+    "breakdown": _Grid(
+        "Figure 2 cycle accounting",
+        lambda a: breakdown_specs(_items(a.benchmarks), a.pus,
+                                  scale=a.scale),
+        lambda records, a: format_breakdown(BreakdownResult(records)),
+        pus=4,
+    ),
+    "centralized": _Grid(
+        "distributed vs centralized motivation study",
+        lambda a: centralized_specs(_items(a.benchmarks), a.pus, a.scale),
+        lambda records, a: format_centralized(
+            CentralizedResult(a.pus, records)),
+        pus=8,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,74 +378,24 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scale", type=_scale, default=1.0)
     run_p.add_argument("--engine", choices=ENGINES, default="fast",
                        help="simulation core (bit-identical results)")
-    run_p.add_argument("--strategy", default="",
+    run_p.add_argument("--strategy", type=_named("strategy", strategy_names),
                        help="selection strategy name (see 'repro list "
                             "--strategies'; default: the --level reference)")
-    run_p.add_argument("--machine", default="",
+    run_p.add_argument("--machine", type=_machine,
                        help="machine-description preset (see 'repro list "
                             "--machines'; overrides --pus)")
 
-    fig_p = sub.add_parser("figure5", help="regenerate Figure 5")
-    _add_common(fig_p)
-    fig_p.add_argument("--engine", choices=ENGINES, default="fast",
-                       help="simulation core (bit-identical results)")
-    fig_p.add_argument("--pus", type=_pu_count, default=0,
-                       help="restrict to one PU count (default: 4 and 8)")
-    fig_p.add_argument("--in-order", action="store_true",
-                       help="in-order PUs only (default: both)")
-    fig_p.add_argument("--json", default="",
-                       help="also write the record grid as JSON to this path")
-
-    scal_p = sub.add_parser(
-        "scaling",
-        help="manycore scaling study: machine preset x heuristic "
-             "level x predictor, with per-PU utilization telemetry",
-    )
-    _add_common(scal_p)
-    scal_p.add_argument(
-        "--machines", default="",
-        help="comma-separated machine presets (see 'repro list "
-             "--machines'; default: paper-4x2, big-little-8, "
-             "hetero-16, manycore-32)",
-    )
-    scal_p.add_argument(
-        "--predictors", default="",
-        help="comma-separated inter-task predictor kinds (path, "
-             "gshare, hybrid; default: path)",
-    )
-    scal_p.add_argument(
-        "--levels", type=_comma_list(_level), default="",
-        help="comma-separated heuristic levels (default: all four)",
-    )
-    scal_p.add_argument("--engine", choices=ENGINES, default="fast",
-                        help="simulation core (bit-identical results)")
-    scal_p.add_argument(
-        "--baseline", default="paper-4x2",
-        help="machine preset heuristic rankings are compared against "
-             "(default: paper-4x2)",
-    )
-    scal_p.add_argument("--json", default="",
-                        help="also write the record grid as JSON to this "
-                             "path")
-
-    tab_p = sub.add_parser("table1", help="regenerate Table 1")
-    _add_common(tab_p)
-    tab_p.add_argument("--pus", type=_pu_count, default=8)
-    tab_p.add_argument("--json", default="",
-                       help="also write the record grid as JSON to this path")
-
-    brk_p = sub.add_parser("breakdown", help="Figure 2 cycle accounting")
-    _add_common(brk_p)
-    brk_p.add_argument("--pus", type=_pu_count, default=4)
-    brk_p.add_argument("--json", default="",
-                       help="also write the record grid as JSON to this path")
-
-    cen_p = sub.add_parser(
-        "centralized",
-        help="distributed vs centralized motivation study",
-    )
-    _add_common(cen_p)
-    cen_p.add_argument("--pus", type=_pu_count, default=8)
+    for name, grid in _GRIDS.items():
+        grid_p = sub.add_parser(name, help=grid.help)
+        _add_common(grid_p)
+        if grid.pus is not None:
+            grid_p.add_argument("--pus", type=_pu_count, default=grid.pus,
+                                help=f"PU count (default {grid.pus})")
+        grid_p.add_argument(
+            "--json", default="",
+            help="also write the record grid as JSON to this path",
+        )
+        grid.flags(grid_p)
 
     ver_p = sub.add_parser(
         "verify",
@@ -304,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--in-order", action="store_true")
     ver_p.add_argument("--scale", type=_scale, default=1.0)
     ver_p.add_argument(
-        "--faults", type=int, default=0,
+        "--faults", type=_count("fault count", 0), default=0,
         help="inject N seeded faults per cell to exercise recovery",
     )
     ver_p.add_argument("--seed", type=int, default=0,
@@ -317,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="time a grid cold and check/update BENCH_sim.json",
     )
     bench_p.add_argument(
-        "--grids", default="smoke",
+        "--grids", type=_comma_list(_named("grid", lambda: bench.GRIDS)),
+        default="smoke",
         help="comma-separated grid names (figure5, smoke, micro; "
              "default: smoke)",
     )
@@ -326,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated engines to time ({', '.join(ENGINES)}; "
              f"default: fast)",
     )
-    bench_p.add_argument("--jobs", type=int, default=1,
+    bench_p.add_argument("--jobs", type=_jobs, default=1,
                          help="harness workers (default 1, the "
                               "baseline's configuration)")
     bench_p.add_argument(
@@ -418,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_p.add_argument("action",
                          choices=["stats", "clear", "doctor", "prune"])
     cache_p.add_argument(
-        "--max-bytes", type=int, default=None,
+        "--max-bytes", type=_count("byte budget", 0), default=None,
         help="prune: evict least-recently-used artifacts until the "
              "store fits this many bytes (required for prune)",
     )
@@ -452,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen_p.add_argument("seed", type=int, help="generator seed")
     gen_p.add_argument(
-        "--preset", default="default",
+        "--preset", type=_synth_preset, default="default",
         help="synth parameter preset (see 'repro list --synth')",
     )
     gen_p.add_argument(
@@ -465,28 +578,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential fuzzing campaign over generated programs",
     )
     fuzz_p.add_argument(
-        "--budget", type=int, required=True,
+        "--budget", type=_count("budget", 1), required=True,
         help="number of programs to generate and cross-check",
     )
     fuzz_p.add_argument("--seed", type=int, default=1,
                         help="campaign seed (default 1)")
     fuzz_p.add_argument(
-        "--preset", default="default",
+        "--preset", type=_synth_preset, default="default",
         help="synth parameter preset (see 'repro list --synth')",
     )
     fuzz_p.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_jobs, default=1,
         help="worker processes (default 1 = serial in-process; "
              "0 = one per CPU)",
     )
-    fuzz_p.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent artifact cache",
-    )
-    fuzz_p.add_argument(
-        "--resume", action="store_true",
-        help="skip cells the run ledger records as already finished",
-    )
+    _add_cache_flags(fuzz_p)
     fuzz_p.add_argument(
         "--ledger", default="",
         help="write the campaign ledger to this path (default: the "
@@ -498,13 +604,15 @@ def build_parser() -> argparse.ArgumentParser:
              "reproducer",
     )
     fuzz_p.add_argument(
-        "--strategy", action="append", dest="strategies", default=None,
+        "--strategy", action="append", dest="strategies",
+        type=_named("non-paper strategy", _extra_strategies, "none"),
         help="non-paper selection strategy to sweep as an extra cell "
              "group per program (repeatable; default cost_model; "
              "'none' disables the sweep)",
     )
     fuzz_p.add_argument(
-        "--machine", action="append", dest="machines", default=None,
+        "--machine", action="append", dest="machines",
+        type=_named("machine preset", machine_names, "none"),
         help="machine preset to sweep as an extra heterogeneous cell "
              "group per program (repeatable; default big-little-8; "
              "'none' disables the sweep)",
@@ -522,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
              "all targets",
     )
     tune_p.add_argument(
-        "--synth", default="", metavar="PRESET",
+        "--synth", type=_synth_preset, metavar="PRESET",
         help="add one synthetic target drawn from this preset (its "
              "program seed derives from --seed)",
     )
@@ -534,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune_p.add_argument("--seed", type=int, default=1,
                         help="campaign seed (default 1)")
     tune_p.add_argument(
-        "--jobs", type=int, default=0,
+        "--jobs", type=_jobs, default=0,
         help="worker processes per generation (default 0 = one per "
              "CPU; 1 = serial in-process)",
     )
@@ -549,13 +657,17 @@ def build_parser() -> argparse.ArgumentParser:
     tune_p.add_argument("--n-pus", type=_pu_count, default=4,
                         help="processing units (default 4)")
     tune_p.add_argument(
-        "--machine", default="paper-4x2",
+        "--machine", type=_named("tune machine", _tune_genes("machine"),
+                                 "search"),
+        default="paper-4x2",
         help="pin the machine gene to this preset (default "
              "paper-4x2, the legacy machine; 'search' frees the gene "
              "so the GA explores the machine axis)",
     )
     tune_p.add_argument(
-        "--predictor", default="path",
+        "--predictor", type=_named("tune predictor",
+                                   _tune_genes("predictor"), "search"),
+        default="path",
         help="pin the predictor gene (path, gshare, hybrid; default "
              "path; 'search' frees the gene)",
     )
@@ -603,28 +715,21 @@ def _sim_for_engine(engine: str):
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
-    from repro.compiler import SelectionConfig, get_strategy
+    from repro.compiler import SelectionConfig
 
     selection = None
     if args.strategy:
         selection = SelectionConfig(
             level=_LEVELS[args.level], strategy=args.strategy
         )
-        try:
-            get_strategy(selection)
-        except ValueError as exc:
-            raise SystemExit(f"repro run: {exc}")
     sim = _sim_for_engine(args.engine)
     n_pus = args.pus
     machine_note = ""
     if args.machine:
-        from repro.machines import MachineSpecError, resolve_machine
+        from repro.machines import resolve_machine
         from repro.sim import SimConfig
 
-        try:
-            spec = resolve_machine(args.machine)
-        except (MachineSpecError, ValueError) as exc:
-            raise SystemExit(f"repro run: {exc}")
+        spec = resolve_machine(args.machine)
         sim = SimConfig(engine=args.engine, machine=spec)
         n_pus = spec.n_pus
         machine_note = f" [{spec.name}, {spec.predictor} predictor]"
@@ -660,81 +765,20 @@ def _cmd_run(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_figure5(args: argparse.Namespace) -> str:
-    pus = [args.pus] if args.pus else [4, 8]
-    modes = [False] if args.in_order else [True, False]
-    configs = [(n, ooo) for ooo in modes for n in pus]
-    result = run_figure5(
-        benchmarks=_names(args), configs=configs, scale=args.scale,
-        engine=args.engine, **_harness_kwargs(args),
-    )
-    _maybe_json(args, "figure5", result.records)
-    return format_figure5(result, configs=configs)
-
-
-def _cmd_scaling(args: argparse.Namespace) -> str:
-    from repro.experiments.scaling import format_scaling, run_scaling
-    from repro.machines import (
-        PREDICTOR_KINDS,
-        MachineSpecError,
-        resolve_machine,
-    )
-
-    machines = [m for m in args.machines.split(",") if m]
-    for name in machines:
-        try:
-            resolve_machine(name)
-        except (MachineSpecError, ValueError) as exc:
-            raise SystemExit(f"repro scaling: {exc}")
-    predictors = [p for p in args.predictors.split(",") if p]
-    for kind in predictors:
-        if kind not in PREDICTOR_KINDS:
-            raise SystemExit(
-                f"repro scaling: unknown predictor {kind!r} "
-                f"(choose from {', '.join(PREDICTOR_KINDS)})"
-            )
-    levels = [v for v in args.levels.split(",") if v]
-    axes: dict = {}
-    if machines:
-        axes["machines"] = tuple(machines)
-    if predictors:
-        axes["predictors"] = tuple(predictors)
-    if levels:
-        axes["levels"] = tuple(_LEVELS[v] for v in levels)
-    result = run_scaling(
-        benchmarks=_names(args),
-        scale=args.scale,
-        engine=args.engine,
-        **axes,
-        **_harness_kwargs(args),
-    )
-    _maybe_json(args, "scaling", result.records)
-    return format_scaling(result, baseline=args.baseline)
-
-
-def _cmd_table1(args: argparse.Namespace) -> str:
-    result = run_table1(
-        benchmarks=_names(args), n_pus=args.pus, scale=args.scale,
-        **_harness_kwargs(args),
-    )
-    _maybe_json(args, "table1", result.records)
-    return format_table1(result)
-
-
-def _cmd_breakdown(args: argparse.Namespace) -> str:
-    names = _names(args) or ["compress", "m88ksim", "tomcatv", "hydro2d"]
-    result = run_breakdown(names, n_pus=args.pus, scale=args.scale,
-                           **_harness_kwargs(args))
-    _maybe_json(args, "breakdown", result.records)
-    return format_breakdown(result)
-
-
-def _cmd_centralized(args: argparse.Namespace) -> str:
-    names = _names(args) or ["compress", "m88ksim", "tomcatv", "wave5"]
-    result = run_centralized_comparison(names, n_pus=args.pus,
-                                        scale=args.scale,
-                                        **_harness_kwargs(args))
-    return format_centralized(result)
+def _cmd_grid(args: argparse.Namespace) -> str:
+    """Run one :data:`_GRIDS` row: its specs, keyed, then its report."""
+    grid = _GRIDS[args.command]
+    keys, specs = grid.specs(args)
+    harness: dict = {}
+    if not args.no_cache:
+        cache = ArtifactCache()
+        ledger = RunLedger(cache.ledger_path, progress=default_progress())
+        harness = {"cache": cache, "ledger": ledger, "resume": args.resume}
+    records = run_keyed(keys, specs, jobs=args.jobs, **harness)
+    if args.json:
+        write_records_json(args.json, args.command, grid_records(records),
+                           args.scale)
+    return grid.report(records, args)
 
 
 def _cmd_verify(args: argparse.Namespace) -> str:
@@ -768,17 +812,8 @@ def _cmd_verify(args: argparse.Namespace) -> str:
 
 
 def _cmd_bench(args: argparse.Namespace) -> str:
-    from repro import bench
-
-    grids = [g for g in args.grids.split(",") if g]
-    engines = [e for e in args.engines.split(",") if e]
-    for grid in grids:
-        if grid not in bench.GRIDS:
-            raise SystemExit(
-                f"repro bench: unknown grid {grid!r} "
-                f"(choose from {', '.join(sorted(bench.GRIDS))})"
-            )
-    record = bench.run_bench(grids=grids, engines=engines, jobs=args.jobs)
+    record = bench.run_bench(grids=_items(args.grids),
+                             engines=_items(args.engines), jobs=args.jobs)
     if args.json:
         bench.write_record(args.json, record)
     lines = [bench.format_record(record)]
@@ -918,10 +953,6 @@ def _cmd_cache(args: argparse.Namespace) -> str:
             raise SystemExit(
                 "repro cache prune: --max-bytes is required"
             )
-        if args.max_bytes < 0:
-            raise SystemExit(
-                "repro cache prune: --max-bytes must be >= 0"
-            )
         report = cache.prune(args.max_bytes)
         return "\n".join([
             f"cache root : {cache.root}",
@@ -950,11 +981,6 @@ def _cmd_gen(args: argparse.Namespace) -> str:
     from repro.ir import program_to_text
     from repro.synth import PRESETS, generate_program, synth_name
 
-    if args.preset not in PRESETS:
-        raise SystemExit(
-            f"repro gen: unknown preset {args.preset!r} "
-            f"(choose from {', '.join(PRESETS)})"
-        )
     program = generate_program(args.seed, PRESETS[args.preset])
     text = program_to_text(program)
     if args.output:
@@ -968,14 +994,9 @@ def _cmd_gen(args: argparse.Namespace) -> str:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> str:
-    from repro.synth import PRESETS, run_campaign
+    from repro.synth import run_campaign
     from repro.synth.campaign import CampaignLedger
 
-    if args.preset not in PRESETS:
-        raise SystemExit(
-            f"repro fuzz: unknown preset {args.preset!r} "
-            f"(choose from {', '.join(PRESETS)})"
-        )
     cache = None if args.no_cache else ArtifactCache()
     if args.ledger:
         ledger = CampaignLedger(args.ledger, progress=default_progress())
@@ -984,13 +1005,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> str:
                                 progress=default_progress())
     else:
         ledger = None
-    strategies = _fuzz_strategies(args.strategies)
-    machines = _fuzz_machines(args.machines)
     result = run_campaign(
         budget=args.budget, seed=args.seed, preset=args.preset,
         jobs=args.jobs, cache=cache, ledger=ledger,
         resume=args.resume, minimize=args.minimize,
-        strategies=strategies, machines=machines,
+        strategies=_fuzz_sweep(args.strategies, "cost_model"),
+        machines=_fuzz_sweep(args.machines, "big-little-8"),
     )
     lines = [result.summary()]
     counters = (result.metrics or {}).get("counters", {})
@@ -1007,62 +1027,27 @@ def _cmd_fuzz(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _fuzz_strategies(requested) -> tuple:
-    """Resolve ``repro fuzz --strategy`` into validated names.
+def _fuzz_sweep(requested: Optional[List[str]], default: str) -> tuple:
+    """A ``repro fuzz --strategy``/``--machine`` sweep, already validated.
 
-    Default sweeps ``cost_model`` so every fuzz campaign covers the
-    pluggable-strategy dispatch path; ``--strategy none`` disables.
+    Absent, the sweep is ``default``, so every fuzz campaign covers
+    the pluggable-strategy dispatch and the heterogeneous machine
+    path; ``none`` disables it.
     """
-    from repro.compiler import strategy_names
-    from repro.compiler.strategy import REFERENCE_STRATEGIES
-
     if requested is None:
-        return ("cost_model",)
-    names = tuple(s for s in requested if s != "none")
-    known = set(strategy_names()) - set(REFERENCE_STRATEGIES)
-    unknown = [s for s in names if s not in known]
-    if unknown:
-        raise SystemExit(
-            f"repro fuzz: unknown non-paper strategy "
-            f"{', '.join(unknown)} (choose from {', '.join(sorted(known))})"
-        )
-    return names
-
-
-def _fuzz_machines(requested) -> tuple:
-    """Resolve ``repro fuzz --machine`` into validated preset names.
-
-    Default sweeps ``big-little-8`` so every fuzz campaign covers the
-    heterogeneous machine path; ``--machine none`` disables.
-    """
-    from repro.machines import MachineSpecError, resolve_machine
-
-    if requested is None:
-        return ("big-little-8",)
-    names = tuple(m for m in requested if m != "none")
-    for name in names:
-        try:
-            resolve_machine(name)
-        except (MachineSpecError, ValueError) as exc:
-            raise SystemExit(f"repro fuzz: {exc}")
-    return names
+        return (default,)
+    return tuple(name for name in requested if name != "none")
 
 
 def _cmd_tune(args: argparse.Namespace) -> str:
     import json as _json
     from pathlib import Path
 
-    from repro.synth import PRESETS
     from repro.synth.campaign import program_seed
     from repro.tune import TuneLedger, tune, tune_summary, write_tune_reports
 
     targets = list(args.benchmarks)
     if args.synth:
-        if args.synth not in PRESETS:
-            raise SystemExit(
-                f"repro tune: unknown preset {args.synth!r} "
-                f"(choose from {', '.join(PRESETS)})"
-            )
         targets.append(f"synth:{args.synth}:{program_seed(args.seed, 0)}")
     if not targets:
         raise SystemExit(
@@ -1280,11 +1265,7 @@ def _cmd_list(args: argparse.Namespace) -> str:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "figure5": _cmd_figure5,
-    "scaling": _cmd_scaling,
-    "table1": _cmd_table1,
-    "breakdown": _cmd_breakdown,
-    "centralized": _cmd_centralized,
+    **{name: _cmd_grid for name in _GRIDS},
     "verify": _cmd_verify,
     "bench": _cmd_bench,
     "trace": _cmd_trace,

@@ -14,11 +14,13 @@
   machine preset x heuristic level x predictor grids with per-PU
   utilization telemetry (DESIGN.md §14).
 
-All grid drivers accept ``jobs`` / ``cache`` / ``ledger`` and submit
-their cells through :mod:`repro.harness` — a process-pool scheduler
-with a persistent artifact cache — instead of looping over
-:func:`run_benchmark` themselves.  ``jobs=1`` (the default) is the
-exact historical serial path.
+Each grid module has a ``*_specs`` builder that returns the grid's
+``(keys, specs)``, a result class over the keyed records, and a
+formatter.  :func:`repro.harness.run_keyed` runs any grid through
+:mod:`repro.harness` — a process-pool scheduler with a persistent
+artifact cache — and keys its records; ``jobs=1`` (its default) is
+the exact historical serial path.  ``repro <grid>`` is a builder, the
+keyed driver and a formatter (see :mod:`repro.cli`).
 """
 
 from repro.experiments.runner import (

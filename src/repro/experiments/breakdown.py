@@ -15,13 +15,10 @@ penalties grow with task size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel
 from repro.experiments.runner import RunRecord
-from repro.harness.cache import ArtifactCache
-from repro.harness.ledger import RunLedger
-from repro.harness.scheduler import run_specs
 from repro.harness.spec import RunSpec
 from repro.sim import StallReason
 
@@ -30,6 +27,14 @@ BREAKDOWN_LEVELS: Tuple[HeuristicLevel, ...] = (
     HeuristicLevel.CONTROL_FLOW,
     HeuristicLevel.DATA_DEPENDENCE,
     HeuristicLevel.TASK_SIZE,
+)
+
+#: default workloads: two integer and two fp benchmarks
+DEFAULT_BENCHMARKS: Tuple[str, ...] = (
+    "compress",
+    "m88ksim",
+    "tomcatv",
+    "hydro2d",
 )
 
 
@@ -54,7 +59,7 @@ class BreakdownResult:
 
 
 def breakdown_specs(
-    benchmarks: Sequence[str],
+    benchmarks: Sequence[str] = (),
     n_pus: int = 4,
     levels: Sequence[HeuristicLevel] = BREAKDOWN_LEVELS,
     scale: float = 1.0,
@@ -62,32 +67,13 @@ def breakdown_specs(
     """The grid's (keys, specs), in the canonical submission order."""
     keys: List[Tuple[str, HeuristicLevel]] = []
     specs: List[RunSpec] = []
-    for name in benchmarks:
+    for name in list(benchmarks) or DEFAULT_BENCHMARKS:
         for level in levels:
             keys.append((name, level))
             specs.append(RunSpec(
                 benchmark=name, level=level, n_pus=n_pus, scale=scale,
             ))
     return keys, specs
-
-
-def run_breakdown(
-    benchmarks: Sequence[str],
-    n_pus: int = 4,
-    levels: Sequence[HeuristicLevel] = BREAKDOWN_LEVELS,
-    scale: float = 1.0,
-    jobs: int = 1,
-    cache: Optional[ArtifactCache] = None,
-    ledger: Optional[RunLedger] = None,
-    resume: bool = False,
-) -> BreakdownResult:
-    """Measure the cycle breakdown for the selected benchmarks."""
-    keys, specs = breakdown_specs(benchmarks, n_pus, levels, scale)
-    records = run_specs(specs, jobs=jobs, cache=cache, ledger=ledger,
-                        resume=resume)
-    result = BreakdownResult()
-    result.records = dict(zip(keys, records))
-    return result
 
 
 _COLUMNS = [reason.value for reason in StallReason] + [

@@ -21,15 +21,20 @@ distributed machine already wins at equal clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel
 from repro.experiments.runner import RunRecord
-from repro.harness.cache import ArtifactCache
-from repro.harness.ledger import RunLedger
-from repro.harness.scheduler import run_specs
 from repro.harness.spec import RunSpec
 from repro.sim import SimConfig
+
+#: default workloads: two integer and two fp benchmarks
+DEFAULT_BENCHMARKS: Tuple[str, ...] = (
+    "compress",
+    "m88ksim",
+    "tomcatv",
+    "wave5",
+)
 
 
 def centralized_config(n_pus_equiv: int, base: SimConfig = None) -> SimConfig:
@@ -72,14 +77,14 @@ class CentralizedResult:
 
 
 def centralized_specs(
-    benchmarks: Sequence[str],
+    benchmarks: Sequence[str] = (),
     n_pus: int = 8,
     scale: float = 1.0,
 ) -> Tuple[List[Tuple[str, str]], List[RunSpec]]:
     """The grid's (keys, specs), in the canonical submission order."""
     keys: List[Tuple[str, str]] = []
     specs: List[RunSpec] = []
-    for name in benchmarks:
+    for name in list(benchmarks) or DEFAULT_BENCHMARKS:
         keys.append((name, "distributed"))
         specs.append(RunSpec(
             benchmark=name, level=HeuristicLevel.DATA_DEPENDENCE,
@@ -94,24 +99,6 @@ def centralized_specs(
             sim=centralized_config(n_pus),
         ))
     return keys, specs
-
-
-def run_centralized_comparison(
-    benchmarks: Sequence[str],
-    n_pus: int = 8,
-    scale: float = 1.0,
-    jobs: int = 1,
-    cache: Optional[ArtifactCache] = None,
-    ledger: Optional[RunLedger] = None,
-    resume: bool = False,
-) -> CentralizedResult:
-    """Run the distributed vs. centralized grid."""
-    keys, specs = centralized_specs(benchmarks, n_pus, scale)
-    records = run_specs(specs, jobs=jobs, cache=cache, ledger=ledger,
-                        resume=resume)
-    result = CentralizedResult(n_pus=n_pus)
-    result.records = dict(zip(keys, records))
-    return result
 
 
 def format_centralized(result: CentralizedResult) -> str:

@@ -2,10 +2,11 @@
 
 The paper's figure shows, per benchmark, IPC bars for basic block /
 control flow / data dependence / task size tasks, for out-of-order and
-in-order PUs, at 4 ("a") and 8 ("b") PUs.  :func:`run_figure5`
-regenerates the full grid; :func:`format_figure5` prints it with the
-paper's headline statistic — percentage improvement over basic block
-tasks, summarised per suite.
+in-order PUs, at 4 ("a") and 8 ("b") PUs.  :func:`figure5_specs`
+builds the full grid (run it with :func:`repro.harness.run_keyed`);
+:func:`format_figure5` prints it with the paper's headline statistic
+— percentage improvement over basic block tasks, summarised per
+suite.
 
 Expected shape (Section 4.3.1): every heuristic level beats basic
 block tasks; fp gains exceed integer gains; 8 PUs gain more than 4;
@@ -17,13 +18,10 @@ over control flow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel
 from repro.experiments.runner import RunRecord
-from repro.harness.cache import ArtifactCache
-from repro.harness.ledger import RunLedger
-from repro.harness.scheduler import run_specs
 from repro.harness.spec import RunSpec
 from repro.metrics import geometric_mean, improvement_percent
 from repro.workloads import all_benchmarks
@@ -105,8 +103,12 @@ def figure5_specs(
     """The grid's (keys, specs), in the canonical submission order.
 
     The specs here *are* the grid: executing them in any order and
-    zipping the records back onto ``keys`` reconstructs exactly the
-    grid ``run_figure5`` returns.
+    zipping the records back onto ``keys``
+    (:func:`repro.harness.run_keyed` does both) gives
+    :attr:`Figure5Result.records`.  ``engine`` selects the
+    simulation core (``"fast"`` or ``"reference"``); both are
+    bit-identical, so it changes only wall-clock time and the cache
+    key, which covers every ``SimConfig`` field.
     """
     from repro.sim import SimConfig
 
@@ -123,34 +125,6 @@ def figure5_specs(
                     out_of_order=ooo, scale=scale, sim=sim,
                 ))
     return keys, specs
-
-
-def run_figure5(
-    benchmarks: Sequence[str] = (),
-    configs: Sequence[ConfigKey] = DEFAULT_CONFIGS,
-    levels: Sequence[HeuristicLevel] = LEVELS,
-    scale: float = 1.0,
-    jobs: int = 1,
-    cache: Optional[ArtifactCache] = None,
-    ledger: Optional[RunLedger] = None,
-    resume: bool = False,
-    engine: str = "fast",
-) -> Figure5Result:
-    """Run the Figure 5 grid (all benchmarks by default).
-
-    The grid is submitted through the harness: ``jobs`` workers
-    (``0``/``None`` = one per CPU), with compilation shared per
-    (benchmark, level) and optional persistent caching.  ``engine``
-    selects the simulation core (``"fast"`` or ``"reference"``); both
-    are bit-identical, so this only affects wall-clock time — and the
-    cache key, which covers every ``SimConfig`` field.
-    """
-    keys, specs = figure5_specs(benchmarks, configs, levels, scale, engine)
-    records = run_specs(specs, jobs=jobs, cache=cache, ledger=ledger,
-                        resume=resume)
-    result = Figure5Result()
-    result.records = dict(zip(keys, records))
-    return result
 
 
 def format_figure5(result: Figure5Result, configs: Sequence[ConfigKey] = DEFAULT_CONFIGS) -> str:

@@ -17,14 +17,11 @@ starve on heterogeneous presets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel
 from repro.experiments.figure5 import LEVELS
 from repro.experiments.runner import RunRecord
-from repro.harness.cache import ArtifactCache
-from repro.harness.ledger import RunLedger
-from repro.harness.scheduler import run_specs
 from repro.harness.spec import RunSpec
 from repro.machines import get_machine, resolve_machine, with_predictor
 
@@ -87,7 +84,8 @@ class ScalingResult:
         """Cells whose heuristic ranking differs from ``baseline``.
 
         Returns (benchmark, machine, predictor) triples — the concrete
-        evidence that selection must be searched per machine.
+        evidence that selection must be searched per machine.  Cells
+        with no ``baseline`` records to compare against are skipped.
         """
         out: List[Tuple[str, str, str]] = []
         pairs = sorted({
@@ -132,9 +130,9 @@ def scaling_specs(
     """The grid's (keys, specs) in canonical submission order.
 
     Machine names resolve (and lint) through the registry here, so a
-    bad ``--machines`` entry fails before any cell is queued; the
-    predictor axis derives per-cell variants of each preset, which
-    hash distinctly because the predictor kind is a spec field.
+    bad machine name fails before any cell is queued; the predictor
+    axis derives per-cell variants of each preset, which hash
+    distinctly because the predictor kind is a spec field.
     """
     from repro.sim import SimConfig
 
@@ -158,30 +156,6 @@ def scaling_specs(
                         sim=sim,
                     ))
     return keys, specs
-
-
-def run_scaling(
-    benchmarks: Sequence[str] = (),
-    machines: Sequence[str] = DEFAULT_MACHINES,
-    predictors: Sequence[str] = DEFAULT_PREDICTORS,
-    levels: Sequence[HeuristicLevel] = LEVELS,
-    scale: float = 1.0,
-    jobs: int = 1,
-    cache: Optional[ArtifactCache] = None,
-    ledger: Optional[RunLedger] = None,
-    resume: bool = False,
-    engine: str = "fast",
-) -> ScalingResult:
-    """Run the scaling grid through the harness (see figure5 for the
-    jobs/cache/ledger/engine contract — identical here)."""
-    keys, specs = scaling_specs(
-        benchmarks, machines, predictors, levels, scale, engine
-    )
-    records = run_specs(specs, jobs=jobs, cache=cache, ledger=ledger,
-                        resume=resume)
-    result = ScalingResult()
-    result.records = dict(zip(keys, records))
-    return result
 
 
 def _utilization_summary(utils: List[float]) -> str:
@@ -242,7 +216,12 @@ def format_scaling(result: ScalingResult,
             lines.append("".join(row))
         lines.append("")
     changes = result.ranking_changes(baseline)
-    if changes:
+    if not any(key[1] == baseline for key in result.records):
+        lines.append(
+            f"baseline {baseline} is not in this grid: heuristic "
+            f"rankings were not compared"
+        )
+    elif changes:
         lines.append(f"heuristic ranking changes vs {baseline}:")
         for bench, machine, predictor in changes:
             lines.append(

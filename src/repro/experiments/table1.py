@@ -20,13 +20,10 @@ basic block spans, with fp spans well above integer spans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel
 from repro.experiments.runner import RunRecord
-from repro.harness.cache import ArtifactCache
-from repro.harness.ledger import RunLedger
-from repro.harness.scheduler import run_specs
 from repro.harness.spec import RunSpec
 from repro.workloads import all_benchmarks
 
@@ -67,24 +64,6 @@ def table1_specs(
                 out_of_order=True, scale=scale,
             ))
     return keys, specs
-
-
-def run_table1(
-    benchmarks: Sequence[str] = (),
-    n_pus: int = 8,
-    scale: float = 1.0,
-    jobs: int = 1,
-    cache: Optional[ArtifactCache] = None,
-    ledger: Optional[RunLedger] = None,
-    resume: bool = False,
-) -> Table1Result:
-    """Measure every Table 1 column for the selected benchmarks."""
-    keys, specs = table1_specs(benchmarks, n_pus, scale)
-    records = run_specs(specs, jobs=jobs, cache=cache, ledger=ledger,
-                        resume=resume)
-    result = Table1Result()
-    result.records = dict(zip(keys, records))
-    return result
 
 
 def format_table1(result: Table1Result) -> str:

@@ -6,8 +6,9 @@ benchmark × heuristic × machine cells); this package decides *how*:
 * :mod:`~repro.harness.spec` — :class:`RunSpec`, the declarative job
   model with deterministic content hashes;
 * :mod:`~repro.harness.scheduler` — :func:`run_specs`, grouping specs
-  by compile key and fanning them out over a process pool with
-  timeout, bounded retry, and a serial ``jobs=1`` fallback;
+  by compile key and fanning them out over a process pool (serial at
+  ``jobs=1``, and serial again if the pool breaks), and
+  :func:`run_keyed`, which keys a grid's records;
 * :mod:`~repro.harness.cache` — :class:`ArtifactCache`, the
   persistent content-addressed store for compilation products and
   finished records, salted by a digest of the package sources;
@@ -27,8 +28,8 @@ from repro.harness.ledger import (
 )
 from repro.harness.scheduler import (
     HarnessError,
-    backoff_delay,
     execute_spec,
+    run_keyed,
     run_specs,
 )
 from repro.harness.serialize import (
@@ -47,7 +48,6 @@ __all__ = [
     "RunLedger",
     "RunSpec",
     "append_jsonl_line",
-    "backoff_delay",
     "canonical",
     "code_version",
     "completed_spec_hashes",
@@ -58,6 +58,7 @@ __all__ = [
     "read_ledger",
     "record_to_dict",
     "records_to_json",
+    "run_keyed",
     "run_specs",
     "write_records_json",
 ]

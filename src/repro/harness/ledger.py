@@ -9,8 +9,12 @@ file::
      "job": "compress/...", "benchmark": "compress",
      "level": "control_flow", "n_pus": 4, "out_of_order": true,
      "cache": "hit"|"miss"|"resume", "retries": 0,
-     "outcome": "ok"|"error"|"timeout", "wall_seconds": 0.42,
+     "outcome": "ok"|"error", "wall_seconds": 0.42,
      "error": null, "metrics": {"counters": ..., "histograms": ...}}
+
+``retries`` is always 0, because the scheduler neither retries nor
+times out a job; ``"timeout"`` outcomes and non-zero ``retries``
+appear only in ledgers written by older versions, which still parse.
 
 ``seq`` (schema 3) is a monotonic per-file record number: it starts
 one past the highest ``seq`` already in the file, so interleaved and
@@ -91,14 +95,14 @@ class LedgerEntry:
     out_of_order: bool
     cache: str  # "hit" | "miss"
     retries: int
-    outcome: str  # "ok" | "error" | "timeout"
+    outcome: str  # "ok" | "error" ("timeout" in older ledgers)
     wall_seconds: float
     error: Optional[str] = None
     metrics: Optional[dict] = None
 
     @classmethod
     def for_spec(cls, spec: RunSpec, spec_hash: str, *, cache: str,
-                 retries: int, outcome: str, wall_seconds: float,
+                 outcome: str, wall_seconds: float, retries: int = 0,
                  error: Optional[str] = None,
                  metrics: Optional[dict] = None) -> "LedgerEntry":
         return cls(

@@ -1,4 +1,4 @@
-"""Job-graph scheduler: group by compile key, fan out, retry, recover.
+"""Job-graph scheduler: group by compile key, fan out, recover.
 
 The dependence structure of every paper artefact is known statically:
 cells sharing a ``(benchmark, scale, selection, input)`` tuple share
@@ -13,34 +13,28 @@ else is independent.  :func:`run_specs` exploits exactly that shape:
    persistent compiled-artifact cache when possible), then simulate
    every machine configuration in the group;
 4. fan groups out over a ``ProcessPoolExecutor`` (``jobs`` workers,
-   default ``os.cpu_count()``), with a per-job timeout and a bounded
-   retry (exponential backoff with full jitter between attempts);
-   ``jobs=1`` degrades to a plain in-process loop with no pool,
-   byte-identical to the historical serial path.
+   default ``os.cpu_count()``); ``jobs=1`` degrades to a plain
+   in-process loop with no pool, byte-identical to the historical
+   serial path.
 
-The scheduler is self-healing: a dying worker pool
-(``BrokenProcessPool`` — e.g. a worker OOM-killed) no longer fails
-every remaining group.  The event is logged to the ledger and the
-rest of the grid finishes serially in-process.
+A group that raises is recorded once (ledger ``outcome: error``) and
+the rest of the grid still runs: the simulator is deterministic, so
+running the group again would only repeat the failure.  Once the
+whole grid has run, :class:`HarnessError` names every failed cell.
+A dying worker pool (``BrokenProcessPool`` — e.g. a worker
+OOM-killed) does not fail the remaining groups: the event is logged
+to the ledger and the rest of the grid finishes serially in-process.
 
-Results come back aligned with the input specs, so callers rebuild
-their keyed grids with ``zip``.
+Results come back aligned with the input specs; :func:`run_keyed`
+zips them onto a grid's keys.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    TimeoutError as FutureTimeout,
-)
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import (
     RunRecord,
@@ -60,9 +54,12 @@ from repro.harness.spec import RunSpec
 #: a worker maps one spec to one record (injectable for tests)
 Worker = Callable[[RunSpec], RunRecord]
 
-#: re-raised per group after retries are exhausted
+#: (group member index into the grid, its spec)
+Group = List[Tuple[int, RunSpec]]
+
+
 class HarnessError(RuntimeError):
-    """One or more jobs failed after all retries."""
+    """One or more jobs failed; ``failures`` pairs each spec with why."""
 
     def __init__(self, failures: Sequence[Tuple[RunSpec, str]]) -> None:
         self.failures = list(failures)
@@ -85,26 +82,6 @@ def execute_spec(spec: RunSpec) -> RunRecord:
         input_set=spec.input_set,
         profile_input=spec.profile_input,
     )
-
-
-def backoff_delay(attempt: int, base: float, cap: float = 30.0,
-                  rng: Optional[random.Random] = None) -> float:
-    """Full-jitter exponential backoff: uniform in [0, base * 2^attempt].
-
-    ``attempt`` counts completed failures (0 for the first retry).
-    Jitter decorrelates retries across concurrent grids so a shared
-    bottleneck (disk, memory pressure) is not re-hit in lockstep.
-    """
-    if base <= 0:
-        return 0.0
-    span = min(cap, base * (2 ** attempt))
-    return (rng or random).uniform(0.0, span)
-
-
-def _sleep_backoff(attempt: int, base: float, cap: float) -> None:
-    delay = backoff_delay(attempt, base, cap)
-    if delay > 0:
-        time.sleep(delay)
 
 
 def _run_group(
@@ -147,11 +124,9 @@ def _run_group(
     return out
 
 
-def _group_by_compile(
-    indexed: Sequence[Tuple[int, RunSpec]],
-) -> List[List[Tuple[int, RunSpec]]]:
+def _group_by_compile(indexed: Group) -> List[Group]:
     """Partition (index, spec) pairs by compile signature, stably."""
-    groups: Dict[Tuple, List[Tuple[int, RunSpec]]] = {}
+    groups: Dict[Tuple, Group] = {}
     order: List[Tuple] = []
     for index, spec in indexed:
         signature = spec.compile_signature()
@@ -167,32 +142,22 @@ def run_specs(
     jobs: Optional[int] = None,
     cache: Optional[ArtifactCache] = None,
     ledger: Optional[RunLedger] = None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
     worker: Optional[Worker] = None,
-    use_threads: bool = False,
     resume: bool = False,
-    backoff: float = 0.0,
-    backoff_cap: float = 30.0,
 ) -> List[RunRecord]:
     """Run every spec, returning records aligned with ``specs``.
 
     ``jobs`` defaults to ``os.cpu_count()``; ``jobs=1`` runs serially
-    in-process (no pool, no pickling — the graceful fallback).
-    ``timeout`` bounds each group job's wall time (pool mode only; a
-    timed-out job counts as a transient failure).  ``retries`` is the
-    number of *re*-submissions allowed per job; ``backoff`` > 0 sleeps
-    a full-jitter exponential delay (capped at ``backoff_cap``
-    seconds) before each one.  ``resume`` replays the ledger and skips
-    cells it records as complete (their records come from the cache;
-    ledger label ``"resume"``).  ``use_threads`` swaps the process
-    pool for threads — meant for tests injecting unpicklable fake
-    workers, not for throughput.
+    in-process (no pool, no pickling).  ``resume`` replays the ledger
+    and skips cells it records as complete (their records come from
+    the cache; ledger label ``"resume"``).  ``worker`` replaces
+    :func:`execute_spec`; tests inject fakes through it.
 
-    A worker pool that dies mid-grid (``BrokenProcessPool``) is logged
-    to the ledger and the unfinished groups complete serially
-    in-process; only per-job failures that exhaust their retries raise
-    :class:`HarnessError`, after the whole grid has been attempted.
+    A group that raises is recorded once and the grid goes on; after
+    the whole grid has run, :class:`HarnessError` names every failed
+    cell.  A worker pool that dies mid-grid (``BrokenProcessPool``)
+    is logged to the ledger and the unfinished groups complete
+    serially in-process.
     """
     specs = list(specs)
     worker = worker or execute_spec
@@ -208,7 +173,7 @@ def run_specs(
     if ledger is not None:
         ledger.open_run(len(specs))
 
-    pending: List[Tuple[int, RunSpec]] = []
+    pending: Group = []
     for i, spec in enumerate(specs):
         record = cache.get_record(spec) if cache is not None else None
         if record is not None:
@@ -216,66 +181,47 @@ def run_specs(
             if ledger is not None:
                 status = "resume" if hashes[i] in resumed_hashes else "hit"
                 ledger.record(LedgerEntry.for_spec(
-                    spec, hashes[i], cache=status, retries=0,
-                    outcome="ok", wall_seconds=0.0,
+                    spec, hashes[i], cache=status, outcome="ok",
+                    wall_seconds=0.0,
                     metrics=getattr(record, "metrics", None),
                 ))
         else:
             pending.append((i, spec))
 
-    groups = _group_by_compile(pending)
     failures: List[Tuple[RunSpec, str]] = []
 
-    def _commit(group: List[Tuple[int, RunSpec]],
-                pairs: List[Tuple[RunRecord, float]], attempts: int) -> None:
+    def commit(group: Group, pairs: List[Tuple[RunRecord, float]]) -> None:
         for (i, spec), (record, wall) in zip(group, pairs):
             results[i] = record
             if cache is not None:
                 cache.put_record(spec, record)
             if ledger is not None:
                 ledger.record(LedgerEntry.for_spec(
-                    spec, hashes[i], cache="miss", retries=attempts,
-                    outcome="ok", wall_seconds=wall,
+                    spec, hashes[i], cache="miss", outcome="ok",
+                    wall_seconds=wall,
                     metrics=getattr(record, "metrics", None),
                 ))
 
-    def _fail(group: List[Tuple[int, RunSpec]], attempts: int,
-              outcome: str, reason: str) -> None:
+    def fail(group: Group, exc: BaseException) -> None:
+        reason = repr(exc)
         for i, spec in group:
             failures.append((spec, reason))
             if ledger is not None:
                 ledger.record(LedgerEntry.for_spec(
-                    spec, hashes[i], cache="miss", retries=attempts,
-                    outcome=outcome, wall_seconds=0.0, error=reason,
+                    spec, hashes[i], cache="miss", outcome="error",
+                    wall_seconds=0.0, error=reason,
                 ))
 
-    def _serial_group(group: List[Tuple[int, RunSpec]]) -> None:
-        """In-process execution of one group with retry + backoff."""
-        group_specs = [spec for _, spec in group]
-        attempts = 0
-        while True:
-            try:
-                pairs = _run_group(group_specs, worker, cache)
-            except Exception as exc:  # noqa: BLE001 — retried below
-                if attempts < retries:
-                    _sleep_backoff(attempts, backoff, backoff_cap)
-                    attempts += 1
-                    continue
-                _fail(group, attempts, "error", repr(exc))
-                return
-            _commit(group, pairs, attempts)
-            return
-
-    if jobs == 1:
-        for group in groups:
-            _serial_group(group)
-    elif groups:
-        degraded = _run_pool(
-            groups, worker, cache, ledger, jobs, timeout, retries,
-            use_threads, backoff, backoff_cap, _commit, _fail,
-        )
-        for group in degraded:
-            _serial_group(group)
+    groups = _group_by_compile(pending)
+    if jobs > 1:
+        groups = _run_pool(groups, worker, cache, ledger, jobs, commit, fail)
+    for group in groups:
+        try:
+            pairs = _run_group([spec for _, spec in group], worker, cache)
+        except Exception as exc:  # noqa: BLE001 — recorded, grid goes on
+            fail(group, exc)
+        else:
+            commit(group, pairs)
 
     if failures:
         raise HarnessError(failures)
@@ -283,91 +229,61 @@ def run_specs(
 
 
 def _run_pool(
-    groups: List[List[Tuple[int, RunSpec]]],
+    groups: List[Group],
     worker: Worker,
     cache: Optional[ArtifactCache],
     ledger: Optional[RunLedger],
     jobs: int,
-    timeout: Optional[float],
-    retries: int,
-    use_threads: bool,
-    backoff: float,
-    backoff_cap: float,
-    _commit,
-    _fail,
-) -> List[List[Tuple[int, RunSpec]]]:
-    """Pool execution; returns groups needing serial degradation.
+    commit: Callable,
+    fail: Callable,
+) -> List[Group]:
+    """Run ``groups`` on a process pool; returns the groups left to run.
 
-    A broken pool (worker process killed) aborts pool mode: the event
-    is logged and every not-yet-committed group is handed back to the
+    A broken pool (worker process killed) ends pool mode: the event is
+    logged and every group not yet committed is handed back to the
     caller to finish in-process.
     """
-    pool_cls = ThreadPoolExecutor if use_threads else ProcessPoolExecutor
-    pool: Executor = pool_cls(max_workers=jobs)
-    degraded: List[List[Tuple[int, RunSpec]]] = []
+    if not groups:
+        return []
+    pool = ProcessPoolExecutor(max_workers=jobs)
     try:
-        futures: Dict[int, Future] = {
-            g: pool.submit(_run_group, [s for _, s in group], worker, cache)
-            for g, group in enumerate(groups)
-        }
-        attempts_left = {g: retries for g in futures}
-        attempts_used = {g: 0 for g in futures}
-
-        def _resubmit(g: int) -> bool:
-            """Retry group ``g``; False when the pool itself is broken."""
-            attempts_left[g] -= 1
-            attempts_used[g] += 1
-            _sleep_backoff(attempts_used[g] - 1, backoff, backoff_cap)
+        futures = [
+            pool.submit(_run_group, [spec for _, spec in group], worker,
+                        cache)
+            for group in groups
+        ]
+        for g, future in enumerate(futures):
             try:
-                futures[g] = pool.submit(
-                    _run_group, [s for _, s in groups[g]], worker, cache
-                )
-            except (BrokenExecutor, RuntimeError):
-                return False
-            return True
-
-        broken: Optional[BaseException] = None
-        while futures and broken is None:
-            done_keys = []
-            for g, future in list(futures.items()):
-                group = groups[g]
-                try:
-                    pairs = future.result(timeout=timeout)
-                except FutureTimeout:
-                    future.cancel()
-                    if attempts_left[g] > 0:
-                        if _resubmit(g):
-                            continue
-                        broken = RuntimeError("pool broke during resubmit")
-                        break
-                    _fail(group, attempts_used[g], "timeout",
-                          f"timed out after {timeout}s")
-                    done_keys.append(g)
-                    continue
-                except BrokenExecutor as exc:
-                    broken = exc
-                    break
-                except Exception as exc:  # noqa: BLE001 — retried below
-                    if attempts_left[g] > 0:
-                        if _resubmit(g):
-                            continue
-                        broken = RuntimeError("pool broke during resubmit")
-                        break
-                    _fail(group, attempts_used[g], "error", repr(exc))
-                    done_keys.append(g)
-                    continue
-                _commit(group, pairs, attempts_used[g])
-                done_keys.append(g)
-            for g in done_keys:
-                futures.pop(g, None)
-        if broken is not None:
-            degraded = [groups[g] for g in futures]
-            if ledger is not None:
-                ledger.event(
-                    "pool_broken",
-                    error=repr(broken),
-                    degraded_groups=len(degraded),
-                )
+                pairs = future.result()
+            except BrokenExecutor as exc:
+                if ledger is not None:
+                    ledger.event("pool_broken", error=repr(exc),
+                                 degraded_groups=len(groups) - g)
+                return groups[g:]
+            except Exception as exc:  # noqa: BLE001 — recorded, grid goes on
+                fail(groups[g], exc)
+            else:
+                commit(groups[g], pairs)
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
-    return degraded
+    return []
+
+
+def run_keyed(
+    keys: Sequence[Hashable],
+    specs: Sequence[RunSpec],
+    jobs: Optional[int] = 1,
+    cache: Optional[ArtifactCache] = None,
+    ledger: Optional[RunLedger] = None,
+    resume: bool = False,
+) -> Dict:
+    """Run a grid's ``(keys, specs)`` and key its records.
+
+    Every ``*_specs`` builder in :mod:`repro.experiments` returns such
+    a pair, so ``run_keyed(*figure5_specs(...))`` is the Figure 5
+    driver.  ``jobs`` defaults to 1, the serial in-process path; the
+    rest is :func:`run_specs`.
+    """
+    records = run_specs(specs, jobs=jobs, cache=cache, ledger=ledger,
+                        resume=resume)
+    return dict(zip(keys, records))

@@ -5,10 +5,12 @@ import pytest
 from repro.compiler import HeuristicLevel, SelectionConfig, select_tasks
 from repro.experiments import clear_cache
 from repro.experiments.centralized import (
+    CentralizedResult,
     centralized_config,
+    centralized_specs,
     format_centralized,
-    run_centralized_comparison,
 )
+from repro.harness import run_keyed
 from repro.ir import IRBuilder
 from repro.ir.interp import run_program
 from repro.sim import SimConfig, build_task_stream, simulate
@@ -31,7 +33,9 @@ class TestCentralizedConfig:
         assert config.l1d.size_bytes == 128 * 1024
 
     def test_comparison_and_report(self):
-        result = run_centralized_comparison(["compress"], n_pus=4, scale=0.15)
+        result = CentralizedResult(4, run_keyed(*centralized_specs(
+            ["compress"], n_pus=4, scale=0.15,
+        )))
         factor = result.break_even_clock_factor("compress")
         assert factor > 0
         text = format_centralized(result)
@@ -39,7 +43,9 @@ class TestCentralizedConfig:
 
     def test_distributed_wins_on_loop_code(self):
         """Task speculation sees past branches a single window cannot."""
-        result = run_centralized_comparison(["tomcatv"], n_pus=8, scale=0.3)
+        result = CentralizedResult(8, run_keyed(*centralized_specs(
+            ["tomcatv"], n_pus=8, scale=0.3,
+        )))
         assert result.break_even_clock_factor("tomcatv") < 1.0
 
 
@@ -96,9 +102,10 @@ class TestArbCapacity:
 
 class TestArbAblationSweep:
     def test_sweep_ordering(self):
-        from repro.experiments.ablations import sweep_arb_size
+        from repro.experiments.ablations import arb_size_specs
 
-        records = sweep_arb_size(["wave5"], values=(4, 0), scale=0.2)
+        records = run_keyed(*arb_size_specs(["wave5"], values=(4, 0),
+                                            scale=0.2))
         constrained = records[("wave5", 4)]
         unbounded = records[("wave5", 0)]
         assert constrained.cycles >= unbounded.cycles

@@ -185,13 +185,35 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "useful" in out
 
-    def test_centralized(self, capsys):
+    def test_centralized(self, capsys, tmp_path):
+        path = tmp_path / "centralized.json"
         assert main(
             ["centralized", "--benchmarks", "compress", "--scale", "0.1",
-             "--pus", "4"]
+             "--pus", "4", "--json", str(path)]
         ) == 0
         out = capsys.readouterr().out
         assert "break-even" in out
+        payload = json.loads(path.read_text())
+        assert payload["command"] == "centralized"
+        # keys sort ("compress", "centralized") before "distributed"
+        assert [r["n_pus"] for r in payload["records"]] == [1, 4]
+
+    def test_scaling_json_through_the_grid_table(self, capsys, tmp_path):
+        from repro.experiments.scaling import scaling_specs
+
+        path = tmp_path / "scaling.json"
+        machines = ("paper-4x2", "big-little-8")
+        assert main(
+            ["scaling", "--benchmarks", "compress", "--machines",
+             ",".join(machines), "--scale", "0.05", "--jobs", "1",
+             "--json", str(path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "Scaling — big-little-8 (8 PUs)" in out
+        payload = json.loads(path.read_text())
+        assert payload["command"] == "scaling"
+        _, specs = scaling_specs(["compress"], machines, scale=0.05)
+        assert len(payload["records"]) == len(specs) == 8
 
     def test_figure5_json_output(self, capsys, tmp_path):
         path = tmp_path / "fig5.json"
@@ -326,9 +348,11 @@ class TestCacheAndListCLI:
         with pytest.raises(SystemExit, match="max-bytes"):
             main(["cache", "prune"])
 
-    def test_cache_prune_rejects_negative(self):
-        with pytest.raises(SystemExit, match="max-bytes"):
+    def test_cache_prune_rejects_negative(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["cache", "prune", "--max-bytes", "-5"])
+        assert exc.value.code == 2
+        assert "--max-bytes" in capsys.readouterr().err
 
     def test_cache_prune_evicts(self, capsys, tmp_path):
         assert main(
@@ -376,6 +400,29 @@ _BAD_INPUT = [
     (["run", "compress", "--scale", "-1"], "'-1'", "> 0"),
     (["table1", "--pus", "0"], "'0'", ">= 1"),
     (["bench", "--engines", "warp"], "warp", "fast, reference"),
+    (["run", "compress", "--machine", "bogus"], "bogus", "paper-4x2"),
+    (["run", "compress", "--strategy", "bogus"], "bogus", "cost_model"),
+    (["scaling", "--machines", "paper-4x2,bogus"], "bogus", "manycore-32"),
+    (["scaling", "--predictors", "bogus"], "bogus", "gshare"),
+    (["scaling", "--baseline", "bogus"], "bogus", "paper-4x2"),
+    (["fuzz", "--budget", "1", "--strategy", "bogus"], "bogus",
+     "cost_model"),
+    (["fuzz", "--budget", "1", "--machine", "bogus"], "bogus",
+     "big-little-8"),
+    (["tune", "compress", "--machine", "bogus"], "bogus", "search"),
+    (["tune", "compress", "--predictor", "bogus"], "bogus", "hybrid"),
+    (["gen", "1", "--preset", "bogus"], "bogus", "loops"),
+    (["fuzz", "--budget", "1", "--preset", "bogus"], "bogus", "loops"),
+    (["tune", "--synth", "bogus"], "bogus", "loops"),
+    (["bench", "--grids", "smoke,bogus"], "bogus", "figure5"),
+    (["figure5", "--jobs", "-2"], "'-2'", ">= 0"),
+    (["fuzz", "--budget", "0"], "'0'", ">= 1"),
+    (["fuzz", "--budget", "-2"], "'-2'", ">= 1"),
+    (["verify", "compress", "--faults", "-3"], "'-3'", ">= 0"),
+    (["cache", "prune", "--max-bytes", "-5"], "'-5'", ">= 0"),
+    (["table1", "--resume", "--no-cache"], "--no-cache", "--resume"),
+    (["fuzz", "--budget", "1", "--resume", "--no-cache"], "--no-cache",
+     "--resume"),
 ]
 
 

@@ -6,15 +6,24 @@ from repro.compiler import HeuristicLevel
 from repro.experiments import clear_cache, run_benchmark
 from repro.experiments.ablations import (
     format_sweep,
-    sweep_forward_policy,
-    sweep_max_targets,
-    sweep_sync_table,
-    sweep_thresholds,
+    forward_policy_specs,
+    max_targets_specs,
+    sync_table_specs,
+    thresholds_specs,
 )
-from repro.experiments.breakdown import format_breakdown, run_breakdown
-from repro.experiments.figure5 import Figure5Result, format_figure5, run_figure5
+from repro.experiments.breakdown import (
+    BreakdownResult,
+    breakdown_specs,
+    format_breakdown,
+)
+from repro.experiments.figure5 import (
+    Figure5Result,
+    figure5_specs,
+    format_figure5,
+)
 from repro.experiments.runner import compile_benchmark
-from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.table1 import Table1Result, format_table1, table1_specs
+from repro.harness import run_keyed
 
 SMALL = 0.15
 
@@ -88,12 +97,9 @@ class TestRunner:
 
 class TestFigure5:
     def test_grid_and_report(self):
-        result = run_figure5(
-            benchmarks=["compress", "hydro2d"],
-            configs=[(4, True)],
-            scale=SMALL,
-        )
-        assert isinstance(result, Figure5Result)
+        result = Figure5Result(run_keyed(*figure5_specs(
+            ["compress", "hydro2d"], [(4, True)], scale=SMALL,
+        )))
         gain = result.improvement(
             "compress", HeuristicLevel.CONTROL_FLOW, (4, True)
         )
@@ -111,7 +117,9 @@ class TestFigure5:
 
 class TestTable1:
     def test_table_and_report(self):
-        result = run_table1(benchmarks=["compress"], n_pus=8, scale=SMALL)
+        result = Table1Result(run_keyed(*table1_specs(
+            ["compress"], n_pus=8, scale=SMALL,
+        )))
         bb = result.record("compress", HeuristicLevel.BASIC_BLOCK)
         cf = result.record("compress", HeuristicLevel.CONTROL_FLOW)
         dd = result.record("compress", HeuristicLevel.DATA_DEPENDENCE)
@@ -123,10 +131,10 @@ class TestTable1:
 
 class TestBreakdownHarness:
     def test_fractions_sum_to_one(self):
-        result = run_breakdown(
+        result = BreakdownResult(run_keyed(*breakdown_specs(
             ["compress"], n_pus=4,
             levels=[HeuristicLevel.BASIC_BLOCK], scale=SMALL,
-        )
+        )))
         fractions = result.fractions("compress", HeuristicLevel.BASIC_BLOCK)
         assert sum(fractions.values()) == pytest.approx(1.0)
         text = format_breakdown(result)
@@ -135,7 +143,8 @@ class TestBreakdownHarness:
 
 class TestAblations:
     def test_max_targets_sweep(self):
-        records = sweep_max_targets(["compress"], values=(1, 4), scale=SMALL)
+        records = run_keyed(*max_targets_specs(
+            ["compress"], values=(1, 4), scale=SMALL))
         narrow = records[("compress", 1)]
         wide = records[("compress", 4)]
         # One-target tasks are basic-block-like: smaller.
@@ -143,13 +152,14 @@ class TestAblations:
         assert "ablation" in format_sweep(records, "N")
 
     def test_threshold_sweep(self):
-        records = sweep_thresholds(["compress"], values=(10, 60), scale=SMALL)
+        records = run_keyed(*thresholds_specs(
+            ["compress"], values=(10, 60), scale=SMALL))
         small_t = records[("compress", 10)]
         large_t = records[("compress", 60)]
         assert large_t.mean_task_size >= small_t.mean_task_size
 
     def test_sync_table_sweep(self):
-        records = sweep_sync_table(["m88ksim"], scale=SMALL)
+        records = run_keyed(*sync_table_specs(["m88ksim"], scale=SMALL))
         with_sync = records[("m88ksim", True)]
         without = records[("m88ksim", False)]
         assert with_sync.memory_squashes <= without.memory_squashes
@@ -157,7 +167,7 @@ class TestAblations:
     def test_forward_policy_sweep(self):
         from repro.sim.config import ForwardPolicy
 
-        records = sweep_forward_policy(["compress"], scale=SMALL)
+        records = run_keyed(*forward_policy_specs(["compress"], scale=SMALL))
         eager = records[("compress", ForwardPolicy.EAGER)]
         lazy = records[("compress", ForwardPolicy.LAZY)]
         assert eager.cycles <= lazy.cycles

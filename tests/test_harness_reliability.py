@@ -2,15 +2,14 @@
 
 Companion to test_harness.py, covering the recovery machinery: ledger
 replay (``--resume``), ``BrokenProcessPool`` degradation to serial
-execution, checksum quarantine + ``cache doctor``, backoff jitter,
-and ledger schema tolerance.
+execution, checksum quarantine + ``cache doctor``, and ledger schema
+tolerance.
 """
 
 import json
 import multiprocessing
 import os
 import pickle
-import random
 import warnings
 
 import pytest
@@ -23,7 +22,6 @@ from repro.harness import (
     LedgerEntry,
     RunLedger,
     RunSpec,
-    backoff_delay,
     completed_spec_hashes,
     read_ledger,
     run_specs,
@@ -119,24 +117,6 @@ class TestPoolDegradation:
         specs = grid_specs()[:2]
         out = run_specs(specs, jobs=2, worker=_pool_only_crash_worker)
         assert all(r[0] == "ok" for r in out)
-
-
-class TestBackoff:
-    def test_zero_base_means_no_delay(self):
-        assert backoff_delay(0, 0.0) == 0.0
-        assert backoff_delay(5, 0.0) == 0.0
-
-    def test_delay_within_full_jitter_bounds(self):
-        rng = random.Random(0)
-        for attempt in range(8):
-            delay = backoff_delay(attempt, 0.5, cap=2.0, rng=rng)
-            assert 0.0 <= delay <= min(2.0, 0.5 * 2 ** attempt)
-
-    def test_jitter_varies(self):
-        rng = random.Random(1)
-        delays = {backoff_delay(4, 1.0, cap=30.0, rng=rng)
-                  for _ in range(16)}
-        assert len(delays) > 1
 
 
 class TestQuarantine:

@@ -90,8 +90,9 @@ class TestProfileInput:
         assert cross.ipc > 0.7 * same.ipc
 
     def test_sweep_profile_input(self):
-        from repro.experiments.ablations import sweep_profile_input
+        from repro.experiments.ablations import profile_input_specs
+        from repro.harness import run_keyed
 
-        records = sweep_profile_input(["compress"], scale=0.2)
+        records = run_keyed(*profile_input_specs(["compress"], scale=0.2))
         assert ("compress", "same-input") in records
         assert ("compress", "train-profiled") in records
