@@ -6,8 +6,9 @@ is bypassed — so the measurement reflects the full compile + simulate
 pipeline, exactly what a cold ``repro figure5 --jobs 1 --no-cache``
 pays.  Each measurement records wall seconds, cell count, total
 simulated cycles and simulated cycles per wall second, plus the git
-commit and the engine, into a machine-readable dict that serialises
-to ``BENCH_sim.json``.
+commit, the engine and the loop that ran it (``native`` or
+``python``), into a machine-readable dict that serialises to
+``BENCH_sim.json``.
 
 The committed ``BENCH_sim.json`` at the repo root is the baseline the
 CI perf-smoke job compares against: ``check_regression`` fails a run
@@ -96,6 +97,7 @@ def run_grid(grid: str, engine: str = "fast", jobs: int = 1) -> dict:
     from repro.experiments import runner
     from repro.experiments.figure5 import figure5_specs
     from repro.harness.scheduler import run_specs
+    from repro.sim.native import loop_name
 
     spec = GRIDS[grid]
     _, specs = figure5_specs(spec.benchmarks, spec.configs,
@@ -108,6 +110,7 @@ def run_grid(grid: str, engine: str = "fast", jobs: int = 1) -> dict:
     return {
         "grid": grid,
         "engine": engine,
+        "loop": loop_name() if engine == "fast" else "python",
         "wall_s": round(wall_s, 3),
         "cells": len(records),
         "sim_cycles": sim_cycles,
@@ -241,6 +244,7 @@ def format_record(record: dict) -> str:
             f"{entry['cells']:>4} cells  "
             f"{entry['sim_cycles']:>12,} cycles  "
             f"{entry['cycles_per_s']:>12,.0f} cyc/s"
+            f"  {entry.get('loop', '')}"
         )
     for grid, ratio in sorted(record.get("speedup", {}).items()):
         lines.append(f"speedup {grid}: {ratio:.2f}x fast vs reference")

@@ -476,14 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--in-order", action="store_true")
     trace_p.add_argument("--scale", type=_scale, default=1.0)
     trace_p.add_argument("--engine", choices=ENGINES, default="fast",
-                         help="simulation core (identical event streams; "
-                              "fast adds cycle-skip diagnostics)")
+                         help="simulation core (identical event streams)")
     trace_p.add_argument("-o", "--output", default="trace.json",
                          help="output path (default: trace.json)")
-    trace_p.add_argument(
-        "--no-engine-events", action="store_true",
-        help="omit the engine-local cycle-skip track",
-    )
 
     rep_p = sub.add_parser(
         "report",
@@ -853,10 +848,7 @@ def _cmd_trace(args: argparse.Namespace) -> str:
         sim=_sim_for_engine(args.engine),
         tracer=collector,
     )
-    payload = write_chrome_trace(
-        args.output, collector,
-        include_engine_events=not args.no_engine_events,
-    )
+    payload = write_chrome_trace(args.output, collector)
     counts = collector.counts()
     tally = ", ".join(f"{kind}={n}" for kind, n in sorted(counts.items()))
     lines = [
@@ -865,11 +857,6 @@ def _cmd_trace(args: argparse.Namespace) -> str:
         f"{record.dynamic_tasks} tasks",
         f"{len(collector.events)} lifecycle event(s) ({tally})",
     ]
-    if collector.engine_events and not args.no_engine_events:
-        lines.append(
-            f"{len(collector.engine_events)} fast-engine cycle skip(s) "
-            f"on the 'engine' track"
-        )
     lines.append(
         f"wrote {len(payload['traceEvents'])} trace event(s) to "
         f"{args.output} — open at https://ui.perfetto.dev "
@@ -924,10 +911,13 @@ def _cmd_profile_sim(args: argparse.Namespace) -> str:
     buf = io.StringIO()
     stats = pstats.Stats(profile, stream=buf)
     stats.sort_stats(args.sort).print_stats(args.top)
+    from repro.sim.native import loop_name
+
     mode = "ooo" if not args.in_order else "ino"
+    loop = loop_name() if args.engine == "fast" else "python"
     header = (
         f"{args.benchmark}/{level.value}/{args.pus}{mode} "
-        f"engine={args.engine}: {record.cycles} cycles, "
+        f"engine={args.engine} ({loop} loop): {record.cycles} cycles, "
         f"{record.instructions} instructions, IPC {record.ipc:.3f}"
     )
     return header + "\n" + buf.getvalue().rstrip()

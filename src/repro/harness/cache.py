@@ -50,14 +50,16 @@ _UNPICKLE_ERRORS = (
 
 
 def code_version() -> str:
-    """Digest of every ``repro`` source file (the default cache salt)."""
+    """Digest of every ``repro`` source file, Python and C (the
+    default cache salt)."""
     global _code_version_cache
     if _code_version_cache is None:
         import repro
 
         root = Path(repro.__file__).resolve().parent
         sha = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
+        sources = [*root.rglob("*.py"), *root.rglob("*.c")]
+        for path in sorted(sources):
             sha.update(str(path.relative_to(root)).encode("utf-8"))
             sha.update(b"\x00")
             sha.update(path.read_bytes())

@@ -11,6 +11,12 @@
    injects forced mispredictions and spurious memory violations to
    prove the recovery paths themselves preserve 1 and 2.
 
+A monitored run takes the reference loop (``_tick``): the monitor
+reads live machine state.  So that ``verify`` still checks the default
+engine, a fast-engine cell without faults also runs unmonitored,
+through the native loop, and must reproduce the monitored run's
+cycles, breakdown, squash counts and per-PU cycles.
+
 ``verify_grid`` sweeps workloads x heuristic levels and aggregates
 reports; the CLI and the CI ``verify`` job are thin wrappers over it.
 """
@@ -137,6 +143,12 @@ def verify_workload(
         report.injected_control = plan.control_injected
         report.injected_memory = plan.memory_injected
 
+    if plan is None and (sim is None or sim.engine == "fast"):
+        unmonitored = run_benchmark(
+            benchmark, level, n_pus=n_pus, out_of_order=out_of_order,
+            scale=scale, selection=selection, sim=sim, input_set=input_set,
+        )
+        report.divergences.extend(_engine_divergences(record, unmonitored))
     report.divergences.extend(
         check_commit_log(monitor.commit_log, len(compiled.trace))
     )
@@ -151,6 +163,30 @@ def verify_workload(
             f"sequential reference retired {ref_state.retired_instructions}"
         )
     return report
+
+
+def _engine_divergences(monitored, unmonitored) -> List[str]:
+    """Where the native loop's record differs from the monitored
+    (``_tick``) run of the same cell."""
+    def per_pu(record):
+        return (record.metrics or {}).get("pu")
+
+    pairs = [
+        ("cycles", monitored.cycles, unmonitored.cycles),
+        ("breakdown", monitored.breakdown.as_dict(),
+         unmonitored.breakdown.as_dict()),
+        ("control squashes", monitored.control_squashes,
+         unmonitored.control_squashes),
+        ("memory squashes", monitored.memory_squashes,
+         unmonitored.memory_squashes),
+        ("per-PU useful/occupied cycles", per_pu(monitored),
+         per_pu(unmonitored)),
+    ]
+    return [
+        f"native loop {what} {got} != monitored run {want}"
+        for what, want, got in pairs
+        if got != want
+    ]
 
 
 def verify_grid(
@@ -168,8 +204,9 @@ def verify_grid(
     With ``faults``, each cell gets its own deterministic plan seeded
     by ``seed`` and the cell's position, so different cells inject
     different (but reproducible) schedules.  ``engine`` selects the
-    simulation core under test ("fast" by default, so the oracle and
-    the invariant monitors exercise the event-driven engine).
+    simulation core under test: with "fast" (the default) and no
+    faults, each cell's monitored ``_tick`` run is also checked
+    against an unmonitored run on the native loop.
     """
     sim = None if engine == "fast" else SimConfig(engine=engine)
     names = list(benchmarks) or [bm.name for bm in all_benchmarks()]

@@ -114,9 +114,10 @@ class SimConfig:
     max_cycles: int = 50_000_000
 
     #: cycle-loop implementation (one of :data:`ENGINES`): "fast"
-    #: (event-driven, skips quiescent spans) or "reference" (uniform
-    #: per-cycle tick).  Results are bit-identical; the reference
-    #: engine is the oracle the fast engine is validated against.
+    #: (the native C port of the per-cycle tick, see
+    #: :mod:`repro.sim.native`) or "reference" (the Python tick).
+    #: Results are bit-identical; the reference engine is the oracle
+    #: the fast engine is validated against.
     engine: str = "fast"
 
     #: optional machine description: a preset name (resolved through

@@ -22,31 +22,19 @@ The simulation is trace-driven: squashed work re-executes the same
 dynamic instructions at later cycles; committed instruction count
 equals the trace length exactly once.
 
-Two engines run these phases.  They share the squash, retire and
-assign steps and the PU's drain / issue / fetch methods; each has its
-own per-cycle loop:
+Two engines run these phases:
 
 * ``engine="reference"`` calls :meth:`MultiscalarMachine._tick` for
   every cycle, visiting every PU in both phase A and phase D — the
   original, obviously correct loop kept as the equivalence oracle.
-* ``engine="fast"`` (default) calls :meth:`MultiscalarMachine._step`,
-  which runs the same phases in the same ring order over only the PUs
-  holding a real, unfinished task.  A PU that replays a memoized
-  blocked result and cannot fetch sleeps until its own next event;
-  its stall cycles, and a done task's load imbalance, are charged in
-  one step later.  After a *quiescent* step (no completion drained,
-  nothing issued or fetched, no retire / assign / redirect progress)
-  the machine asks every unit for its next possible event cycle —
-  head of the completion heap, fetch resume, scheduled ring-forward
-  arrival, task-start boundary, retire finish, sequencer resume —
-  jumps straight to the minimum, and bulk-charges the skipped cycles
-  to the stall category each PU was accumulating.  Because a
-  quiescent PU's blocking state provably cannot change before one of
-  those events (every state transition in the model is caused by
-  one), the fast engine produces bit-identical results;
-  ``tests/test_fastpath.py`` enforces this cell-by-cell against the
-  reference engine.  Fault injection mutates per-cycle cooldown
-  state, so a machine with a fault plan attached never skips.
+* ``engine="fast"`` (default) runs :mod:`repro.sim.native`, a C port
+  of ``_tick`` and everything it calls, over the stream's packed
+  arrays; the machine's counters and arrays are written back after the
+  run, and an attached tracer gets the run's events replayed in order.
+  A run with a monitor or a fault plan attached takes ``_tick`` (both
+  read or mutate live machine state), as does every run in a process
+  where the kernel cannot be built or loaded (one warning says so).
+  ``tests/test_fastpath.py`` enforces bit-identity cell by cell.
 """
 
 from __future__ import annotations
@@ -65,6 +53,7 @@ from repro.sim.breakdown import (
     StallReason,
 )
 from repro.sim.config import SimConfig
+from repro.sim import native
 from repro.sim.memory import MemoryHierarchy
 from repro.sim.pu import ProcessingUnit
 from repro.sim.runstate import RunState
@@ -130,11 +119,9 @@ class SimResult:
 class SimulationStuck(RuntimeError):
     """The cycle loop cannot make progress (a model bug guard).
 
-    Raised when ``max_cycles`` is exceeded, or — fast engine only —
-    when no unit reports a future event while unretired tasks remain.
-    The message carries the workload label, engine, retire progress
-    and current cycle so a stuck grid cell is diagnosable from the
-    traceback alone.
+    Raised when ``max_cycles`` is exceeded.  The message carries the
+    workload label, engine, retire progress and current cycle so a
+    stuck grid cell is diagnosable from the traceback alone.
     """
 
 
@@ -215,11 +202,7 @@ class MultiscalarMachine:
         #: study's starvation telemetry
         self._pu_useful = [0] * self.config.n_pus
         self._pu_occupied = [0] * self.config.n_pus
-        #: fast engine only: the PUs holding a real task that is not
-        #: done, in index order, and the number of idle PUs
-        self._busy: List[ProcessingUnit] = []
-        self._n_idle = self.config.n_pus
-        #: per-tick constants, unpacked once per _tick / _step call
+        #: per-tick constants, unpacked once per _tick call
         #: instead of re-reading config attributes every cycle
         self._tick_consts = (
             self.config.task_start_overhead,
@@ -422,13 +405,13 @@ class MultiscalarMachine:
             if self.tracer is not None:
                 self.tracer.on_task_mispredict(seq, cycle)
 
-    def _assign(self, cycle: int) -> bool:
-        """Phase C; returns True when a PU was occupied this cycle."""
+    def _assign(self, cycle: int) -> None:
+        """Phase C: occupy the next PU around the ring, if it is free."""
         if cycle < self.resume_cycle:
-            return False
+            return
         pu = self.pus[self.next_assign_pu]
         if not pu.idle:
-            return False
+            return
         if self.pending_mispredict is not None:
             pu.assign_wrong(cycle)
             if self.monitor is not None:
@@ -436,9 +419,9 @@ class MultiscalarMachine:
             if self.tracer is not None:
                 self.tracer.on_wrong_assign(pu.index, cycle)
             self.next_assign_pu = (self.next_assign_pu + 1) % self.config.n_pus
-            return True
+            return
         if self.next_seq >= len(self.stream.tasks):
-            return False
+            return
         # No version bump: a fresh assignment changes nothing another
         # PU's blocked-issue computation reads (pu_of_seq of a task is
         # only consulted once that task has completed values, which
@@ -456,16 +439,14 @@ class MultiscalarMachine:
         self.next_seq += 1
         self.next_assign_pu = (self.next_assign_pu + 1) % self.config.n_pus
         self._predict_successor(seq, cycle)
-        return True
 
     # --------------------------------------------------------------- retire
 
-    def _retire(self, cycle: int) -> bool:
-        """Phase B; returns True when a retire completed or started."""
-        active = False
+    def _retire(self, cycle: int) -> None:
+        """Phase B: finish the head task's commit, or start the next."""
         if self._retiring_pu is not None:
             if cycle < self._retire_finish:
-                return False
+                return
             pu = self._retiring_pu
             accum = self._reason_accum
             occupied = 0
@@ -489,7 +470,6 @@ class MultiscalarMachine:
             self.retire_seq += 1
             self._retiring_pu = None
             self._retire_version += 1
-            active = True
         pu = self.in_flight.get(self.retire_seq)
         if pu is not None and pu.done:
             pu.local_counts[_R_TASK_END] += self.config.task_end_overhead
@@ -498,23 +478,13 @@ class MultiscalarMachine:
             self._retire_finish = cycle + self.config.task_end_overhead
             if self.tracer is not None:
                 self.tracer.on_commit_start(pu.seq, pu.index, cycle)
-            active = True
-        return active
 
     # ------------------------------------------------------------- run loop
 
-    def _tick(self, cycle: int) -> bool:
+    def _tick(self, cycle: int) -> None:
         """Run phases A–D for one cycle, visiting every PU (the
-        reference engine); True when anything progressed.
-
-        "Progress" means: an instruction completed, a misprediction
-        resolved, a retire started or finished, a PU was assigned,
-        or anything issued or fetched.  :meth:`_step` returns the same
-        flag, and its False is what licenses the fast engine to consult
-        :meth:`ProcessingUnit.next_event_cycle` and skip.
-        """
+        reference engine; ``native.c`` ports it line by line)."""
         config = self.config
-        active = False
         pus = self.pus
         # Phase A: completions (+ violation checks, + control resolve).
         for pu in pus:
@@ -529,11 +499,7 @@ class MultiscalarMachine:
                 # thing drain does) needs remaining == 0 AND a finished
                 # fetch stream.
                 continue
-            stores, popped, global_event, cross_popped = (
-                pu.drain_completions(cycle)
-            )
-            if popped:
-                active = True
+            stores, global_event, cross_popped = pu.drain_completions(cycle)
             if global_event:
                 self._mut_version += 1
             if cross_popped:
@@ -553,7 +519,6 @@ class MultiscalarMachine:
         if self.pending_mispredict is not None:
             src = self.in_flight.get(self.pending_mispredict)
             if src is not None and src.done:
-                active = True
                 self._squash_wrong(cycle)
                 self.next_assign_pu = (
                     self.state.pu_of_seq[self.pending_mispredict] + 1
@@ -567,17 +532,16 @@ class MultiscalarMachine:
             self._inject_memory_fault(cycle)
         # Phase B: retire.
         if self._retiring_pu is not None:
-            if self._retire(cycle):
-                active = True
+            self._retire(cycle)
         else:
             head = self.in_flight.get(self.retire_seq)
-            if head is not None and head.done and self._retire(cycle):
-                active = True
+            if head is not None and head.done:
+                self._retire(cycle)
         # Phase C: assign.
         if cycle >= self.resume_cycle:
             nxt = pus[self.next_assign_pu]
-            if nxt.dyn_task is None and not nxt.wrong and self._assign(cycle):
-                active = True
+            if nxt.dyn_task is None and not nxt.wrong:
+                self._assign(cycle)
         # Phase D: execute + accounting.
         task_start_overhead, rob_size, lazy_fp = self._tick_consts
         mut_version = self._mut_version
@@ -627,17 +591,16 @@ class MultiscalarMachine:
                 and pu.fetch_ptr < pu.fetch_end
                 and pu.rob_count < rob_size
                 and pu.fetch(cycle)
+                and lazy_fp
+                and pu.done
             ):
-                active = True
-                if lazy_fp and pu.done:
-                    # The task finished at fetch: its writes just
-                    # bulk-forwarded, which later-scanned PUs' issue
-                    # decisions may observe this very cycle — keep the
-                    # hoisted version in step.
-                    self._mut_version += 1
-                    mut_version = self._mut_version
+                # The task finished at fetch: its writes just
+                # bulk-forwarded, which later-scanned PUs' issue
+                # decisions may observe this very cycle — keep the
+                # hoisted version in step.
+                self._mut_version += 1
+                mut_version = self._mut_version
             if issued:
-                active = True
                 counts[_R_USEFUL] += 1
             elif cycle < pu.assign_cycle + task_start_overhead:
                 counts[_R_TASK_START] += 1
@@ -647,214 +610,6 @@ class MultiscalarMachine:
                 counts[_R_FETCH] += 1
         self._idle_accum += idle
         self._span_accum += self._active_span
-        return active
-
-    def _step(self, cycle: int) -> bool:
-        """The fast engine's cycle: :meth:`_tick`'s phases, visiting
-        only the PUs that hold a real, unfinished task.
-
-        The phases and the ring order are ``_tick``'s; the bookkeeping
-        differs.  Idle PU-cycles come from a running count of idle PUs,
-        and a done task's LOAD_IMBALANCE is charged in one step when its
-        commit starts.  A PU that replays a memoized blocked result and
-        cannot fetch sleeps until its own next event
-        (``next_event_cycle``), and its stall slot is charged in bulk
-        when it wakes.  A consumer invalidation, a mutation-version
-        bump, or — for a retire-sensitive result — a retire wakes it
-        early.  A PU in a sync wait never sleeps: its per-cycle table
-        touches must interleave with the other PUs' touches.
-        """
-        config = self.config
-        active = False
-        busy = self._busy
-        mut_start = self._mut_version
-        retire_start = self._retire_version
-        finished = False
-        # Phase A: completions (+ violation checks, + control resolve).
-        # A PU squashed earlier in this loop is idle now; the drain it
-        # falls through to finds nothing to do.
-        for pu in busy:
-            in_flight = pu.in_flight
-            if in_flight:
-                if in_flight[0][0] > cycle:
-                    continue
-            elif pu.remaining or pu.fetch_ptr < pu.fetch_end:
-                continue
-            stores, popped, global_event, cross_popped = (
-                pu.drain_completions(cycle)
-            )
-            if popped:
-                active = True
-            if global_event:
-                self._mut_version += 1
-            if cross_popped:
-                consumer_seqs = self.state.consumer_seqs
-                tasks_on_pus = self.in_flight
-                for cidx in cross_popped:
-                    for cs in consumer_seqs[cidx]:
-                        cpu = tasks_on_pus.get(cs)
-                        if cpu is not None:
-                            cpu.issue_cache_key = -1
-                            if cpu.sleep_until > cycle:
-                                cpu.sleep_until = cycle  # wake in phase D
-            if pu.done:
-                # LOAD_IMBALANCE from this cycle until its commit
-                # starts; a sleep span ends here.
-                finished = True
-                pu.imbalance_from = cycle
-                if pu.sleep_until:
-                    pu.local_counts[pu.sleep_slot] += cycle - pu.sleep_from
-                    pu.sleep_until = 0
-            for store_idx in stores:
-                self._check_store_violation(store_idx, cycle)
-        if self.pending_mispredict is not None:
-            src = self.in_flight.get(self.pending_mispredict)
-            if src is not None and src.done:
-                active = True
-                self._squash_wrong(cycle)
-                self.next_assign_pu = (
-                    self.state.pu_of_seq[self.pending_mispredict] + 1
-                ) % config.n_pus
-                self.pending_mispredict = None
-                self.resume_cycle = max(
-                    self.resume_cycle,
-                    cycle + config.task_mispredict_redirect,
-                )
-        if self.faults is not None:
-            self._inject_memory_fault(cycle)
-        # Phase B: retire.
-        if self._retiring_pu is not None:
-            retired = self._retire(cycle)
-        else:
-            head = self.in_flight.get(self.retire_seq)
-            retired = head is not None and head.done and self._retire(cycle)
-        if retired:
-            active = True
-            # A commit that just started settles the task's imbalance.
-            committing = self._retiring_pu
-            if committing is not None and committing.imbalance_from >= 0:
-                committing.local_counts[_R_LOAD_IMBALANCE] += (
-                    cycle - committing.imbalance_from
-                )
-                committing.imbalance_from = -1
-        mut_changed = self._mut_version != mut_start
-        if finished or mut_changed:
-            # A done-flip, squash or redirect changed who has work.
-            busy = self._busy = [
-                pu for pu in busy if pu.dyn_task is not None and not pu.done
-            ]
-        # Idle PUs change only on a squash or redirect, a retire's end
-        # and an assign.
-        if mut_changed:
-            self._n_idle = sum(pu.idle for pu in self.pus)
-        elif self._retire_version != retire_start:
-            self._n_idle += 1
-        # Phase C: assign.
-        if cycle >= self.resume_cycle:
-            nxt = self.pus[self.next_assign_pu]
-            if nxt.dyn_task is None and not nxt.wrong and self._assign(cycle):
-                active = True
-                self._n_idle -= 1
-                if not nxt.wrong:
-                    pos = len(busy)
-                    while pos and busy[pos - 1].index > nxt.index:
-                        pos -= 1
-                    busy.insert(pos, nxt)
-        # Phase D: execute + accounting.
-        task_start_overhead, rob_size, lazy_fp = self._tick_consts
-        mut_version = self._mut_version
-        retire_version = self._retire_version
-        # A version bump invalidated every sleeper's memo, a retire only
-        # the retire-sensitive ones: wake them in this pass.
-        if mut_changed:
-            for pu in busy:
-                if pu.sleep_until:
-                    pu.sleep_until = cycle
-        elif retire_version != retire_start:
-            for pu in busy:
-                if pu.sleep_until and pu.retire_sensitive:
-                    pu.sleep_until = cycle
-        finished = False
-        for pu in busy:
-            until = pu.sleep_until
-            if until:
-                if until > cycle:
-                    continue
-                # Awake: charge the slept span, then run as usual.
-                pu.local_counts[pu.sleep_slot] += cycle - pu.sleep_from
-                pu.sleep_until = 0
-            counts = pu.local_counts
-            can_sleep = False
-            if (
-                pu.issue_cache_key == mut_version
-                and cycle < pu.issue_wake
-                and (
-                    not pu.retire_sensitive
-                    or pu.issue_retire_key == retire_version
-                )
-            ):
-                issued = 0
-                reason = pu.last_block
-                if pu.sync_touches:
-                    self.retouch_sync(pu.sync_touches)
-                else:
-                    can_sleep = True
-            elif pu.unissued:
-                issued, reason = pu.issue(cycle, self)
-            else:
-                # Empty window: issue()'s early return, inlined.
-                pu.issue_wake = _NEVER
-                pu.retire_sensitive = False
-                pu.last_block = None
-                pu.issue_cache_key = mut_version
-                issued = 0
-                reason = None
-            if (
-                pu.pending_branch < 0
-                and cycle >= pu.fetch_resume
-                and pu.fetch_ptr < pu.fetch_end
-                and pu.rob_count < rob_size
-                and pu.fetch(cycle)
-            ):
-                active = True
-                can_sleep = False
-                if pu.done:
-                    # Finished at fetch: LOAD_IMBALANCE from next cycle.
-                    finished = True
-                    pu.imbalance_from = cycle + 1
-                    if lazy_fp:
-                        # Its writes just bulk-forwarded: wake the
-                        # sleepers, later PUs within this very pass.
-                        self._mut_version += 1
-                        mut_version = self._mut_version
-                        for other in busy:
-                            if other.sleep_until:
-                                other.sleep_until = (
-                                    cycle if other.index > pu.index
-                                    else cycle + 1
-                                )
-            if issued:
-                active = True
-                counts[_R_USEFUL] += 1
-            elif cycle < pu.assign_cycle + task_start_overhead:
-                counts[_R_TASK_START] += 1
-            elif reason is not None:
-                counts[pu.last_slot] += 1
-            else:
-                counts[_R_FETCH] += 1
-            if can_sleep:
-                # Nothing it observes changes before its own next event
-                # unless a wake-up above says so.
-                wake, slot = pu.next_event_cycle(cycle + 1, self)
-                if wake > cycle + 1:
-                    pu.sleep_until = wake
-                    pu.sleep_from = cycle + 1
-                    pu.sleep_slot = slot
-        if finished:
-            self._busy = [pu for pu in busy if not pu.done]
-        self._idle_accum += self._n_idle
-        self._span_accum += self._active_span
-        return active
 
     def run(self) -> SimResult:
         """Simulate until every dynamic task has retired."""
@@ -872,10 +627,12 @@ class MultiscalarMachine:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            if self.config.engine == "reference":
+            cycles = None
+            if (self.config.engine == "fast" and self.monitor is None
+                    and self.faults is None):
+                cycles = native.run(self)
+            if cycles is None:
                 cycles = self._run_reference()
-            else:
-                cycles = self._run_fast()
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -897,68 +654,6 @@ class MultiscalarMachine:
                 raise self._stuck(cycle, f"exceeded {max_cycles} cycles")
             self._tick(cycle)
             cycle += 1
-        return cycle
-
-    def _run_fast(self) -> int:
-        """Event-driven loop: step, and after a quiescent step jump to
-        the next event, bulk-charging the skipped span."""
-        config = self.config
-        max_cycles = config.max_cycles
-        n_tasks = len(self.stream.tasks)
-        pus = self.pus
-        # Fault plans decrement per-cycle cooldowns: every cycle must
-        # be presented to them, so skipping is off.
-        can_skip = self.faults is None
-        step = self._step
-        cycle = 0
-        while self.retire_seq < n_tasks:
-            if cycle > max_cycles:
-                raise self._stuck(cycle, f"exceeded {max_cycles} cycles")
-            if step(cycle) or not can_skip:
-                cycle += 1
-                continue
-            # Quiescent: find the earliest cycle anything can happen.
-            t = cycle + 1
-            wake = _NEVER
-            if self._retiring_pu is not None:
-                wake = self._retire_finish
-            if pus[self.next_assign_pu].idle and (
-                self.pending_mispredict is not None
-                or self.next_seq < n_tasks
-            ):
-                resume = self.resume_cycle
-                if resume < t:
-                    resume = t
-                if resume < wake:
-                    wake = resume
-            charged: List[Tuple[List[int], int]] = []
-            for pu in self._busy:
-                if pu.sleep_until:
-                    # Its wake cycle is its next event; the span is
-                    # charged when it wakes.
-                    if pu.sleep_until < wake:
-                        wake = pu.sleep_until
-                    continue
-                w, slot = pu.next_event_cycle(t, self)
-                if w < wake:
-                    wake = w
-                charged.append((pu.local_counts, slot))
-            if wake >= _NEVER:
-                raise self._stuck(cycle, "no pending event (livelock)")
-            if wake <= t:
-                cycle = t
-                continue
-            if wake > max_cycles:
-                wake = max_cycles + 1  # let the guard above raise
-            skipped = wake - t
-            if self.tracer is not None:
-                self.tracer.on_cycle_skip(cycle, wake)
-            if self._n_idle:
-                self._idle_accum += self._n_idle * skipped
-            for counts, slot in charged:
-                counts[slot] += skipped
-            self._span_accum += self._active_span * skipped
-            cycle = wake
         return cycle
 
     def _stuck(self, cycle: int, reason: str) -> SimulationStuck:

@@ -19,15 +19,12 @@ chasing — and the per-task stall accounting is a dense int list
 bookkeeping costs a couple of list indexings instead of enum-keyed
 dict updates.
 
-For the event-driven engine the PU also exposes
-:meth:`next_event_cycle`: after a cycle in which the PU made no
-progress it reports the earliest future cycle at which this PU could
-act (next completion, fetch resume, ring-forward arrival, task-start
-boundary) plus the stall category it keeps charging until then.
-``issue`` records the two facts the probe needs as it scans — the
+``issue`` memoizes a blocked result for the reference loop
+(:meth:`~repro.sim.machine.MultiscalarMachine._tick`): it records the
 blocking reason of the oldest unissued instruction and the earliest
-ring-forward arrival among blocked candidates — so the probe itself
-does no rescanning.
+ring-forward arrival among blocked candidates, and the loop replays
+the result until something it observed changes.  The native loop
+(``native.c``) ports these methods without the memo.
 """
 
 from __future__ import annotations
@@ -50,8 +47,6 @@ _NEVER = 1 << 60
 
 _N_REASONS = len(REASON_INDEX)
 _R_FETCH = REASON_INDEX[StallReason.FETCH]
-_R_TASK_START = REASON_INDEX[StallReason.TASK_START]
-_R_USEFUL = REASON_INDEX[StallReason.USEFUL]
 
 
 class ProcessingUnit:
@@ -83,6 +78,9 @@ class ProcessingUnit:
         lat_extra = (
             tuple(profile.lat_extra) if profile is not None else (0, 0, 0, 0)
         )
+        self.issue_width = issue_width
+        self.fetch_width = fetch_width
+        self.lat_extra = lat_extra
         # Per-run constants for the hot methods, bundled so each call
         # rebinds them with one attribute load and a tuple unpack
         # instead of ~20 attribute loads (the prologue cost dominates
@@ -176,10 +174,10 @@ class ProcessingUnit:
         #: per-task stall accounting, slotted per breakdown.REASONS
         self.local_counts: List[int] = [0] * _N_REASONS
         #: earliest ring-forward arrival among blocked candidates, as
-        #: observed by the last ``issue`` call (event-probe input)
+        #: observed by the last ``issue`` call (memo input)
         self.issue_wake = _NEVER
         #: blocking reason of the oldest unissued instruction, as
-        #: observed by the last ``issue`` call (event-probe input)
+        #: observed by the last ``issue`` call (memo input)
         self.last_block: Optional[StallReason] = None
         #: dense slot of ``last_block`` (valid when it is not None)
         self.last_slot = _R_FETCH
@@ -203,16 +201,6 @@ class ProcessingUnit:
         #: A memo replay touches them again, so the table's LRU order
         #: is the one a re-run scan would leave.
         self.sync_touches: Optional[List[Tuple[int, int]]] = None
-        # Per-PU schedule state, kept by the fast engine only.
-        #: 0 while awake; while asleep, the cycle of this PU's next own
-        #: event, at which the engine visits it again
-        self.sleep_until = 0
-        #: first cycle of the sleep span not yet charged, and its slot
-        self.sleep_from = 0
-        self.sleep_slot = _R_FETCH
-        #: first cycle charged to LOAD_IMBALANCE once done (-1: not
-        #: done); the engine charges the span when the commit starts
-        self.imbalance_from = -1
 
     @property
     def idle(self) -> bool:
@@ -246,13 +234,12 @@ class ProcessingUnit:
 
     def drain_completions(
         self, cycle: int
-    ) -> Tuple[List[int], bool, bool, List[int]]:
+    ) -> Tuple[List[int], bool, List[int]]:
         """Pop instructions finishing at ``cycle``; update run state.
 
-        Returns ``(completed stores, popped anything, global event,
-        cross-consumer completions)``: the machine checks the stores
-        for memory dependence violations, uses the pop flag for
-        activity detection, bumps its mutation version on a global
+        Returns ``(completed stores, global event, cross-consumer
+        completions)``: the machine checks the stores for memory
+        dependence violations, bumps its mutation version on a global
         event (a LAZY-policy task finishing — its writes forward in
         bulk), and invalidates the memoized issue results of exactly
         the consumer tasks of each cross-consumer completion.
@@ -260,7 +247,6 @@ class ProcessingUnit:
         completed_stores: List[int] = []
         cross_popped: List[int] = []
         in_flight = self.in_flight
-        popped = False
         global_event = False
         if in_flight and in_flight[0][0] <= cycle:
             (
@@ -274,7 +260,6 @@ class ProcessingUnit:
             ) = self._drain_consts
             heappop = heapq.heappop
             schedule_policy = self._schedule_fp
-            popped = True
             self.issue_cache_key = -1
             while in_flight and in_flight[0][0] <= cycle:
                 _, idx = heappop(in_flight)
@@ -309,7 +294,7 @@ class ProcessingUnit:
                 # own drain (and targeted invalidation covered it).
                 global_event = True
                 self._forward_all_writes(cycle)
-        return completed_stores, popped, global_event, cross_popped
+        return completed_stores, global_event, cross_popped
 
     def _schedule_forward(self, idx: int, earliest: int) -> None:
         state = self.state
@@ -537,9 +522,9 @@ class ProcessingUnit:
             reason: Optional[StallReason] = None
             # Register operands.  A block on a scheduled ring
             # forward records the arrival cycle in ``issue_wake``
-            # for the event probe — the only blocking condition
-            # that clears at a known future cycle rather than at
-            # another unit's event.
+            # for the memo — the only blocking condition that
+            # clears at a known future cycle rather than at another
+            # unit's event.
             for p in producers[idx]:
                 pseq = task_seq[p]
                 if pseq == seq:
@@ -658,44 +643,3 @@ class ProcessingUnit:
         self.issue_cache_key = machine._mut_version
         self.issue_retire_key = machine._retire_version
         return 0, first_block
-
-    # ---------------------------------------------------------- event probe
-
-    def next_event_cycle(self, t: int, machine) -> Tuple[int, int]:
-        """Earliest cycle >= ``t`` this PU could act, and the stall slot
-        (a ``REASONS`` index) it charges until then.
-
-        Only meaningful for a PU holding a real, unfinished task,
-        immediately after a cycle in which it made no progress (nothing
-        drained, issued, or fetched): the blocking state observed by
-        that cycle's ``issue`` call then holds for every cycle before
-        the returned wake-up point, so the machine can charge the whole
-        span in one step.  Wake-up sources that live on *other* units
-        (a producer task's completion, the retire chain, the sequencer)
-        are deliberately not bounded here — the machine takes the
-        minimum across all units, and wakes a sleeping PU on those
-        events itself.
-        """
-        in_flight = self.in_flight
-        wake = in_flight[0][0] if in_flight else _NEVER
-        if (
-            self.pending_branch < 0
-            and self.fetch_ptr < self.fetch_end
-            and self.rob_count < self.config.rob_size
-        ):
-            resume = self.fetch_resume
-            if resume < t:
-                resume = t
-            if resume < wake:
-                wake = resume
-        if self.issue_wake < wake:
-            wake = self.issue_wake
-        boundary = self.assign_cycle + self.config.task_start_overhead
-        if t < boundary:
-            # The charge category flips from TASK_START at the boundary.
-            if boundary < wake:
-                wake = boundary
-            return wake, _R_TASK_START
-        if self.last_block is None:
-            return wake, _R_FETCH
-        return wake, self.last_slot

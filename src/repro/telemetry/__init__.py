@@ -9,8 +9,8 @@ aggregate views; this package explains *individual runs*:
   unattached machine pays nothing) that records every task's
   assign → first-issue → squash/retire lifecycle per PU, plus instant
   events for task/branch mispredictions and ARB violations.  Both
-  engines emit identical canonical event streams on the same cell —
-  the bit-identity guarantee extends to telemetry.
+  engines emit identical event streams on the same cell — the
+  bit-identity guarantee extends to telemetry.
 * :mod:`~repro.telemetry.export` — Chrome trace-event JSON (loadable
   in Perfetto / ``chrome://tracing``): PUs map to tracks, simulated
   cycles to microsecond timestamps (``repro trace``).

@@ -6,19 +6,13 @@ reliability monitor is — as a duck-typed constructor argument
 imports this package, every hook site is guarded by a single ``is not
 None`` test, and a machine without a tracer pays nothing.
 
-The collector records two streams:
-
-* ``events`` — the **canonical** stream: every hook call appended in
-  order as a plain tuple.  Hooks fire on tick cycles only, and the
-  fast engine ticks exactly the cycles on which the reference engine
-  makes progress, so both engines produce byte-identical canonical
-  streams on the same cell.  ``tests/test_telemetry.py`` sweeps a
-  grid to enforce this — the event stream is a finer-grained
-  correctness probe than the aggregate ``SimResult``.
-* ``engine_events`` — engine-local diagnostics (the fast engine's
-  bulk cycle skips).  These legitimately differ between engines and
-  are therefore kept out of the canonical stream; the exporter shows
-  them on their own track.
+The collector records one stream, ``events``: every hook call
+appended in order as a plain tuple.  The reference loop calls the
+hooks live; the native loop logs the same calls and the machine
+replays them after the run, so both engines produce byte-identical
+streams on the same cell.  ``tests/test_telemetry.py`` sweeps a grid
+to enforce this — the event stream is a finer-grained correctness
+probe than the aggregate ``SimResult``.
 
 Event tuples (first element is the kind):
 
@@ -47,10 +41,8 @@ class TraceCollector:
     """Duck-typed machine tracer accumulating lifecycle events."""
 
     def __init__(self) -> None:
-        #: canonical event stream (engine-independent, order matters)
+        #: the event stream (engine-independent, order matters)
         self.events: List[Tuple] = []
-        #: engine-local diagnostics (fast-engine cycle skips)
-        self.engine_events: List[Tuple] = []
         self.label: Optional[str] = None
         self.engine: str = "?"
         self.n_pus: int = 0
@@ -102,12 +94,6 @@ class TraceCollector:
                   first_issue: int, done: int) -> None:
         self.events.append(("retire", seq, pu, cycle, first_issue, done))
 
-    # -------------------------------------------------------- engine-local
-
-    def on_cycle_skip(self, from_cycle: int, to_cycle: int) -> None:
-        """Fast engine jumped from ``from_cycle`` + 1 to ``to_cycle``."""
-        self.engine_events.append(("skip", from_cycle, to_cycle))
-
     # -------------------------------------------------------------- finish
 
     def on_finish(self, machine, result) -> None:
@@ -117,7 +103,7 @@ class TraceCollector:
     # ------------------------------------------------------------ analysis
 
     def counts(self) -> Dict[str, int]:
-        """Canonical events tallied by kind."""
+        """Events tallied by kind."""
         out: Dict[str, int] = {}
         for event in self.events:
             out[event[0]] = out.get(event[0], 0) + 1

@@ -5,8 +5,7 @@ JSON-object flavour of the trace-event format:
 
 * one process (``pid`` 0) named after the run label;
 * one thread (track) per PU, plus a ``sequencer`` track for
-  machine-level instants and an ``engine`` track for fast-engine
-  cycle skips;
+  machine-level instants;
 * one simulated cycle = one microsecond of trace time (``ts``/``dur``
   are trace-event microseconds), so Perfetto's time axis reads
   directly in cycles;
@@ -42,12 +41,10 @@ def _metadata(pid: int, tid: Optional[int], name: str, value: str) -> Dict:
     return event
 
 
-def chrome_trace(collector: TraceCollector,
-                 include_engine_events: bool = True) -> Dict:
-    """One collector's streams as a Chrome trace-event JSON object."""
+def chrome_trace(collector: TraceCollector) -> Dict:
+    """One collector's event stream as a Chrome trace-event JSON object."""
     n_pus = collector.n_pus
     seq_tid = n_pus  # sequencer track
-    eng_tid = n_pus + 1  # engine diagnostics track
     label = collector.label or "run"
     events: List[Dict] = [
         _metadata(0, None, "process_name", f"{label} [{collector.engine}]")
@@ -55,8 +52,6 @@ def chrome_trace(collector: TraceCollector,
     for pu in range(n_pus):
         events.append(_metadata(0, pu, "thread_name", f"PU {pu}"))
     events.append(_metadata(0, seq_tid, "thread_name", "sequencer"))
-    if include_engine_events and collector.engine_events:
-        events.append(_metadata(0, eng_tid, "thread_name", "engine"))
 
     #: open task attempts: seq -> (pu, assign_cycle, attempt#)
     open_tasks: Dict[int, Tuple[int, int, int]] = {}
@@ -142,11 +137,6 @@ def chrome_trace(collector: TraceCollector,
     for pu, start in sorted(open_wrong.items()):
         complete("wrong path", pu, start, final, "wrong", {})
 
-    if include_engine_events:
-        for kind, frm, to in collector.engine_events:
-            complete("skip", eng_tid, frm + 1, to, "engine",
-                     {"cycles": to - frm - 1})
-
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -160,10 +150,9 @@ def chrome_trace(collector: TraceCollector,
     }
 
 
-def write_chrome_trace(path, collector: TraceCollector,
-                       include_engine_events: bool = True) -> Dict:
+def write_chrome_trace(path, collector: TraceCollector) -> Dict:
     """Serialize :func:`chrome_trace` to ``path``; returns the payload."""
-    payload = chrome_trace(collector, include_engine_events)
+    payload = chrome_trace(collector)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1)
         handle.write("\n")

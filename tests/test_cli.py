@@ -80,7 +80,6 @@ class TestParser:
         assert args.level == "control_flow"
         assert args.engine == "reference"
         assert args.output == "out.json"
-        assert not args.no_engine_events
         assert build_parser().parse_args(
             ["trace", "compress"]).output == "trace.json"
 

@@ -1,13 +1,13 @@
-"""Fast-engine equivalence: event-driven core vs the reference loop.
+"""Fast-engine equivalence: the native loop vs the reference loop.
 
 The fast engine's only licence to exist is bit-identity: every
 (benchmark, level, machine) cell must produce exactly the same
 ``SimResult`` — cycles, committed instructions, squash counts, the
-full per-reason cycle breakdown — as the cycle-by-cycle reference
-loop.  These tests sweep every benchmark at every heuristic level,
-vary the machine shape and the forwarding policy, and run the
-reliability subsystem's fault sweeps against the fast engine, so a
-skip-logic bug cannot hide behind aggregate statistics.
+full per-reason cycle breakdown — as the Python reference loop.
+These tests sweep every benchmark at every heuristic level, vary the
+machine shape and the forwarding policy, and run the reliability
+subsystem's fault sweeps with ``engine="fast"``, so a porting bug
+cannot hide behind aggregate statistics.
 """
 
 import pytest
@@ -97,14 +97,12 @@ def test_fast_matches_reference_forward_policies(policy):
     ("tomcatv", HeuristicLevel.TASK_SIZE),
 ])
 def test_fast_bulk_charging_sums_per_category(name, level):
-    """Bulk-charged skipped cycles land in the right Figure-2 buckets.
+    """Every PU-cycle lands in the same Figure-2 bucket on both engines.
 
-    The fast engine charges a whole skipped span to each PU's current
-    stall category in one addition; this checks the per-category
-    totals — not just the aggregate — against the reference engine's
-    cycle-by-cycle accounting, and that both engines attribute every
-    PU-cycle (categories + squash penalties + idle sum to the same
-    grand total).
+    Checks the per-category totals — not just the aggregate — against
+    the reference engine's accounting, and that both engines attribute
+    every PU-cycle (categories + squash penalties + idle sum to the
+    same grand total).
     """
     fast = run_benchmark(name, level, n_pus=4, scale=SMALL)
     reference = run_benchmark(
@@ -125,12 +123,11 @@ def test_fast_bulk_charging_sums_per_category(name, level):
 
 
 def test_fault_sweep_on_fast_engine():
-    """Seeded fault injection exercises recovery on the fast path.
+    """Seeded fault injection exercises recovery on the fast engine.
 
-    A fault plan disables cycle skipping (events are injected from
-    outside the machine's event horizon), but the run still goes
-    through the fast engine's probe loop — the oracle and invariant
-    monitors must stay green.
+    A fault plan mutates live machine state, so the run takes the
+    reference loop (``_tick``) even with ``engine="fast"`` — the
+    oracle and invariant monitors must stay green.
     """
     report = verify_workload(
         "compress", HeuristicLevel.CONTROL_FLOW, n_pus=4,
@@ -141,7 +138,9 @@ def test_fault_sweep_on_fast_engine():
 
 
 def test_verify_grid_defaults_to_fast_engine():
-    """repro verify runs the oracle against the fast engine."""
+    """repro verify defaults to the fast engine: monitored cells run
+    ``_tick``, and fault-free cells are also checked against the
+    native loop (here only the faulted cells run, so only ``_tick``)."""
     reports = verify_grid(
         benchmarks=["m88ksim"],
         levels=[HeuristicLevel.BASIC_BLOCK, HeuristicLevel.TASK_SIZE],

@@ -149,11 +149,10 @@ def test_heterogeneous_presets_differentiate():
 ])
 def test_heterogeneous_machine_engine_identical(machine, bench, level,
                                                 out_of_order, policy):
-    """Profiles/predictors propagate identically into all engines, and
-    on the large rings, where the fast engine sleeps the most PUs, its
-    per-PU schedule (deferred stall and imbalance charges) matches the
-    reference loop's every-PU, every-cycle accounting, per-PU metrics
-    included."""
+    """Profiles/predictors propagate identically into all engines:
+    the native loop's per-PU profiles, hybrid predictor and large-ring
+    hop arithmetic match the reference loop's accounting, per-PU
+    metrics included."""
     sim_kwargs = {} if policy is None else {"forward_policy": policy}
     identities = {
         engine: record_identity(run_benchmark(

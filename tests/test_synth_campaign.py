@@ -50,9 +50,8 @@ def test_campaign_ledger_deterministic(tmp_path):
 
 def test_campaign_degenerate_task_attribution():
     """Regression seed: the second seed-1 program carries a task that
-    goes ``done`` without ever popping a completion heap entry.  A
-    skipped idle stretch after that flip must be charged to
-    LOAD_IMBALANCE, as the reference engine charges it, not to the
+    goes ``done`` without ever popping a completion heap entry.  The
+    stretch after that flip must be charged to LOAD_IMBALANCE, as the reference engine charges it, not to the
     stale FETCH slot — same total cycles is not enough, the fast
     engine's breakdown must match too."""
     result = run_campaign(

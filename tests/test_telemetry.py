@@ -1,10 +1,10 @@
 """Telemetry subsystem: collector, exporter, metrics, ledger, report.
 
-The load-bearing guarantee is engine equivalence: the fast engine
-must produce exactly the canonical event stream the reference engine
-produces, cell by cell — the stream is a far finer-grained probe than
-the aggregate ``SimResult`` the fastpath tests compare, so a skip
-that lands one hook a cycle late fails here first.
+The load-bearing guarantee is engine equivalence: the native loop's
+replayed event stream must equal the reference loop's live stream,
+cell by cell — the stream is a far finer-grained probe than the
+aggregate ``SimResult`` the fastpath tests compare, so an event that
+lands a cycle late or out of order fails here first.
 """
 
 import json
@@ -183,27 +183,17 @@ class TestCollector:
     "level", ALL_LEVELS, ids=[lvl.value for lvl in ALL_LEVELS]
 )
 def test_engines_emit_identical_event_streams(name, level):
-    """Canonical streams are byte-identical across engines, cell by
-    cell; only the engine-local skip diagnostics may differ."""
+    """The native loop's replayed stream equals ``_tick``'s live
+    stream event by event, cell by cell."""
     fast, fast_result = _traced_run(name, level, "fast")
     reference, ref_result = _traced_run(name, level, "reference")
     assert fast_result.cycles == ref_result.cycles
-    assert reference.engine_events == []
-    assert fast.events == reference.events, (
-        f"{name}/{level.value}: canonical event streams diverge "
-        f"(fast={len(fast.events)}, reference={len(reference.events)})"
-    )
-
-
-def test_fast_engine_records_skips_as_engine_events():
-    collector, result = _traced_run(
-        "compress", HeuristicLevel.DATA_DEPENDENCE, "fast"
-    )
-    assert collector.engine_events, "fast engine never skipped"
-    for kind, frm, to in collector.engine_events:
-        assert kind == "skip"
-        assert to > frm + 1  # a skip spans at least one full cycle
-        assert to <= result.cycles
+    for k, (got, want) in enumerate(zip(fast.events, reference.events)):
+        assert got == want, (
+            f"{name}/{level.value}: event {k} differs: "
+            f"fast={got} reference={want}"
+        )
+    assert len(fast.events) == len(reference.events)
 
 
 # ----------------------------------------------------------------- export
@@ -257,21 +247,6 @@ class TestExport:
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError):
             validate_chrome_trace_file(path)
-
-    def test_engine_events_can_be_excluded(self):
-        collector, _ = _traced_run(
-            "compress", HeuristicLevel.DATA_DEPENDENCE, "fast"
-        )
-        with_skips = chrome_trace(collector, include_engine_events=True)
-        without = chrome_trace(collector, include_engine_events=False)
-        skips = [
-            e for e in with_skips["traceEvents"]
-            if e.get("cat") == "engine"
-        ]
-        assert skips
-        assert not [
-            e for e in without["traceEvents"] if e.get("cat") == "engine"
-        ]
 
 
 # ----------------------------------------------------------------- ledger
