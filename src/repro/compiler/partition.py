@@ -54,8 +54,8 @@ class TraceMemo:
     A program's trace depends only on its code and its memory image;
     task selection only decides where that trace is cut into tasks
     (DESIGN.md §5).  Every selection whose transforms yield the same
-    program therefore shares one trace, one profile and, through the
-    trace, the timing model's trace-only packed arrays.
+    program therefore shares one trace, one profile and the timing
+    model's lowering of the trace.
 
     Runs are keyed by a digest of :func:`~repro.ir.asmtext.program_to_text`,
     which round-trips the whole program: code, function and block

@@ -16,7 +16,6 @@ layout; callers should work on a cloned program
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Dict, List, Optional, Set
 
@@ -34,8 +33,21 @@ from repro.ir.program import Program
 
 
 def clone_program(program: Program) -> Program:
-    """Deep-copy ``program`` so transforms leave the original intact."""
-    clone = copy.deepcopy(program)
+    """Copy ``program`` so transforms leave the original intact.
+
+    The program, its functions, blocks, instruction lists and memory
+    image are copied; the frozen :class:`Instruction` objects are
+    shared.
+    """
+    clone = Program(program.main_name)
+    for func in program.functions():
+        copied = Function(func.name, func.entry_label)
+        for blk in func.blocks():
+            copied.add_block(
+                BasicBlock(blk.label, list(blk.instructions), blk.fallthrough)
+            )
+        clone.add_function(copied)
+    clone.memory_image = dict(program.memory_image)
     clone.invalidate_layout()
     return clone
 

@@ -9,12 +9,12 @@ The in-memory compile cache keeps two things under two keys:
   :func:`compile_cache_key` — benchmark, scale, input sets and every
   selection field — so that machine sweeps (PU counts, in-order vs
   out-of-order) reuse them;
-* functional runs (trace, profile and, on the trace, the trace-only
-  packed arrays) per *transformed program*, in a
-  :class:`~repro.compiler.partition.TraceMemo` keyed by the program's
-  text, so that selections whose transforms yield the same program
-  interpret, profile and pack it once and redo only the work that
-  depends on the partition.
+* functional runs (trace and profile) per *transformed program*, in
+  a :class:`~repro.compiler.partition.TraceMemo` keyed by the
+  program's text, so that selections whose transforms yield the same
+  program interpret and profile it once, the native loop lowers its
+  trace once, and only the work that depends on the partition is
+  redone.
 """
 
 from __future__ import annotations
@@ -194,8 +194,8 @@ def compile_benchmark(
     if cached is not None:
         return cached
     traces = _compile_cache.traces
-    # Interpreting and packing a trace creates millions of short-lived
-    # tracked objects; the cyclic collector only adds scan time here.
+    # Interpreting a trace creates millions of short-lived tracked
+    # objects; the cyclic collector only adds scan time here.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -163,14 +163,14 @@ def run_specs(
     worker = worker or execute_spec
     jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
     results: List[Optional[RunRecord]] = [None] * len(specs)
-    hashes = [
-        spec.spec_hash(cache.salt if cache is not None else "")
-        for spec in specs
-    ]
+    # Only ledger lines carry spec hashes (the cache hashes its own).
+    hashes: List[str] = []
     resumed_hashes = set()
-    if resume and ledger is not None:
-        resumed_hashes = completed_spec_hashes(ledger.path)
     if ledger is not None:
+        salt = cache.salt if cache is not None else ""
+        hashes = [spec.spec_hash(salt) for spec in specs]
+        if resume:
+            resumed_hashes = completed_spec_hashes(ledger.path)
         ledger.open_run(len(specs))
 
     pending: Group = []

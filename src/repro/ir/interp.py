@@ -92,17 +92,32 @@ class DynInst:
 
 
 class Trace:
-    """The dynamic instruction stream of one program execution."""
+    """The dynamic instruction stream of one program execution.
+
+    Besides the :class:`DynInst` list it carries flat columns that the
+    native timing model lowers from (``repro.sim.native``), recorded
+    as the interpreter runs: the start pc of each block entry, the
+    effective address of each memory op and the outcome of each
+    conditional branch.
+    """
 
     def __init__(self, program: Program) -> None:
         self.program = program
         self.insts: List[DynInst] = []
         #: dynamic block entry events as (trace index of first inst, block id)
         self.block_entries: List[Tuple[int, BlockId]] = []
-        #: the timing model's partition-independent packed arrays
+        #: pc of the first instruction of each block entry (0 for an
+        #: empty block), aligned with ``block_entries``
+        self.entry_pcs: List[int] = []
+        #: effective address of each LOAD and STORE, in trace order
+        self.mem_addrs: List[int] = []
+        #: outcome of each conditional branch (1 = taken), in trace order
+        self.taken = bytearray()
+        #: the reference engine's partition-independent packed arrays
         #: (:class:`repro.sim.packed.TraceArrays`), built on first use
         #: and shared by every task stream cut from this trace
         self.arrays = None
+        self._control_transfers: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.insts)
@@ -120,7 +135,22 @@ class Trace:
 
     def control_transfer_count(self) -> int:
         """Number of dynamic control transfer instructions."""
-        return sum(1 for d in self.insts if d.op.is_control)
+        if self._control_transfers is None:
+            # Only a block's last instruction transfers control, and
+            # every block entry runs its whole block.
+            insts = self.insts
+            ends = [start for start, _ in self.block_entries[1:]]
+            ends.append(len(insts))
+            self._control_transfers = sum(
+                1
+                for (start, _), end in zip(self.block_entries, ends)
+                if end > start and insts[end - 1].op.is_control
+            )
+        return self._control_transfers
+
+    def conditional_branch_count(self) -> int:
+        """Number of dynamic conditional branches."""
+        return len(self.taken)
 
 
 class Interpreter:
@@ -172,6 +202,10 @@ class Interpreter:
         call_stack: List[Tuple[str, str]] = []
         insts = trace.insts
         append_inst = insts.append
+        append_entry = trace.block_entries.append
+        append_entry_pc = trace.entry_pcs.append
+        append_addr = trace.mem_addrs.append
+        append_taken = trace.taken.append
         limit = self.max_instructions
         int_regs = self.int_regs
         fp_regs = self.fp_regs
@@ -193,7 +227,7 @@ class Interpreter:
         while not self.halted:
             func = program.function(func_name)
             blk = func.block(label)
-            trace.block_entries.append((n_insts, (func_name, label)))
+            append_entry((n_insts, (func_name, label)))
             next_func = func_name
             next_label: Optional[str] = blk.fallthrough
             block_id = (func_name, label)
@@ -202,6 +236,7 @@ class Interpreter:
             block_pc = (
                 program.pc_of(func_name, label, 0) if blk.instructions else 0
             )
+            append_entry_pc(block_pc)
             for iidx, ins in enumerate(blk.instructions):
                 if n_insts >= limit:
                     raise ExecutionLimitExceeded(
@@ -220,6 +255,7 @@ class Interpreter:
                         else int_regs.get(name, 0)
                     )
                     addr = int(base) + int(ins.imm or 0)
+                    append_addr(addr)
                     dst = ins.dst
                     if dst != "r0":
                         val = memory.get(addr, 0)
@@ -241,6 +277,7 @@ class Interpreter:
                         else int_regs.get(name, 0)
                     )
                     addr = int(base) + int(ins.imm or 0)
+                    append_addr(addr)
                     memory[addr] = value
                 elif op is _BEQZ or op is _BNEZ:
                     name = ins.srcs[0]
@@ -250,6 +287,7 @@ class Interpreter:
                         else int_regs.get(name, 0)
                     )
                     taken = (value == 0) if op is _BEQZ else (value != 0)
+                    append_taken(taken)
                     if taken:
                         next_label = ins.target
                 elif op is _JUMP:

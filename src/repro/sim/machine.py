@@ -28,9 +28,11 @@ Two engines run these phases:
   every cycle, visiting every PU in both phase A and phase D — the
   original, obviously correct loop kept as the equivalence oracle.
 * ``engine="fast"`` (default) runs :mod:`repro.sim.native`, a C port
-  of ``_tick`` and everything it calls, over the stream's packed
-  arrays; the machine's counters and arrays are written back after the
-  run, and an attached tracer gets the run's events replayed in order.
+  of ``_tick`` and everything it calls, over buffers the kernel lowers
+  from the trace once per trace; the machine's counters and arrays are
+  written back after the run, and an attached tracer gets the run's
+  events replayed in order.  Only ``_tick`` reads the Python packing
+  (:mod:`repro.sim.packed`), so a native run never builds it.
   A run with a monitor or a fault plan attached takes ``_tick`` (both
   read or mutate live machine state), as does every run in a process
   where the kernel cannot be built or loaded (one warning says so).
@@ -256,7 +258,8 @@ class MultiscalarMachine:
         if self.config.sync_table_size <= 0:
             return
         self._mut_version += 1
-        key = (self.state.pc[store_idx], self.state.pc[load_idx])
+        insts = self.stream.trace.insts
+        key = (insts[store_idx].pc, insts[load_idx].pc)
         self.sync_pairs[key] = None
         self.sync_pairs.move_to_end(key)
         while len(self.sync_pairs) > self.config.sync_table_size:

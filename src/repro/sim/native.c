@@ -9,15 +9,20 @@
  * cycle and issue is re-run every cycle: the Python loop's issue memo
  * only saved work, so results are bit-identical without it.
  *
- * The static per-instruction arrays are read in place (bytearrays and
- * array('q') buffers of TraceArrays / PackedTrace) or from int32
- * copies built once per trace and per stream by native.py.  The run's
- * mutable arrays (complete, forward, generation, pu_of_seq) are
- * caller-owned int64 buffers, copied back into the machine afterwards.
- * Lifecycle events for an attached tracer go into an in-order log that
- * the machine replays after the run.
+ * The static per-instruction buffers are built once per trace by
+ * ms_lower, from flat trace columns (block-entry starts and pcs, the
+ * effective address of each memory op, the outcome of each conditional
+ * branch) and per-pc tables of the program's static instructions.
+ * native.py owns them and hands them to every run of the trace.  Each
+ * run derives every instruction's task and has_remote_consumer flag
+ * from the per-task spans.  The run's mutable arrays (complete,
+ * forward, generation, pu_of_seq) are caller-owned int64 buffers,
+ * copied back into the machine afterwards.  Lifecycle events for an
+ * attached tracer go into an in-order log that the machine replays
+ * after the run.
  *
  * Entry points (called through ctypes by repro.sim.native):
+ *   ms_lower(lparams, lin, bufs, lout) -> status   fill the trace buffers
  *   ms_run(params, pu_params, bufs, out) -> handle (NULL: out of memory)
  *   ms_copy(handle, what, dst)            copy a variable-length output
  *   ms_free(handle)
@@ -53,13 +58,18 @@ enum {
  * latencies (both in OPCLASS order). */
 #define PU_PARAMS 10
 
-/* bufs[] layout, mirrored by native.py. */
+/* bufs[] layout, mirrored by native.py.  The first N_TRACE_BUFS are
+ * the trace's buffers, filled by ms_lower; the rest are per run. */
 enum {
     B_OPCLS, B_IS_LOAD, B_IS_STORE, B_IS_MEM, B_IS_COND_BRANCH,
-    B_BLOCK_START, B_HAS_WRITE, B_GSHARE_MISPRED, B_ISSUE_SIMPLE,
-    B_HAS_REMOTE, B_RELEASE_NOW,                    /* u8[n]          */
+    B_BLOCK_START, B_HAS_WRITE, B_GSHARE_MISPRED,
+    B_ISSUE_SIMPLE,                                 /* u8[n]          */
     B_PC, B_ADDR,                                   /* i64[n]         */
-    B_LATENCY, B_MEM_PRODUCER, B_PROD_OFF, B_PROD,  /* i32            */
+    B_LATENCY, B_MEM_PRODUCER,                      /* i32[n]         */
+    B_PROD_OFF, B_PROD,                             /* i32, CSR       */
+    N_TRACE_BUFS,
+    B_RELEASE_NOW = N_TRACE_BUFS,                   /* u8[n], SCHEDULE */
+    B_HAS_REMOTE,                                   /* u8[n], out     */
     B_TASKS,                                        /* i64[n_tasks*7] */
     B_COMPLETE, B_FORWARD,                          /* i64[n], out    */
     B_GENERATION, B_PU_OF_SEQ,                      /* i64[n_tasks]   */
@@ -501,7 +511,8 @@ typedef struct {
 
     const u8 *opcls, *is_load, *is_store, *is_mem, *is_cond_branch,
         *block_start, *has_write, *gshare_mispred, *issue_simple,
-        *has_remote, *release_now;
+        *release_now;  /* release_now: SCHEDULE policy only */
+    u8 *has_remote;
     const i64 *pc, *addr;
     const i32 *latency, *mem_producer, *prod_off, *prod;
     const i64 *tasks;
@@ -706,7 +717,8 @@ static int drain(Machine *m, PU *pu, i64 cycle)
         pu->remaining--;
         pu->rob_count--;
         if (m->has_write[idx]) {
-            if (m->release_now[idx])
+            if (m->policy == POLICY_EAGER
+                || (m->policy == POLICY_SCHEDULE && m->release_now[idx]))
                 schedule_forward(m, pu, idx, cycle, cycle);
             else if (m->policy == POLICY_SCHEDULE)
                 schedule_forward(m, pu, idx, cycle + m->release_lag, cycle);
@@ -1249,6 +1261,195 @@ static void tick(Machine *m, i64 cycle)
     m->span_accum += m->active_span;
 }
 
+/* ----------------------------------------------------------- lowering */
+
+/* lparams[] layout (int64), mirrored by native.py. */
+enum {
+    L_N, L_N_ENTRIES, L_N_PCS, L_N_REGS, L_N_MEM, L_N_BRANCHES, L_PROD_CAP,
+    N_LPARAMS
+};
+
+/* lin[] layout, mirrored by native.py: the trace's columns, then its
+ * program's static instructions indexed by pc. */
+enum {
+    LI_ENTRY_START, LI_ENTRY_PC,  /* i64[n_entries]                    */
+    LI_MEM_ADDR,                  /* i64[n_mem]: per LOAD/STORE, in order */
+    LI_TAKEN,                     /* u8[n_branches]: per BEQZ/BNEZ      */
+    LI_OPCLS, LI_KIND,            /* u8[n_pcs]                          */
+    LI_LATENCY, LI_WRITE,         /* i32[n_pcs]; write: register or -1  */
+    LI_READ_OFF, LI_READS,        /* i32, CSR of the registers read     */
+    N_LIN
+};
+enum { KIND_LOAD = 1, KIND_STORE = 2, KIND_COND = 4 };
+
+/* lout[] layout, mirrored by native.py. */
+enum { LO_N_PROD, LO_GSHARE_MISPREDICTIONS, N_LOUT };
+enum { LOWER_OK, LOWER_NO_MEMORY, LOWER_BAD_COLUMNS };
+
+/* GsharePredictor's defaults: 16 history bits, 2^16 counters. */
+#define GSHARE_MASK ((1u << 16) - 1)
+
+/* Last store per word address: open addressing, value -1 = empty. */
+typedef struct {
+    i64 *keys;
+    i32 *vals;
+    uint64_t mask;
+} StoreMap;
+
+static uint64_t store_find(const StoreMap *s, i64 addr)
+{
+    uint64_t k = ((uint64_t)addr * 0x9E3779B97F4A7C15ull >> 17) & s->mask;
+    while (s->vals[k] >= 0 && s->keys[k] != addr)
+        k = (k + 1) & s->mask;
+    return k;
+}
+
+/* TraceArrays' loop over one trace: fill the trace buffers of bufs[]
+ * (zeroed by the caller) and the lout[] counts. */
+int ms_lower(const i64 *lparams, void *const *lin, void *const *bufs,
+             i64 *lout)
+{
+    i64 n = lparams[L_N], n_entries = lparams[L_N_ENTRIES];
+    i64 n_pcs = lparams[L_N_PCS], n_mem = lparams[L_N_MEM];
+    i64 n_branches = lparams[L_N_BRANCHES], prod_cap = lparams[L_PROD_CAP];
+    const i64 *entry_start = lin[LI_ENTRY_START], *entry_pc = lin[LI_ENTRY_PC];
+    const i64 *mem_addr = lin[LI_MEM_ADDR];
+    const u8 *taken = lin[LI_TAKEN], *pc_opcls = lin[LI_OPCLS];
+    const u8 *pc_kind = lin[LI_KIND];
+    const i32 *pc_latency = lin[LI_LATENCY], *pc_write = lin[LI_WRITE];
+    const i32 *read_off = lin[LI_READ_OFF], *reads = lin[LI_READS];
+    u8 *opcls = bufs[B_OPCLS], *is_load = bufs[B_IS_LOAD];
+    u8 *is_store = bufs[B_IS_STORE], *is_mem = bufs[B_IS_MEM];
+    u8 *is_cond_branch = bufs[B_IS_COND_BRANCH];
+    u8 *block_start = bufs[B_BLOCK_START], *has_write = bufs[B_HAS_WRITE];
+    u8 *gshare_mispred = bufs[B_GSHARE_MISPRED];
+    u8 *issue_simple = bufs[B_ISSUE_SIMPLE];
+    i64 *pc = bufs[B_PC], *addr = bufs[B_ADDR];
+    i32 *latency = bufs[B_LATENCY], *mem_producer = bufs[B_MEM_PRODUCER];
+    i32 *prod_off = bufs[B_PROD_OFF], *prod = bufs[B_PROD];
+
+    /* Each block entry runs its whole block, so an instruction's pc is
+     * its entry's start pc plus its offset in the entry. */
+    if (n > 0 && (n_entries == 0 || entry_start[0] != 0))
+        return LOWER_BAD_COLUMNS;
+    for (i64 k = 0; k < n_entries; k++) {
+        i64 s = entry_start[k];
+        i64 e = k + 1 < n_entries ? entry_start[k + 1] : n;
+        if (e < s || e > n || entry_pc[k] < 0 || entry_pc[k] + (e - s) > n_pcs)
+            return LOWER_BAD_COLUMNS;
+        if (s < n)
+            block_start[s] = 1;
+        for (i64 i = s; i < e; i++)
+            pc[i] = entry_pc[k] + (i - s);
+    }
+
+    i64 n_regs = lparams[L_N_REGS];
+    uint64_t n_slots = 16;
+    while (n_slots < 2 * (uint64_t)n_mem)
+        n_slots *= 2;
+    StoreMap stores = {malloc(n_slots * sizeof(i64)),
+                       malloc(n_slots * sizeof(i32)), n_slots - 1};
+    i32 *last_writer = malloc((size_t)(n_regs ? n_regs : 1) * sizeof(i32));
+    u8 *counters = malloc(GSHARE_MASK + 1);
+    int status = LOWER_OK;
+    if (!stores.keys || !stores.vals || !last_writer || !counters) {
+        status = LOWER_NO_MEMORY;
+        goto done;
+    }
+    memset(stores.vals, 0xff, n_slots * sizeof(i32));
+    memset(last_writer, 0xff, (size_t)n_regs * sizeof(i32));
+    memset(counters, 1, GSHARE_MASK + 1);  /* weakly not-taken */
+
+    i64 n_prod = 0, mem_at = 0, branch_at = 0, mispredictions = 0;
+    uint64_t history = 0;
+    for (i64 i = 0; i < n; i++) {
+        i64 p = pc[i];
+        int kind = pc_kind[p];
+        opcls[i] = pc_opcls[p];
+        latency[i] = pc_latency[p];
+        /* Register producers: the distinct last writers of the
+         * registers read, ascending. */
+        i64 first = n_prod;
+        prod_off[i] = (i32)first;
+        for (i32 r = read_off[p]; r < read_off[p + 1]; r++) {
+            i32 w = last_writer[reads[r]];
+            if (w < 0)
+                continue;
+            i64 at = n_prod;
+            while (at > first && prod[at - 1] > w)
+                at--;
+            if (at > first && prod[at - 1] == w)
+                continue;
+            if (n_prod == prod_cap) {
+                status = LOWER_BAD_COLUMNS;
+                goto done;
+            }
+            memmove(prod + at + 1, prod + at,
+                    (size_t)(n_prod - at) * sizeof(i32));
+            prod[at] = w;
+            n_prod++;
+        }
+        if (pc_write[p] >= 0) {
+            has_write[i] = 1;
+            last_writer[pc_write[p]] = (i32)i;
+        }
+        mem_producer[i] = -1;
+        if (kind & (KIND_LOAD | KIND_STORE)) {
+            if (mem_at == n_mem) {
+                status = LOWER_BAD_COLUMNS;
+                goto done;
+            }
+            i64 a = mem_addr[mem_at++];
+            uint64_t slot = store_find(&stores, a);
+            addr[i] = a;
+            is_mem[i] = 1;
+            if (kind & KIND_LOAD) {
+                is_load[i] = 1;
+                mem_producer[i] = stores.vals[slot];
+            } else {
+                is_store[i] = 1;
+                stores.keys[slot] = a;
+                stores.vals[slot] = (i32)i;
+            }
+        }
+        if (kind & KIND_COND) {
+            if (branch_at == n_branches) {
+                status = LOWER_BAD_COLUMNS;
+                goto done;
+            }
+            int t = taken[branch_at++] != 0;
+            uint64_t g = ((uint64_t)p ^ history) & GSHARE_MASK;
+            int predicted = counters[g] >= 2;
+            if (t) {
+                if (counters[g] < 3)
+                    counters[g]++;
+            } else if (counters[g] > 0) {
+                counters[g]--;
+            }
+            history = ((history << 1) | (uint64_t)t) & GSHARE_MASK;
+            is_cond_branch[i] = 1;
+            if (predicted != t) {
+                gshare_mispred[i] = 1;
+                mispredictions++;
+            }
+        }
+        issue_simple[i] = n_prod == first && !is_mem[i];
+    }
+    if (mem_at != n_mem || branch_at != n_branches) {
+        status = LOWER_BAD_COLUMNS;
+        goto done;
+    }
+    prod_off[n] = (i32)n_prod;
+    lout[LO_N_PROD] = n_prod;
+    lout[LO_GSHARE_MISPREDICTIONS] = mispredictions;
+done:
+    free(stores.keys);
+    free(stores.vals);
+    free(last_writer);
+    free(counters);
+    return status;
+}
+
 /* ---------------------------------------------------------------- run */
 
 static void machine_free(Machine *m)
@@ -1353,6 +1554,13 @@ static int machine_init(Machine *m, const i64 *params, const i64 *pu_params,
     for (i64 seq = 0; seq < m->n_tasks; seq++)
         for (i64 i = TASK(m, seq, T_START); i < TASK(m, seq, T_END); i++)
             m->task_seq[i] = (i32)seq;
+    /* A register value some later task reads is forwarded on the ring;
+     * one read only inside its own task completes locally. */
+    memset(m->has_remote, 0, (size_t)m->n);
+    for (i64 i = 0; i < m->n; i++)
+        for (i32 k = m->prod_off[i]; k < m->prod_off[i + 1]; k++)
+            if (m->task_seq[m->prod[k]] != m->task_seq[i])
+                m->has_remote[m->prod[k]] = 1;
     m->viol_free = -1;
     for (i64 i = 0; i < m->n; i++)
         m->complete[i] = m->forward[i] = -1;

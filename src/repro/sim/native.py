@@ -10,11 +10,16 @@ through :mod:`ctypes`, once per process.  When the build or the load
 fails, one ``RuntimeWarning`` names the error and ``fast`` runs
 ``_tick`` instead.
 
-The kernel reads the trace's and the stream's packed arrays in place.
-The few that are Python lists (latencies, producers, task spans and
-targets) are lowered to ``array`` buffers once per trace and once per
-stream, and kept in weak-keyed side tables, so they are never pickled
-with a compiled artifact.  After the run, the machine's counters,
+The kernel lowers each trace itself: :func:`lowering` hands
+``ms_lower`` the trace's flat columns (block-entry starts and pcs,
+memory addresses, branch outcomes) and per-pc tables of the program's
+static instructions, and ``ms_lower`` fills every per-instruction
+buffer the cycle loop reads (a :class:`Lowering`).  That runs once per
+trace; the per-task table is built once per stream.  Both live in
+weak-keyed side tables, so they die with their trace or stream and
+are never pickled with a compiled artifact.  The Python packing
+(:mod:`repro.sim.packed`) is the reference loop's input and is not
+built for a kernel run.  After the run, the machine's counters,
 per-run arrays and cache / predictor statistics are written back, and
 an attached tracer receives the run's lifecycle events in order.
 """
@@ -29,20 +34,27 @@ import warnings
 import weakref
 from array import array
 from collections import OrderedDict
-from itertools import accumulate, chain
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.task import TargetKind
+from repro.ir.instructions import Opcode
 from repro.predict import GshareTaskPredictor, HybridTaskPredictor
 from repro.sim.breakdown import REASONS
+from repro.sim.config import ForwardPolicy
+from repro.sim.packed import OPCLASS_ID
 
 SOURCE = Path(__file__).with_name("native.c")
 #: compiler command; the output and source paths are appended
 COMMAND: Tuple[str, ...] = ("cc", "-O2", "-std=c99", "-shared", "-fPIC")
 
-# Layouts shared with native.c (its P_*, B_*, T_*, O_* enums).
-_N_BUFS = 24
+# Layouts shared with native.c (its P_*, B_*, L_*, LI_*, LO_*, T_*,
+# O_* enums).
+_N_BUFS, _N_TRACE_BUFS = 24, 15
+_N_LIN = 10
+_LO_N_PROD, _LO_GSHARE_MISPREDICTIONS, _N_LOUT = range(3)
+_LOWER_NO_MEMORY = 1
+_KIND_LOAD, _KIND_STORE, _KIND_COND = 1, 2, 4
 _T_COLS = 7
 _KIND = {TargetKind.CALL: 1, TargetKind.RETURN: 2}
 _POLICY = {"schedule": 0, "eager": 1, "lazy": 2}
@@ -116,6 +128,8 @@ def kernel():
             if not path.exists():
                 _build(path)
             lib = ctypes.CDLL(str(path))
+            lib.ms_lower.restype = ctypes.c_int
+            lib.ms_lower.argtypes = [ctypes.c_void_p] * 4
             lib.ms_run.restype = ctypes.c_void_p
             lib.ms_run.argtypes = [ctypes.c_void_p] * 4
             lib.ms_copy.restype = None
@@ -141,29 +155,171 @@ def loop_name() -> str:
 
 # ------------------------------------------------------------- buffers
 
-#: TraceArrays -> (latency, mem_producer, producer offsets, producers)
-_trace_buffers: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-#: PackedTrace -> (per-task columns, interned roots by id)
+#: Trace -> its Lowering
+_lowerings: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: TaskStream -> (per-task columns, interned roots by id)
 _stream_buffers: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _trace_arrays(arrays) -> Tuple[array, ...]:
-    bufs = _trace_buffers.get(arrays)
-    if bufs is None:
-        producers = arrays.producers
-        bufs = _trace_buffers[arrays] = (
-            array("i", arrays.latency),
-            array("i", arrays.mem_producer),
-            array("i", accumulate(map(len, producers), initial=0)),
-            array("i", chain.from_iterable(producers)),
+#: the lowering's one-byte-per-instruction buffers
+_BYTE_FIELDS = (
+    "opcls", "is_load", "is_store", "is_mem", "is_cond_branch",
+    "block_start", "has_write", "gshare_mispred", "issue_simple",
+)
+
+
+class Lowering:
+    """The per-instruction buffers ``ms_lower`` fills for one trace.
+
+    The fields are native.c's trace buffers, in its ``B_*`` order.
+    Each equals the :class:`~repro.sim.packed.TraceArrays` field of the
+    same name, except that ``prod_off`` and ``prod`` hold its
+    ``producers`` as CSR (an offsets array plus a flat index array).
+    """
+
+    FIELDS = _BYTE_FIELDS + (
+        "pc", "addr", "latency", "mem_producer", "prod_off", "prod",
+    )
+
+    def __init__(self, n: int, prod_capacity: int) -> None:
+        self.n = n
+        for name in _BYTE_FIELDS:
+            setattr(self, name, bytearray(n))
+        self.pc = array("q", bytes(8 * n))
+        self.addr = array("q", bytes(8 * n))
+        self.latency = array("i", bytes(4 * n))
+        self.mem_producer = array("i", bytes(4 * n))
+        self.prod_off = array("i", bytes(4 * (n + 1)))
+        self.prod = array("i", bytes(4 * prod_capacity))
+        self.gshare_predictions = 0
+        self.gshare_mispredictions = 0
+
+    @property
+    def gshare_accuracy(self) -> float:
+        """As :attr:`~repro.predict.GsharePredictor.accuracy`."""
+        if self.gshare_predictions == 0:
+            return 1.0
+        return 1.0 - self.gshare_mispredictions / self.gshare_predictions
+
+    def buffers(self) -> Tuple:
+        """The buffers, in :attr:`FIELDS` order."""
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+
+def _address(buf, views: List) -> Optional[int]:
+    """``buf``'s data address (None when absent or empty); a
+    bytearray's ctypes view is kept in ``views`` while the caller
+    needs the address."""
+    import ctypes
+
+    if buf is None or not len(buf):
+        return None
+    if isinstance(buf, array):
+        return buf.buffer_info()[0]
+    view = (ctypes.c_char * len(buf)).from_buffer(buf)
+    views.append(view)
+    return ctypes.addressof(view)
+
+
+def _static_tables(program) -> Tuple:
+    """Per-pc columns of ``program``'s static instructions: opcode
+    class, kind bits, latency, written register (-1: none), the
+    registers read as CSR, the register count and the most registers
+    one instruction reads.  Register names are interned to dense ids.
+    """
+    regs: Dict[str, int] = {}
+    opcls, kind = bytearray(), bytearray()
+    latency, write = array("i"), array("i")
+    read_off, reads = array("i", [0]), array("i")
+    max_reads = 0
+    # Pcs run in layout order, one per instruction and one for an
+    # empty block (Program._assign_pcs).
+    for func in program.functions():
+        for blk in func.blocks():
+            for ins in blk.instructions or (None,):
+                if ins is None:
+                    opcls.append(0)
+                    kind.append(0)
+                    latency.append(0)
+                    write.append(-1)
+                    read_off.append(len(reads))
+                    continue
+                op = ins.opcode
+                opcls.append(OPCLASS_ID[op.op_class])
+                kind.append(
+                    _KIND_LOAD if op is Opcode.LOAD
+                    else _KIND_STORE if op is Opcode.STORE
+                    else _KIND_COND if op.is_branch
+                    else 0
+                )
+                latency.append(op.latency)
+                write.append(
+                    -1 if ins.writes is None
+                    else regs.setdefault(ins.writes, len(regs))
+                )
+                for name in ins.reads:
+                    reads.append(regs.setdefault(name, len(regs)))
+                read_off.append(len(reads))
+                max_reads = max(max_reads, len(ins.reads))
+    return opcls, kind, latency, write, read_off, reads, len(regs), max_reads
+
+
+def lowering(trace) -> Optional[Lowering]:
+    """``trace``'s kernel buffers, lowered on first use and kept for
+    the trace's lifetime; None when the kernel is unavailable."""
+    low = _lowerings.get(trace)
+    if low is None:
+        lib = kernel()
+        if lib is None:
+            return None
+        low = _lowerings[trace] = _lower(lib, trace)
+    return low
+
+
+def _lower(lib, trace) -> Lowering:
+    *tables, n_regs, max_reads = _static_tables(trace.program)
+    n = len(trace)
+    columns = (
+        array("q", [start for start, _ in trace.block_entries]),
+        array("q", trace.entry_pcs),
+        array("q", trace.mem_addrs),
+        trace.taken,
+    )
+    low = Lowering(n, n * max_reads)
+    lparams = array("q", [n, len(columns[0]), len(tables[0]), n_regs,
+                          len(columns[2]), len(columns[3]), len(low.prod)])
+    views: List = []
+    lin = _pointers(views, (*columns, *tables), _N_LIN)
+    bufs = _pointers(views, low.buffers(), _N_TRACE_BUFS)
+    lout = array("q", bytes(8 * _N_LOUT))
+    status = lib.ms_lower(lparams.buffer_info()[0], lin, bufs,
+                          lout.buffer_info()[0])
+    del views
+    if status == _LOWER_NO_MEMORY:
+        raise MemoryError("native trace lowering: out of memory")
+    if status:
+        raise ValueError(
+            "native trace lowering: the trace's columns disagree with "
+            "its program"
         )
-    return bufs
+    del low.prod[lout[_LO_N_PROD]:]
+    low.gshare_predictions = len(trace.taken)
+    low.gshare_mispredictions = lout[_LO_GSHARE_MISPREDICTIONS]
+    return low
+
+
+def _pointers(views: List, bufs, count: int):
+    """A ``void *[count]`` of ``bufs``' addresses (see :func:`_address`)."""
+    import ctypes
+
+    if len(bufs) != count:
+        raise ValueError(f"native: {len(bufs)} buffers, expected {count}")
+    return (ctypes.c_void_p * count)(*(_address(buf, views) for buf in bufs))
 
 
 def _stream_arrays(machine) -> Tuple[array, List]:
     stream = machine.stream
-    packed = stream.packed
-    bufs = _stream_buffers.get(packed)
+    bufs = _stream_buffers.get(stream)
     if bufs is None:
         program = stream.partition.program
         roots: Dict = {}
@@ -193,7 +349,7 @@ def _stream_arrays(machine) -> Tuple[array, List]:
             columns[row + 6] = (
                 intern(machine._continuation_root(seq)) if kind == 1 else -1
             )
-        bufs = _stream_buffers[packed] = (columns, list(roots))
+        bufs = _stream_buffers[stream] = (columns, list(roots))
     return bufs
 
 
@@ -212,7 +368,7 @@ def _params(machine) -> array:
         return max(1, cache.line_bytes // config.word_bytes)
 
     return array("q", [
-        machine.stream.packed.n,
+        len(machine.stream.trace),
         len(machine.stream.tasks),
         config.n_pus,
         int(config.out_of_order),
@@ -259,48 +415,31 @@ def run(machine) -> Optional[int]:
     lib = kernel()
     if lib is None:
         return None
-    import ctypes
-
+    stream = machine.stream
     state = machine.state
-    packed = machine.stream.packed
-    arrays = packed.arrays
-    n = packed.n
-    latency, mem_producer, prod_off, prod = _trace_arrays(arrays)
+    low = lowering(stream.trace)
+    n = low.n
     tasks, roots = _stream_arrays(machine)
+    release = None
+    if machine.config.forward_policy is ForwardPolicy.SCHEDULE:
+        release = stream.schedule_release(state.release_analysis)
+    has_remote = bytearray(n)
     complete = array("q", bytes(8 * n))
     forward = array("q", bytes(8 * n))
     generation = array("q", state.generation)
     pu_of_seq = array("q", state.pu_of_seq)
     pu_useful = array("q", machine._pu_useful)
     pu_occupied = array("q", machine._pu_occupied)
-    per_inst = (
-        arrays.opcls, arrays.is_load, arrays.is_store, arrays.is_mem,
-        arrays.is_cond_branch, arrays.block_start, arrays.has_write,
-        arrays.gshare_mispred, arrays.issue_simple,
-        packed.has_remote_consumer, state.release_now,
-        arrays.pc, arrays.addr, latency, mem_producer,
-    )
-    n_tasks = len(machine.stream.tasks)
-    if (any(len(buf) != n for buf in per_inst)
-            or len(prod_off) != n + 1 or len(prod) != prod_off[-1]
-            or len(tasks) != _T_COLS * n_tasks
+    n_tasks = len(stream.tasks)
+    if (len(tasks) != _T_COLS * n_tasks
+            or (release is not None and len(release) != n)
             or len(generation) != n_tasks or len(pu_of_seq) != n_tasks):
-        raise ValueError("native cycle loop: packed array sizes disagree")
-    views = []
-
-    def address(buf) -> Optional[int]:
-        if not len(buf):
-            return None
-        if isinstance(buf, array):
-            return buf.buffer_info()[0]
-        view = (ctypes.c_char * len(buf)).from_buffer(buf)
-        views.append(view)
-        return ctypes.addressof(view)
-
-    bufs = (ctypes.c_void_p * _N_BUFS)(*map(address, (
-        *per_inst, prod_off, prod, tasks,
+        raise ValueError("native cycle loop: array sizes disagree")
+    views: List = []
+    bufs = _pointers(views, (
+        *low.buffers(), release, has_remote, tasks,
         complete, forward, generation, pu_of_seq, pu_useful, pu_occupied,
-    )))
+    ), _N_BUFS)
     params = _params(machine)
     pu_params = _pu_params(machine)
     out = array("q", bytes(8 * _N_OUT))
@@ -329,6 +468,8 @@ def run(machine) -> Optional[int]:
     state.forward[:] = forward
     state.generation[:] = generation
     state.pu_of_seq[:] = pu_of_seq
+    state.has_remote_consumer = has_remote
+    state.gshare_accuracy = low.gshare_accuracy
     machine._pu_useful[:] = pu_useful
     machine._pu_occupied[:] = pu_occupied
     if machine.tracer is not None:
@@ -406,5 +547,5 @@ def _replay(tracer, events: array) -> None:
         hooks[event[0]](event)
 
 
-__all__ = ["COMMAND", "SOURCE", "digest", "kernel", "library_path",
-           "loop_name", "run"]
+__all__ = ["COMMAND", "SOURCE", "Lowering", "digest", "kernel",
+           "library_path", "loop_name", "lowering", "run"]

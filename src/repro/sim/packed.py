@@ -1,7 +1,7 @@
-"""Packed dynamic-trace arrays, built once per trace and once per stream.
+"""The reference engine's packed trace arrays, built on first use.
 
-The timing model never looks at a :class:`~repro.ir.interp.DynInst`
-in its hot loops: everything a replay needs is lowered here into flat
+``_tick`` never looks at a :class:`~repro.ir.interp.DynInst` in its
+hot loops: everything a replay needs is lowered here into flat
 parallel arrays indexed by trace position.  They come in two parts:
 
 * :class:`TraceArrays` — opcode class codes, latencies, pcs,
@@ -13,14 +13,17 @@ parallel arrays indexed by trace position.  They come in two parts:
   same program share the trace, see
   :class:`~repro.compiler.partition.TraceMemo`).
 * :class:`PackedTrace` — the arrays that depend on where the
-  partition cuts the trace: the dynamic task of each instruction, the
-  cross-task consumer flags and lists, and the release flags.
+  partition cuts the trace: the dynamic task of each instruction and
+  the cross-task consumer flags and lists.
 
-Both are immutable and shared: every
-:class:`~repro.sim.runstate.RunState` (one per machine run) aliases
-them instead of re-deriving them, so a machine sweep over one
-compiled stream pays the packing cost exactly once — at
-``build_task_stream`` time.
+Only the reference loop reads them.  The native loop lowers its own
+buffers from the trace's columns (``native.c``'s ``ms_lower``), so a
+kernel run builds none of this; :attr:`TaskStream.packed
+<repro.sim.taskstream.TaskStream.packed>` builds it the first time a
+:class:`~repro.sim.runstate.RunState` binds its static aliases.  Both
+parts are immutable and shared by every reference run of a stream.
+The two lowerings are independent implementations of one mapping, so
+every fast-vs-reference sweep also checks one against the other.
 
 Layout choices: single-byte fields (flags, opcode classes) are
 ``bytearray``; rarely-read wide fields (pc, addresses) are
@@ -34,7 +37,7 @@ producers, after which the names are not needed at all.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ir.instructions import OpClass, Opcode
 from repro.predict import GsharePredictor
@@ -45,7 +48,7 @@ OPCLASS_FP = 1
 OPCLASS_MEM = 2
 OPCLASS_BRANCH = 3
 
-_OPCLASS_ID = {
+OPCLASS_ID = {
     OpClass.INT: OPCLASS_INT,
     OpClass.FP: OPCLASS_FP,
     OpClass.MEM: OPCLASS_MEM,
@@ -90,7 +93,7 @@ class TraceArrays:
         last_writer: Dict[int, int] = {}
         last_store: Dict[int, int] = {}
         gshare = GsharePredictor()
-        opclass_of = _OPCLASS_ID
+        opclass_of = OPCLASS_ID
         no_producers: Tuple[int, ...] = ()
 
         opcls = self.opcls
@@ -167,7 +170,6 @@ class TraceArrays:
         # prediction count is the trace's conditional branch count.
         self.gshare_predictions = gshare.predictions
         self.gshare_accuracy = gshare.accuracy
-        self.control_transfers = trace.control_transfer_count()
 
     @staticmethod
     def of(trace) -> "TraceArrays":
@@ -223,64 +225,17 @@ class PackedTrace:
         }
 
         self._stream = stream
-        #: release flags per forward policy, computed on demand.  The
-        #: cached entry also remembers the ``ReleaseAnalysis`` it was
-        #: derived from so a caller supplying a different analysis
-        #: object gets a fresh computation instead of a stale alias.
-        self._release_cache: Dict[str, Tuple[Optional[object], bytearray]] = {}
 
     def release_now(self, policy: ForwardPolicy, release=None) -> bytearray:
         """Per-instruction "forward at completion" flags for ``policy``.
 
         ``release`` is the :class:`~repro.compiler.regcomm.ReleaseAnalysis`
-        used for :attr:`~repro.sim.config.ForwardPolicy.SCHEDULE`; when
-        ``None`` a canonical analysis of the stream's partition is built.
+        used for :attr:`~repro.sim.config.ForwardPolicy.SCHEDULE`, whose
+        flags the stream computes and both engines share (see
+        :meth:`~repro.sim.taskstream.TaskStream.schedule_release`).
         """
-        cached = self._release_cache.get(policy.value)
-        if cached is not None and (
-            policy is not ForwardPolicy.SCHEDULE
-            or release is None
-            or cached[0] is release
-        ):
-            return cached[1]
-        flags = self._compute_release_now(policy, release)
-        self._release_cache[policy.value] = (release, flags)
-        return flags
-
-    def _compute_release_now(
-        self, policy: ForwardPolicy, release
-    ) -> bytearray:
-        n = self.n
-        flags = bytearray(n)
-        if policy is ForwardPolicy.LAZY:
-            return flags
-        has_write = self.arrays.has_write
+        if policy is ForwardPolicy.SCHEDULE:
+            return self._stream.schedule_release(release)
         if policy is ForwardPolicy.EAGER:
-            flags[:] = has_write
-            return flags
-        if release is None:
-            from repro.compiler.regcomm import ReleaseAnalysis
-
-            release = ReleaseAnalysis(self._stream.partition)
-        stream = self._stream
-        absorbed = stream.absorbed_flags
-        tasks = stream.tasks
-        task_seq = self.task_seq
-        is_release = release.is_release
-        # The answer depends only on the static position, so each
-        # (task, block, instruction) is analysed once per stream.
-        memo: Dict[Tuple[int, Tuple[str, str], int], bool] = {}
-        for i, dyn in enumerate(stream.trace.insts):
-            if not has_write[i] or absorbed[i]:
-                continue
-            task = tasks[task_seq[i]].task
-            block = dyn.block
-            key = (task.task_id, block, dyn.iidx)
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = block in task.blocks and is_release(
-                    task, block, dyn.iidx, dyn.write
-                )
-            if hit:
-                flags[i] = 1
-        return flags
+            return self.arrays.has_write
+        return bytearray(self.n)

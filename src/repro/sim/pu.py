@@ -14,10 +14,11 @@ occupancy into a misspeculation penalty on squash.
 
 The hot paths (``issue``/``fetch``/``drain_completions``) index the
 stream's packed trace arrays — flat ints, no ``DynInst`` attribute
-chasing — and the per-task stall accounting is a dense int list
-(slotted per :data:`~repro.sim.breakdown.REASONS`), so a cycle of
-bookkeeping costs a couple of list indexings instead of enum-keyed
-dict updates.
+chasing — through per-PU tuples built on first use, so only a
+reference run packs (see :mod:`repro.sim.packed`).  The per-task
+stall accounting is a dense int list (slotted per
+:data:`~repro.sim.breakdown.REASONS`), so a cycle of bookkeeping
+costs a couple of list indexings instead of enum-keyed dict updates.
 
 ``issue`` memoizes a blocked result for the reference loop
 (:meth:`~repro.sim.machine.MultiscalarMachine._tick`): it records the
@@ -30,6 +31,7 @@ the result until something it observed changes.  The native loop
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.breakdown import REASON_INDEX, StallReason
@@ -81,18 +83,29 @@ class ProcessingUnit:
         self.issue_width = issue_width
         self.fetch_width = fetch_width
         self.lat_extra = lat_extra
-        # Per-run constants for the hot methods, bundled so each call
-        # rebinds them with one attribute load and a tuple unpack
-        # instead of ~20 attribute loads (the prologue cost dominates
-        # short calls).  All referenced objects are identity-stable
-        # for the lifetime of the run.
         self._fu_budget = [
             _of("int_units", config.int_units),
             _of("fp_units", config.fp_units),
             _of("mem_units", config.mem_units),
             _of("branch_units", config.branch_units),
         ]
-        self._issue_consts = (
+        #: optional telemetry collector (set by the machine, survives
+        #: reset_idle; consulted only on the rare mispredict path)
+        self.tracer = None
+        self.reset_idle()
+
+    # Per-run constants for the hot methods, bundled so each call
+    # rebinds them with one attribute load and a tuple unpack instead
+    # of ~20 attribute loads (the prologue cost dominates short calls).
+    # All referenced objects are identity-stable for the lifetime of
+    # the run.  Built on first use: only the reference loop calls the
+    # hot methods, and the tuples alias the Python packing.
+
+    @cached_property
+    def _issue_consts(self) -> tuple:
+        """Constants of :meth:`issue`."""
+        state, config = self.state, self.config
+        return (
             state.opcls,
             state.is_load,
             state.is_mem,
@@ -106,29 +119,39 @@ class ProcessingUnit:
             state.latency,
             state.addr,
             config.out_of_order,
-            issue_width,
+            self.issue_width,
             config.issue_list_size,
             config.n_pus,
             config.ring_hop_latency,
             config.arb_entries_per_pu,
             config.arb_latency,
             config.stlf_latency,
-            index,
-            lat_extra,
+            self.index,
+            self.lat_extra,
         )
-        self._fetch_consts = (
+
+    @cached_property
+    def _fetch_consts(self) -> tuple:
+        """Constants of :meth:`fetch`."""
+        state, config = self.state, self.config
+        return (
             state.block_start,
             state.is_cond_branch,
             state.gshare_mispred,
             state.is_mem,
             state.pc,
-            fetch_width,
+            self.fetch_width,
             config.rob_size,
             config.l1i.hit_latency,
             config.out_of_order,
             config.issue_list_size,
         )
-        self._drain_consts = (
+
+    @cached_property
+    def _drain_consts(self) -> tuple:
+        """Constants of :meth:`drain_completions`."""
+        state, config = self.state, self.config
+        return (
             state.complete,
             state.has_write,
             state.release_now,
@@ -137,10 +160,6 @@ class ProcessingUnit:
             config.release_lag,
             config.branch_mispredict_penalty,
         )
-        #: optional telemetry collector (set by the machine, survives
-        #: reset_idle; consulted only on the rare mispredict path)
-        self.tracer = None
-        self.reset_idle()
 
     # ------------------------------------------------------------ lifecycle
 

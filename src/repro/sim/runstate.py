@@ -1,13 +1,19 @@
 """Per-run state shared by the PUs and the sequencer.
 
+Only the mutable completion / forward-time arrays the cycle loop
+updates are allocated per run, so constructing a machine costs
+O(tasks), not O(trace).  Squashes reset the mutable slices of the
+affected dynamic task spans.
+
 The static per-instruction arrays (operand producers, memory
-producers, latencies, release points, gshare outcomes) live in the
-stream's shared :class:`~repro.sim.packed.PackedTrace` and the
-trace's :class:`~repro.sim.packed.TraceArrays` under it — built once
-per ``(trace, partition)`` and once per trace — and are aliased here,
-so constructing a machine costs O(tasks), not O(trace).  Only the mutable completion /
-forward-time arrays the cycle loop updates are allocated per run.
-Squashes reset the mutable slices of the affected dynamic task spans.
+producers, latencies, release points, gshare outcomes) are aliases
+into the stream's shared :class:`~repro.sim.packed.PackedTrace` and
+the trace's :class:`~repro.sim.packed.TraceArrays` under it.  They are
+bound on first access, which only the reference loop (and monitors,
+which force it) makes: a native run reads the kernel's own lowering
+of the trace, so it never builds the Python packing.  After a native
+run, ``has_remote_consumer`` and ``gshare_accuracy`` hold the
+kernel's values, written back like the mutable arrays.
 """
 
 from __future__ import annotations
@@ -32,6 +38,20 @@ __all__ = [
     "RunState",
 ]
 
+#: static aliases into the trace's TraceArrays
+_TRACE_FIELDS = (
+    "opcls", "latency", "is_load", "is_store", "is_mem", "is_cond_branch",
+    "pc", "addr", "block_start", "producers", "issue_simple",
+    "mem_producer", "gshare_mispred", "has_write", "gshare_accuracy",
+)
+#: static aliases into the stream's PackedTrace
+_STREAM_FIELDS = (
+    "task_seq", "has_remote_consumer", "cross_consumer", "consumer_seqs",
+)
+_PACKED_FIELDS = frozenset(
+    _TRACE_FIELDS + _STREAM_FIELDS + ("packed", "release_now")
+)
+
 
 class RunState:
     """All per-run arrays, indexed by trace position."""
@@ -49,33 +69,7 @@ class RunState:
             release = ReleaseAnalysis(stream.partition)
         self.release_analysis = release
 
-        packed = stream.packed
-        self.packed = packed
-        arrays = packed.arrays
-        n = packed.n
-
-        # ---- static arrays: aliases into the shared packed trace ----------
-        self.opcls = arrays.opcls
-        self.latency = arrays.latency
-        self.is_load = arrays.is_load
-        self.is_store = arrays.is_store
-        self.is_mem = arrays.is_mem
-        self.is_cond_branch = arrays.is_cond_branch
-        self.pc = arrays.pc
-        self.addr = arrays.addr
-        self.block_start = arrays.block_start
-        self.producers = arrays.producers
-        self.issue_simple = arrays.issue_simple
-        self.mem_producer = arrays.mem_producer
-        self.task_seq = packed.task_seq
-        self.gshare_mispred = arrays.gshare_mispred
-        self.has_write = arrays.has_write
-        self.has_remote_consumer = packed.has_remote_consumer
-        self.cross_consumer = packed.cross_consumer
-        self.consumer_seqs = packed.consumer_seqs
-        self.release_now = packed.release_now(config.forward_policy, release)
-
-        # ---- mutable arrays ------------------------------------------------
+        n = len(stream.trace)
         #: completion cycle per executed instruction (-1 = not executed)
         self.complete: List[int] = [-1] * n
         #: cycle the produced register value is available on the ring
@@ -84,6 +78,26 @@ class RunState:
         self.generation: List[int] = [0] * len(stream.tasks)
         #: PU that last executed each dynamic task
         self.pu_of_seq: List[int] = [-1] * len(stream.tasks)
+
+    def __getattr__(self, name: str):
+        # Only reached for attributes not yet set: the static aliases
+        # are bound, all at once, the first time one is read.
+        if name not in _PACKED_FIELDS:
+            raise AttributeError(name)
+        self._alias_packing()
+        return self.__dict__[name]
+
+    def _alias_packing(self) -> None:
+        packed = self.stream.packed
+        arrays = packed.arrays
+        self.packed = packed
+        for name in _TRACE_FIELDS:
+            setattr(self, name, getattr(arrays, name))
+        for name in _STREAM_FIELDS:
+            setattr(self, name, getattr(packed, name))
+        self.release_now = packed.release_now(
+            self.config.forward_policy, self.release_analysis
+        )
 
     def clear_span(self, seq: int) -> None:
         """Reset execution state of dynamic task ``seq`` after a squash."""
@@ -94,11 +108,6 @@ class RunState:
         self.generation[seq] += 1
 
     @property
-    def gshare_accuracy(self) -> float:
-        """Program-order intra-task branch prediction accuracy."""
-        return self.packed.arrays.gshare_accuracy
-
-    @property
     def branch_count(self) -> int:
         """Dynamic conditional branches in the trace."""
-        return self.packed.arrays.gshare_predictions
+        return self.stream.trace.conditional_branch_count()

@@ -6,13 +6,20 @@ it follows internal edges (and while inside absorbed callees) and
 leaves it at the first non-internal transition.  Because tasks are
 entered only at their root, every boundary lands on a block with a
 rooted task — guaranteed by ``TaskPartition.validate``.
+
+A :class:`TaskStream` is what both timing engines replay.  It carries
+the task spans and, computed once and shared by every run, the
+SCHEDULE release flags.  The reference engine's packed arrays
+(:attr:`TaskStream.packed`) are built only when ``_tick`` first needs
+them; the native loop lowers its own buffers from the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.compiler.regcomm import ReleaseAnalysis
 from repro.compiler.task import Target, TargetKind, Task, TaskPartition
 from repro.ir.block import BlockId
 from repro.ir.instructions import Opcode
@@ -54,17 +61,36 @@ class TaskStream:
         #: per trace index: 1 when executed inside an absorbed callee
         self.absorbed_flags = absorbed_flags
         self._packed: Optional[PackedTrace] = None
+        #: the SCHEDULE release flags and the analysis they came from
+        self._release: Optional[Tuple[ReleaseAnalysis, bytearray]] = None
 
     @property
     def packed(self) -> PackedTrace:
-        """Flat per-instruction arrays, built lazily and shared.
-
-        ``build_task_stream`` forces the build eagerly so the packing
-        cost lands with compilation, not with the first machine run.
-        """
+        """The reference engine's per-instruction arrays, built on
+        first use and shared by every reference run of the stream."""
         if self._packed is None:
             self._packed = PackedTrace(self)
         return self._packed
+
+    def schedule_release(
+        self, release: Optional[ReleaseAnalysis] = None
+    ) -> bytearray:
+        """Per-instruction "forward at completion" flags under
+        :attr:`~repro.sim.config.ForwardPolicy.SCHEDULE`.
+
+        ``release`` is the analysis to consult; when ``None`` the flags
+        already computed are returned, or a canonical analysis of the
+        partition is built.  A different analysis object gets a fresh
+        computation instead of a stale alias.
+        """
+        cached = self._release
+        if cached is not None and (release is None or cached[0] is release):
+            return cached[1]
+        if release is None:
+            release = ReleaseAnalysis(self.partition)
+        flags = _release_flags(self, release)
+        self._release = (release, flags)
+        return flags
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -86,13 +112,62 @@ class TaskStream:
         """Average dynamic control transfer instructions per task."""
         if not self.tasks:
             return 0.0
-        return self.packed.arrays.control_transfers / len(self.tasks)
+        return self.trace.control_transfer_count() / len(self.tasks)
 
     def mean_conditional_branches(self) -> float:
         """Average dynamic conditional branches per task."""
         if not self.tasks:
             return 0.0
-        return self.packed.arrays.gshare_predictions / len(self.tasks)
+        return self.trace.conditional_branch_count() / len(self.tasks)
+
+
+def _release_flags(stream: TaskStream, release: ReleaseAnalysis) -> bytearray:
+    """SCHEDULE flags, one write per block entry.
+
+    A write may forward at completion when no later instruction the
+    task can still run redefines its register.  The answer depends only
+    on the static position, and every block entry runs its whole
+    block, so each (task, block) pair is analysed once into a mask of
+    the block's instructions that is copied into every entry of that
+    block in that task.  Absorbed callees' instructions never release.
+    """
+    trace = stream.trace
+    entries = trace.block_entries
+    n_entries = len(entries)
+    n = len(trace)
+    flags = bytearray(n)
+    absorbed = stream.absorbed_flags
+    program = trace.program
+    is_release = release.is_release
+    masks: Dict[Tuple[int, BlockId], Optional[bytes]] = {}
+    k = 0
+    for dyn_task in stream.tasks:
+        task = dyn_task.task
+        while k < n_entries and entries[k][0] < dyn_task.end:
+            start, block = entries[k]
+            k += 1
+            end = entries[k][0] if k < n_entries else n
+            if start == end or absorbed[start]:
+                continue
+            key = (task.task_id, block)
+            if key in masks:
+                mask = masks[key]
+            else:
+                mask = None
+                if block in task.blocks:
+                    mask = bytes(
+                        ins.writes is not None
+                        and is_release(task, block, iidx, ins.writes)
+                        for iidx, ins in enumerate(
+                            program.block(block).instructions
+                        )
+                    )
+                    if not any(mask):
+                        mask = None
+                masks[key] = mask
+            if mask is not None:
+                flags[start:end] = mask
+    return flags
 
 
 class TaskStreamError(RuntimeError):
@@ -204,6 +279,4 @@ def build_task_stream(trace: Trace, partition: TaskPartition) -> TaskStream:
             next_root=None,
         )
     )
-    stream = TaskStream(trace, partition, tasks, absorbed)
-    stream.packed  # pack eagerly: once per stream, shared by every run
-    return stream
+    return TaskStream(trace, partition, tasks, absorbed)

@@ -202,6 +202,20 @@ class TestSchedulerEquivalence:
         assert [r.n_pus for r in records] == [4, 2]
         assert all(r.benchmark == "compress" for r in records)
 
+    def test_no_spec_hashes_without_a_cache_or_ledger(self, monkeypatch):
+        """Only ledger lines carry spec hashes, so a run with neither a
+        cache nor a ledger computes none."""
+        specs = small_specs(n_pus=(4, 2))
+        expected = [record_to_dict(r) for r in run_specs(specs, jobs=1)]
+        clear_cache()
+
+        def refuse(spec, salt=""):
+            raise AssertionError("spec_hash called")
+
+        monkeypatch.setattr(RunSpec, "spec_hash", refuse)
+        records = run_specs(specs, jobs=1)
+        assert [record_to_dict(r) for r in records] == expected
+
 
 class TestSerialization:
     def test_record_to_dict_round_trips_key_fields(self):

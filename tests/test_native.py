@@ -1,27 +1,34 @@
-"""The native cycle loop: build, fallback, post-run state, verify.
+"""The native cycle loop: build, fallback, lowering, post-run state.
 
 Bit-identity of results and event streams is swept in
 ``test_fastpath.py``, ``test_machines.py`` and ``test_telemetry.py``;
 these tests cover what is particular to the kernel: how it is built
-and salted, what happens when it cannot be, and that a machine reads
-the same after a kernel run as after a ``_tick`` run.
+and salted, what happens when it cannot be, that its lowering of a
+trace equals the Python packing (``tests/test_trace_sharing.py`` runs
+that check on every benchmark and level), that a kernel run builds no
+Python packing, and that a machine reads the same after a kernel run
+as after a ``_tick`` run.
 """
 
 import os
 import subprocess
 import sys
 import warnings
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.compiler import HeuristicLevel
+from repro.compiler import HeuristicLevel, SelectionConfig, select_tasks
+from repro.experiments import runner
 from repro.experiments.runner import compile_benchmark, run_benchmark
 from repro.harness import cache as cache_module
 from repro.harness.serialize import record_to_dict
+from repro.ir.asmtext import parse_program
+from repro.ir.interp import run_program
 from repro.reliability import verify_workload
-from repro.sim import SimConfig, native
+from repro.sim import SimConfig, build_task_stream, native, simulate
 from repro.sim.machine import MultiscalarMachine, SimulationStuck
 
 SMALL = 0.1
@@ -182,3 +189,91 @@ def test_verify_reports_a_kernel_off_by_one(monkeypatch):
     assert any("native loop cycles" in d for d in report.divergences), (
         report.divergences
     )
+
+
+def assert_lowering_matches_packing(stream):
+    """The kernel's buffers for ``stream``'s trace, and the
+    ``has_remote_consumer`` flags a kernel run derives from its task
+    spans, equal the Python packing of the reference loop."""
+    low = native.lowering(stream.trace)
+    assert low is not None
+    arrays = stream.packed.arrays
+    for name in ("opcls", "is_load", "is_store", "is_mem",
+                 "is_cond_branch", "block_start", "has_write",
+                 "gshare_mispred", "issue_simple", "pc", "addr"):
+        assert getattr(low, name) == getattr(arrays, name), name
+    assert low.latency.tolist() == arrays.latency
+    assert low.mem_producer.tolist() == arrays.mem_producer
+    assert low.prod_off.tolist() == list(
+        accumulate(map(len, arrays.producers), initial=0)
+    )
+    assert low.prod.tolist() == [p for prods in arrays.producers
+                                 for p in prods]
+    assert low.gshare_predictions == arrays.gshare_predictions
+    assert low.gshare_mispredictions == sum(arrays.gshare_mispred)
+    assert low.gshare_accuracy == arrays.gshare_accuracy
+
+    machine = MultiscalarMachine(stream, SimConfig())
+    machine.run()
+    assert "packed" not in vars(machine.state)  # the flags are the kernel's
+    assert machine.state.has_remote_consumer == (
+        stream.packed.has_remote_consumer
+    )
+
+
+#: an empty block, a store/load pair through memory, a call (absorbed
+#: at the higher levels) and a loop
+_EDGES = """
+.func main
+entry:
+    li      r2, #3
+    li      r4, #40
+empty:
+loop:
+    store   r2, [r4 + 0]
+    call    @bump, @back
+back:
+    load    r5, [r4 + 0]
+    add     r5, r5, r2
+    store   r5, [r4 + 1]
+    sub     r2, r2, #1
+    bnez    r2, @loop, @done
+done:
+    halt
+.func bump
+start:
+    load    r6, [r4 + 1]
+    add     r6, r6, #1
+    store   r6, [r4 + 1]
+    ret
+"""
+
+
+@pytest.mark.parametrize("level", list(HeuristicLevel),
+                         ids=lambda level: level.value)
+def test_lowering_matches_packing_on_a_hand_program(level):
+    partition = select_tasks(parse_program(_EDGES),
+                             SelectionConfig(level=level))
+    stream = build_task_stream(run_program(partition.program), partition)
+    assert_lowering_matches_packing(stream)
+    results = [simulate(stream, SimConfig(engine=engine).scaled_for_pus(2))
+               for engine in ("fast", "reference")]
+    assert results[0] == results[1]
+
+
+def test_fast_run_builds_no_python_packing():
+    """A kernel run reads only the kernel's lowering; the reference
+    run that follows packs, and its record is the same."""
+    runner.clear_cache()
+    try:
+        level = HeuristicLevel.TASK_SIZE
+        fast = run_benchmark("tomcatv", level, scale=SMALL)
+        compiled = compile_benchmark("tomcatv", level, scale=SMALL)
+        assert compiled.trace.arrays is None
+        assert compiled.stream._packed is None
+        reference = run_benchmark("tomcatv", level, scale=SMALL,
+                                  sim=SimConfig(engine="reference"))
+        assert compiled.stream._packed is not None
+        assert record_to_dict(fast) == record_to_dict(reference)
+    finally:
+        runner.clear_cache()

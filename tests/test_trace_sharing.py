@@ -6,9 +6,11 @@ profile and trace-only packed arrays from one
 These tests pin that the shared products equal what a fresh
 interpretation of ``compiled.partition.program`` produces, that
 sharing happens exactly where the transformed programs coincide, and
-that ``clear_cache`` drops it.  The release flags, which analyse each
-static position once, are also checked against one analysis call per
-dynamic write.
+that ``clear_cache`` drops it.  On every one of these streams, the
+release flags, which analyse each (task, block) once and are written
+once per block entry, are also checked against one analysis call per
+dynamic write, and the kernel's lowering of the trace against the
+Python packing.
 """
 
 import pytest
@@ -19,6 +21,7 @@ from repro.ir.interp import run_program
 from repro.sim import build_task_stream
 from repro.sim.config import ForwardPolicy
 from repro.workloads import all_benchmarks
+from tests.test_native import assert_lowering_matches_packing
 
 SCALE = 0.1
 LEVELS = list(HeuristicLevel)
@@ -85,9 +88,17 @@ def _assert_matches_fresh_run(compiled):
         assert got.release_now(policy, compiled.release) == want.release_now(
             policy, compiled.release
         ), policy
-    assert got.release_now(
-        ForwardPolicy.SCHEDULE, compiled.release
+    assert compiled.stream.schedule_release(
+        compiled.release
     ) == _reference_release(compiled.stream, compiled.release)
+    assert_lowering_matches_packing(compiled.stream)
+    # The per-block-entry counts records take from the trace.
+    assert compiled.trace.control_transfer_count() == sum(
+        d.op.is_control for d in fresh.trace
+    )
+    assert compiled.trace.conditional_branch_count() == sum(
+        d.op.is_branch for d in fresh.trace
+    )
 
 
 @pytest.mark.parametrize("name", [b.name for b in all_benchmarks()])

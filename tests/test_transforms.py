@@ -11,8 +11,10 @@ from repro.compiler.transforms import (
     unroll_small_loops,
 )
 from repro.ir import IRBuilder
+from repro.ir.asmtext import program_to_text
 from repro.ir.cfg import build_cfg
 from repro.ir.interp import Interpreter
+from repro.workloads import get_benchmark
 from tests.conftest import build_diamond_loop
 
 
@@ -55,6 +57,22 @@ class TestClone:
         clone = clone_program(diamond_loop)
         clone.main.entry.instructions.pop()
         assert clone.main.entry.size != diamond_loop.main.entry.size
+
+    @pytest.mark.parametrize("name", ["compress", "tomcatv"])
+    def test_clone_text_equals_the_original(self, name):
+        program = get_benchmark(name).build(0.1)
+        assert program.memory_image
+        assert program_to_text(clone_program(program)) == (
+            program_to_text(program)
+        )
+
+    def test_unrolling_a_clone_leaves_the_original(self):
+        program = build_counter_loop(8)
+        before = program_to_text(program)
+        clone = clone_program(program)
+        assert unroll_small_loops(clone, loop_thresh=30, max_unroll=4) == 1
+        assert program_to_text(clone) != before
+        assert program_to_text(program) == before
 
 
 class TestUnrolling:
