@@ -7,6 +7,16 @@ memory values, branch outcomes, effective addresses) and records a
 model (``repro.sim``) replays the trace under a task partition, so
 timing bugs can never corrupt program semantics.
 
+A trace is recorded as columns, not as one object per instruction:
+the block entries with their start pcs, the effective address of
+each memory op and the outcome of each conditional branch.  Every
+block entry runs its whole block, so everything else about a dynamic
+instruction is static and comes from the program.  The profiler, the
+stream cut and the native timing model read the columns;
+:attr:`Trace.insts` (and indexing or iterating a trace) builds the
+:class:`DynInst` list from them on first use, for the reference
+engine's packing, the oracle and tests.
+
 Semantics notes:
 
 * Integer division/remainder truncate toward zero (C semantics);
@@ -20,6 +30,7 @@ Semantics notes:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir.block import BlockId
@@ -94,16 +105,16 @@ class DynInst:
 class Trace:
     """The dynamic instruction stream of one program execution.
 
-    Besides the :class:`DynInst` list it carries flat columns that the
-    native timing model lowers from (``repro.sim.native``), recorded
-    as the interpreter runs: the start pc of each block entry, the
-    effective address of each memory op and the outcome of each
-    conditional branch.
+    The trace is its columns, recorded as the interpreter runs: the
+    block entries, the start pc of each, the effective address of each
+    memory op and the outcome of each conditional branch, plus the
+    instruction count.  :attr:`insts` is a view built from them.
     """
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        self.insts: List[DynInst] = []
+        #: dynamic instructions executed
+        self.n = 0
         #: dynamic block entry events as (trace index of first inst, block id)
         self.block_entries: List[Tuple[int, BlockId]] = []
         #: pc of the first instruction of each block entry (0 for an
@@ -117,10 +128,50 @@ class Trace:
         #: (:class:`repro.sim.packed.TraceArrays`), built on first use
         #: and shared by every task stream cut from this trace
         self.arrays = None
+        self._insts: Optional[List[DynInst]] = None
         self._control_transfers: Optional[int] = None
 
+    def __getstate__(self):
+        # The view and the packing are rebuilt on demand; a pickled
+        # trace carries only its columns.
+        state = self.__dict__.copy()
+        state["_insts"] = None
+        state["arrays"] = None
+        return state
+
+    @property
+    def insts(self) -> List[DynInst]:
+        """One :class:`DynInst` per dynamic instruction, built from the
+        columns on first use and kept for the trace's lifetime."""
+        if self._insts is None:
+            self._insts = self._expand()
+        return self._insts
+
+    def _expand(self) -> List[DynInst]:
+        blocks = self.program.block
+        addrs = iter(self.mem_addrs)
+        outcomes = iter(self.taken)
+        insts: List[DynInst] = []
+        append = insts.append
+        for (start, block), pc in zip(self.block_entries, self.entry_pcs):
+            for iidx, ins in enumerate(blocks(block).instructions):
+                op = ins.opcode
+                append(DynInst(
+                    start + iidx,
+                    block,
+                    iidx,
+                    op,
+                    pc + iidx,
+                    ins.reads,
+                    ins.writes,
+                    next(addrs) if op.is_memory else None,
+                    bool(next(outcomes)) if op.is_branch else None,
+                    ins.target if op is Opcode.CALL else None,
+                ))
+        return insts
+
     def __len__(self) -> int:
-        return len(self.insts)
+        return self.n
 
     def __iter__(self):
         return iter(self.insts)
@@ -131,20 +182,34 @@ class Trace:
     @property
     def dynamic_instruction_count(self) -> int:
         """Total dynamic instructions executed."""
-        return len(self.insts)
+        return self.n
+
+    def pc_at(self, index: int) -> int:
+        """Static pc of the instruction at trace position ``index``."""
+        entries = self.block_entries
+        # The last entry starting at or before ``index``: an empty
+        # block's entry shares its start with the entry after it.
+        lo, hi = 0, len(entries)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if entries[mid][0] <= index:
+                lo = mid + 1
+            else:
+                hi = mid
+        return self.entry_pcs[lo - 1] + index - entries[lo - 1][0]
 
     def control_transfer_count(self) -> int:
         """Number of dynamic control transfer instructions."""
         if self._control_transfers is None:
-            # Only a block's last instruction transfers control, and
-            # every block entry runs its whole block.
-            insts = self.insts
-            ends = [start for start, _ in self.block_entries[1:]]
-            ends.append(len(insts))
+            # Only a block's terminator transfers control, and every
+            # block entry runs its whole block.
+            block = self.program.block
             self._control_transfers = sum(
-                1
-                for (start, _), end in zip(self.block_entries, ends)
-                if end > start and insts[end - 1].op.is_control
+                times
+                for blk, times in Counter(
+                    b for _, b in self.block_entries
+                ).items()
+                if block(blk).terminator is not None
             )
         return self._control_transfers
 
@@ -200,8 +265,6 @@ class Interpreter:
         label = program.function(func_name).entry_label
         assert label is not None
         call_stack: List[Tuple[str, str]] = []
-        insts = trace.insts
-        append_inst = insts.append
         append_entry = trace.block_entries.append
         append_entry_pc = trace.entry_pcs.append
         append_addr = trace.mem_addrs.append
@@ -230,23 +293,21 @@ class Interpreter:
             append_entry((n_insts, (func_name, label)))
             next_func = func_name
             next_label: Optional[str] = blk.fallthrough
-            block_id = (func_name, label)
             # PCs are assigned sequentially within a block, so one
             # lookup per block entry replaces one per instruction.
             block_pc = (
                 program.pc_of(func_name, label, 0) if blk.instructions else 0
             )
             append_entry_pc(block_pc)
-            for iidx, ins in enumerate(blk.instructions):
-                if n_insts >= limit:
-                    raise ExecutionLimitExceeded(
-                        f"exceeded {limit} dynamic instructions"
-                    )
+            # Every entry runs its whole block, so the instruction
+            # budget is checked once per entry.
+            n_insts += len(blk.instructions)
+            if n_insts > limit:
+                raise ExecutionLimitExceeded(
+                    f"exceeded {limit} dynamic instructions"
+                )
+            for ins in blk.instructions:
                 op = ins.opcode
-                addr: Optional[int] = None
-                taken: Optional[bool] = None
-                callee: Optional[str] = None
-
                 if op is _LOAD:
                     name = ins.srcs[0]
                     base = (
@@ -294,13 +355,12 @@ class Interpreter:
                     next_label = ins.target
                 elif op is _CALL:
                     assert ins.target is not None
-                    callee = ins.target
                     assert blk.fallthrough is not None, (
                         f"call in {blk.label} lacks a continuation"
                     )
                     call_stack.append((func_name, blk.fallthrough))
-                    next_func = callee
-                    next_label = program.function(callee).entry_label
+                    next_func = ins.target
+                    next_label = program.function(next_func).entry_label
                 elif op is _RET:
                     if not call_stack:
                         raise RuntimeError(
@@ -347,22 +407,6 @@ class Interpreter:
                             fp_regs[dst] = float(val)
                         else:
                             int_regs[dst] = int(val)
-
-                append_inst(
-                    DynInst(
-                        n_insts,
-                        block_id,
-                        iidx,
-                        op,
-                        block_pc + iidx,
-                        ins.reads,
-                        ins.writes,
-                        addr,
-                        taken,
-                        callee,
-                    )
-                )
-                n_insts += 1
             if self.halted:
                 break
             if next_label is None:
@@ -370,6 +414,7 @@ class Interpreter:
                     f"fell off the end of block {func_name}:{label}"
                 )
             func_name, label = next_func, next_label
+        trace.n = n_insts
         return trace
 
     def _execute_alu(self, ins: Instruction) -> None:

@@ -32,7 +32,8 @@ Two engines run these phases:
   from the trace once per trace; the machine's counters and arrays are
   written back after the run, and an attached tracer gets the run's
   events replayed in order.  Only ``_tick`` reads the Python packing
-  (:mod:`repro.sim.packed`), so a native run never builds it.
+  (:mod:`repro.sim.packed`) and the trace's and stream's object views
+  it is built from, so a native run builds none of them.
   A run with a monitor or a fault plan attached takes ``_tick`` (both
   read or mutate live machine state), as does every run in a process
   where the kernel cannot be built or loaded (one warning says so).
@@ -258,8 +259,8 @@ class MultiscalarMachine:
         if self.config.sync_table_size <= 0:
             return
         self._mut_version += 1
-        insts = self.stream.trace.insts
-        key = (insts[store_idx].pc, insts[load_idx].pc)
+        trace = self.stream.trace
+        key = (trace.pc_at(store_idx), trace.pc_at(load_idx))
         self.sync_pairs[key] = None
         self.sync_pairs.move_to_end(key)
         while len(self.sync_pairs) > self.config.sync_table_size:
@@ -370,14 +371,6 @@ class MultiscalarMachine:
 
     # --------------------------------------------------------------- assign
 
-    def _continuation_root(self, seq: int):
-        """Root of the task entered when the callee of task ``seq`` returns."""
-        dyn = self.stream.tasks[seq]
-        call_inst = self.stream.trace.insts[dyn.end - 1]
-        blk = self.stream.partition.program.block(call_inst.block)
-        assert blk.fallthrough is not None
-        return (call_inst.block[0], blk.fallthrough)
-
     def _predict_successor(self, seq: int, cycle: int) -> None:
         """Predict task ``seq``'s successor; set pending on mispredict."""
         dyn = self.stream.tasks[seq]
@@ -389,7 +382,7 @@ class MultiscalarMachine:
         if correct and dyn.target.kind is TargetKind.RETURN:
             correct = self.ras.peek() == dyn.next_root
         if dyn.target.kind is TargetKind.CALL:
-            self.ras.push(self._continuation_root(seq))
+            self.ras.push(self.stream.continuation_root(seq))
         elif dyn.target.kind is TargetKind.RETURN:
             self.ras.pop()
         self.predictor.push_history(pc)

@@ -15,13 +15,18 @@ The kernel lowers each trace itself: :func:`lowering` hands
 memory addresses, branch outcomes) and per-pc tables of the program's
 static instructions, and ``ms_lower`` fills every per-instruction
 buffer the cycle loop reads (a :class:`Lowering`).  That runs once per
-trace; the per-task table is built once per stream.  Both live in
-weak-keyed side tables, so they die with their trace or stream and
-are never pickled with a compiled artifact.  The Python packing
-(:mod:`repro.sim.packed`) is the reference loop's input and is not
-built for a kernel run.  After the run, the machine's counters,
-per-run arrays and cache / predictor statistics are written back, and
-an attached tracer receives the run's lifecycle events in order.
+trace, and the lowering lives in a weak-keyed side table, so it dies
+with its trace and is never pickled with a compiled artifact.  The
+per-task table is the stream's own
+(:attr:`~repro.sim.taskstream.TaskStream.table`, emitted by
+:func:`~repro.sim.taskstream.build_task_stream`).  So a kernel run
+builds no per-instruction or per-task Python object: neither the
+Python packing (:mod:`repro.sim.packed`), the reference loop's input,
+nor the trace's ``DynInst`` view nor the stream's ``DynTask`` view.
+After the run, the machine's counters and cache / predictor
+statistics are written back, the run state's ``complete`` and
+``forward`` become the kernel's own arrays, and an attached tracer
+receives the run's lifecycle events in order.
 """
 
 from __future__ import annotations
@@ -37,12 +42,12 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.compiler.task import TargetKind
 from repro.ir.instructions import Opcode
 from repro.predict import GshareTaskPredictor, HybridTaskPredictor
 from repro.sim.breakdown import REASONS
 from repro.sim.config import ForwardPolicy
 from repro.sim.packed import OPCLASS_ID
+from repro.sim.taskstream import T_COLS
 
 SOURCE = Path(__file__).with_name("native.c")
 #: compiler command; the output and source paths are appended
@@ -55,8 +60,6 @@ _N_LIN = 10
 _LO_N_PROD, _LO_GSHARE_MISPREDICTIONS, _N_LOUT = range(3)
 _LOWER_NO_MEMORY = 1
 _KIND_LOAD, _KIND_STORE, _KIND_COND = 1, 2, 4
-_T_COLS = 7
-_KIND = {TargetKind.CALL: 1, TargetKind.RETURN: 2}
 _POLICY = {"schedule": 0, "eager": 1, "lazy": 2}
 _O_STATUS, _O_CYCLE = 0, 1  # then machine scalars, as in _write_back
 _O_REASONS = 17
@@ -157,8 +160,6 @@ def loop_name() -> str:
 
 #: Trace -> its Lowering
 _lowerings: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-#: TaskStream -> (per-task columns, interned roots by id)
-_stream_buffers: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 #: the lowering's one-byte-per-instruction buffers
@@ -317,42 +318,6 @@ def _pointers(views: List, bufs, count: int):
     return (ctypes.c_void_p * count)(*(_address(buf, views) for buf in bufs))
 
 
-def _stream_arrays(machine) -> Tuple[array, List]:
-    stream = machine.stream
-    bufs = _stream_buffers.get(stream)
-    if bufs is None:
-        program = stream.partition.program
-        roots: Dict = {}
-        pcs: Dict = {}
-
-        def intern(root) -> int:
-            if root is None:
-                return -1
-            return roots.setdefault(root, len(roots))
-
-        columns = array("q", bytes(8 * _T_COLS * len(stream.tasks)))
-        for seq, dyn in enumerate(stream.tasks):
-            row = seq * _T_COLS
-            columns[row] = dyn.start
-            columns[row + 1] = dyn.end
-            if dyn.target is None:
-                continue  # final task: no successor to predict
-            root = dyn.task.root
-            pc = pcs.get(root)
-            if pc is None:
-                pc = pcs[root] = program.block_pc(root)
-            kind = _KIND.get(dyn.target.kind, 3)
-            columns[row + 2] = pc
-            columns[row + 3] = dyn.target_index
-            columns[row + 4] = kind
-            columns[row + 5] = intern(dyn.next_root)
-            columns[row + 6] = (
-                intern(machine._continuation_root(seq)) if kind == 1 else -1
-            )
-        bufs = _stream_buffers[stream] = (columns, list(roots))
-    return bufs
-
-
 def _predictor_kind(predictor) -> int:
     if isinstance(predictor, HybridTaskPredictor):
         return 2
@@ -419,7 +384,7 @@ def run(machine) -> Optional[int]:
     state = machine.state
     low = lowering(stream.trace)
     n = low.n
-    tasks, roots = _stream_arrays(machine)
+    tasks, roots = stream.table, stream.roots
     release = None
     if machine.config.forward_policy is ForwardPolicy.SCHEDULE:
         release = stream.schedule_release(state.release_analysis)
@@ -431,7 +396,7 @@ def run(machine) -> Optional[int]:
     pu_useful = array("q", machine._pu_useful)
     pu_occupied = array("q", machine._pu_occupied)
     n_tasks = len(stream.tasks)
-    if (len(tasks) != _T_COLS * n_tasks
+    if (len(tasks) != T_COLS * n_tasks
             or (release is not None and len(release) != n)
             or len(generation) != n_tasks or len(pu_of_seq) != n_tasks):
         raise ValueError("native cycle loop: array sizes disagree")
@@ -464,8 +429,10 @@ def run(machine) -> Optional[int]:
         lib.ms_free(handle)
 
     _write_back(machine, out, depths, sync, learns, ras, roots)
-    state.complete[:] = complete
-    state.forward[:] = forward
+    # The kernel's arrays themselves: copying them into the run
+    # state's lists would allocate 2n Python ints nothing reads.
+    state.complete = complete
+    state.forward = forward
     state.generation[:] = generation
     state.pu_of_seq[:] = pu_of_seq
     state.has_remote_consumer = has_remote

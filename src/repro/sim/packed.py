@@ -16,14 +16,19 @@ parallel arrays indexed by trace position.  They come in two parts:
   partition cuts the trace: the dynamic task of each instruction and
   the cross-task consumer flags and lists.
 
-Only the reference loop reads them.  The native loop lowers its own
-buffers from the trace's columns (``native.c``'s ``ms_lower``), so a
-kernel run builds none of this; :attr:`TaskStream.packed
+Only the reference loop reads them.  They are built from the trace's
+:class:`~repro.ir.interp.DynInst` view and the stream's
+:class:`~repro.sim.taskstream.DynTask` view, which expand the trace's
+columns and the stream's task table on first use.  The native loop
+lowers its own buffers from the same columns (``native.c``'s
+``ms_lower``) and reads the task table directly, so a kernel run
+builds none of this; :attr:`TaskStream.packed
 <repro.sim.taskstream.TaskStream.packed>` builds it the first time a
 :class:`~repro.sim.runstate.RunState` binds its static aliases.  Both
 parts are immutable and shared by every reference run of a stream.
 The two lowerings are independent implementations of one mapping, so
-every fast-vs-reference sweep also checks one against the other.
+every fast-vs-reference sweep also checks the views against the
+columns the kernel reads.
 
 Layout choices: single-byte fields (flags, opcode classes) are
 ``bytearray``; rarely-read wide fields (pc, addresses) are

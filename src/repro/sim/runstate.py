@@ -12,8 +12,9 @@ the trace's :class:`~repro.sim.packed.TraceArrays` under it.  They are
 bound on first access, which only the reference loop (and monitors,
 which force it) makes: a native run reads the kernel's own lowering
 of the trace, so it never builds the Python packing.  After a native
-run, ``has_remote_consumer`` and ``gshare_accuracy`` hold the
-kernel's values, written back like the mutable arrays.
+run, ``complete`` and ``forward`` are the kernel's ``array('q')``
+buffers rather than lists, and ``has_remote_consumer`` and
+``gshare_accuracy`` hold the kernel's values.
 """
 
 from __future__ import annotations

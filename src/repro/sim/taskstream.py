@@ -7,17 +7,28 @@ leaves it at the first non-internal transition.  Because tasks are
 entered only at their root, every boundary lands on a block with a
 rooted task — guaranteed by ``TaskPartition.validate``.
 
-A :class:`TaskStream` is what both timing engines replay.  It carries
-the task spans and, computed once and shared by every run, the
-SCHEDULE release flags.  The reference engine's packed arrays
+:func:`build_task_stream` walks the trace's block entries, not its
+instructions: it classifies each entry by the terminator of the
+entry before it, and emits the task table the native cycle loop
+reads, one row of int64 words per dynamic task (see
+:class:`TaskStream`).  A :class:`TaskStream` is what both timing
+engines replay.  :attr:`TaskStream.tasks` is a sequence over the
+table's rows whose elements, :class:`DynTask` objects, are built the
+first time one is read (by the reference loop, the monitors or
+tests).  The SCHEDULE release flags are computed once and shared by
+every run; the reference engine's packed arrays
 (:attr:`TaskStream.packed`) are built only when ``_tick`` first needs
-them; the native loop lowers its own buffers from the trace.
+them.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from operator import sub
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.compiler.regcomm import ReleaseAnalysis
 from repro.compiler.task import Target, TargetKind, Task, TaskPartition
@@ -25,6 +36,14 @@ from repro.ir.block import BlockId
 from repro.ir.instructions import Opcode
 from repro.ir.interp import Trace
 from repro.sim.packed import PackedTrace
+
+#: task table columns, as native.c's T_* enum
+T_START, T_END, T_PC, T_TARGET, T_KIND, T_NEXT_ROOT, T_CONT, T_COLS = range(8)
+#: T_KIND values, as native.c's K_* enum: no successor (the final task
+#: of a trace that does not HALT), CALL, RETURN, and BLOCK or HALT
+K_NONE, K_CALL, K_RETURN, K_OTHER = range(4)
+_KIND = {TargetKind.CALL: K_CALL, TargetKind.RETURN: K_RETURN,
+         TargetKind.BLOCK: K_OTHER, TargetKind.HALT: K_OTHER}
 
 
 @dataclass
@@ -45,24 +64,97 @@ class DynTask:
         return self.end - self.start
 
 
+class TaskView(Sequence):
+    """:attr:`TaskStream.tasks`: the task table's rows as
+    :class:`DynTask` objects.
+
+    Its length is the row count.  Reading an element builds every
+    row's :class:`DynTask` once; the stream keeps them.
+    """
+
+    def __init__(self, stream: "TaskStream") -> None:
+        self._stream = stream
+
+    def __len__(self) -> int:
+        return len(self._stream.table) // T_COLS
+
+    def __getitem__(self, index):
+        return self._stream._dyn_tasks()[index]
+
+    def __iter__(self) -> Iterator[DynTask]:
+        return iter(self._stream._dyn_tasks())
+
+
 class TaskStream:
-    """The full dynamic task sequence of one execution."""
+    """The full dynamic task sequence of one execution.
+
+    :attr:`table` holds :data:`T_COLS` int64 words per dynamic task:
+    its first trace index, its end (exclusive), the pc of its root
+    block, the position of its actual successor in its target list
+    (-1 for none), the ``K_*`` kind of that successor, the id of the
+    next task's root (-1 at the end) and, for a CALL, the id of the
+    root the callee returns to (-1 otherwise).  Ids index
+    :attr:`roots`; id 0 is the first task's root, and every later
+    task's root is the row before's next root.
+    """
 
     def __init__(
         self,
         trace: Trace,
         partition: TaskPartition,
-        tasks: List[DynTask],
+        table: array,
+        roots: List[BlockId],
         absorbed_flags: bytearray,
     ) -> None:
         self.trace = trace
         self.partition = partition
-        self.tasks = tasks
+        self.table = table
+        #: root blocks interned to the table's ids
+        self.roots = roots
         #: per trace index: 1 when executed inside an absorbed callee
         self.absorbed_flags = absorbed_flags
+        self.tasks = TaskView(self)
+        self._dyn_list: Optional[List[DynTask]] = None
         self._packed: Optional[PackedTrace] = None
         #: the SCHEDULE release flags and the analysis they came from
         self._release: Optional[Tuple[ReleaseAnalysis, bytearray]] = None
+
+    def __getstate__(self):
+        # A pickled stream carries the table, not what is built from it.
+        state = self.__dict__.copy()
+        state["_dyn_list"] = None
+        state["_packed"] = None
+        return state
+
+    def _dyn_tasks(self) -> List[DynTask]:
+        if self._dyn_list is None:
+            table = self.table
+            roots = self.roots
+            dyn_tasks = []
+            for seq, (task, start, end) in enumerate(_row_tasks(self)):
+                index = table[seq * T_COLS + T_TARGET]
+                next_root = table[seq * T_COLS + T_NEXT_ROOT]
+                dyn_tasks.append(DynTask(
+                    seq=seq,
+                    task=task,
+                    start=start,
+                    end=end,
+                    target=task.targets[index] if index >= 0 else None,
+                    target_index=index,
+                    next_root=roots[next_root] if next_root >= 0 else None,
+                ))
+            self._dyn_list = dyn_tasks
+        return self._dyn_list
+
+    def continuation_root(self, seq: int) -> BlockId:
+        """Root of the task entered when the callee of CALL task
+        ``seq`` returns."""
+        return self.roots[self.table[seq * T_COLS + T_CONT]]
+
+    def task_lengths(self) -> Iterator[int]:
+        """Dynamic instructions per dynamic task, in order."""
+        table = self.table
+        return map(sub, table[T_END::T_COLS], table[T_START::T_COLS])
 
     @property
     def packed(self) -> PackedTrace:
@@ -121,6 +213,21 @@ class TaskStream:
         return self.trace.conditional_branch_count() / len(self.tasks)
 
 
+def _row_tasks(stream: TaskStream) -> Iterator[Tuple[Task, int, int]]:
+    """(static task, start, end) of each row of ``stream``'s table."""
+    table = stream.table
+    roots = stream.roots
+    task_at = stream.partition.task_at
+    tasks: Dict[int, Task] = {}
+    root = 0
+    for row in range(0, len(table), T_COLS):
+        task = tasks.get(root)
+        if task is None:
+            task = tasks[root] = task_at(roots[root])
+        yield task, table[row + T_START], table[row + T_END]
+        root = table[row + T_NEXT_ROOT]
+
+
 def _release_flags(stream: TaskStream, release: ReleaseAnalysis) -> bytearray:
     """SCHEDULE flags, one write per block entry.
 
@@ -141,9 +248,8 @@ def _release_flags(stream: TaskStream, release: ReleaseAnalysis) -> bytearray:
     is_release = release.is_release
     masks: Dict[Tuple[int, BlockId], Optional[bytes]] = {}
     k = 0
-    for dyn_task in stream.tasks:
-        task = dyn_task.task
-        while k < n_entries and entries[k][0] < dyn_task.end:
+    for task, _start, task_end in _row_tasks(stream):
+        while k < n_entries and entries[k][0] < task_end:
             start, block = entries[k]
             k += 1
             end = entries[k][0] if k < n_entries else n
@@ -177,106 +283,129 @@ class TaskStreamError(RuntimeError):
 def build_task_stream(trace: Trace, partition: TaskPartition) -> TaskStream:
     """Split ``trace`` into dynamic task instances under ``partition``."""
     entries = trace.block_entries
-    insts = trace.insts
+    n = len(trace)
+    roots: List[BlockId] = []
     if not entries:
-        return TaskStream(trace, partition, [], bytearray())
+        return TaskStream(trace, partition, array("q"), roots, bytearray())
 
-    absorbed = bytearray(len(insts))
-    tasks: List[DynTask] = []
+    absorbed = bytearray(n)
+    program = trace.program
+    root_pc = partition.program.block_pc
+    root_ids: Dict[BlockId, int] = {}
 
-    def task_at(root: BlockId) -> Task:
+    def intern(root: BlockId) -> int:
+        rid = root_ids.get(root)
+        if rid is None:
+            rid = root_ids[root] = len(roots)
+            roots.append(root)
+        return rid
+
+    # The opcode of each block's control transfer (None: it falls
+    # through, possibly because it is empty).
+    terminators: Dict[BlockId, Optional[Opcode]] = {}
+    for func in program.functions():
+        for blk in func.blocks():
+            term = blk.terminator
+            terminators[(func.name, blk.label)] = (
+                None if term is None else term.opcode
+            )
+
+    #: root -> (task, {(kind code, target block): index}, root pc)
+    rooted: Dict[BlockId, Tuple[Task, Dict, int]] = {}
+
+    def enter(root: BlockId) -> Tuple[Task, Dict, int]:
         try:
-            return partition.task_at(root)
+            task = partition.task_at(root)
         except KeyError:
             raise TaskStreamError(f"no task rooted at {root}") from None
+        index_of: Dict[Tuple[int, Optional[BlockId]], int] = {}
+        for i, target in enumerate(task.targets):
+            index_of.setdefault((_KIND[target.kind], target.block), i)
+        info = rooted[root] = (task, index_of, root_pc(root))
+        return info
 
-    cur_task = task_at(entries[0][1])
+    table: List[int] = []  # rows, packed into an array at the end
+    first = entries[0][1]
+    intern(first)
+    cur_task, cur_targets, cur_pc = enter(first)
     cur_start = 0
-    cur_block = entries[0][1]
+    cur_block = first
     depth = 0  # absorbed-call nesting
-
-    def close(end: int, target: Target, next_root: Optional[BlockId]) -> None:
-        nonlocal cur_task, cur_start, cur_block
-        try:
-            index = cur_task.targets.index(target)
-        except ValueError:
-            raise TaskStreamError(
-                f"task {cur_task.task_id} (root {cur_task.root}) reached "
-                f"target {target} not in its target list {cur_task.targets}"
-            ) from None
-        tasks.append(
-            DynTask(
-                seq=len(tasks),
-                task=cur_task,
-                start=cur_start,
-                end=end,
-                target=target,
-                target_index=index,
-                next_root=next_root,
-            )
-        )
-        cur_start = end
-        if next_root is not None:
-            cur_task = task_at(next_root)
-            cur_block = next_root
-
-    n_entries = len(entries)
-    for k in range(1, n_entries):
-        s, block = entries[k]
-        span_end = entries[k + 1][0] if k + 1 < n_entries else len(insts)
-        last = insts[s - 1]
-
+    absorbed_from = 0
+    prev_block = first
+    prev_term = terminators[first]
+    CALL, RET = Opcode.CALL, Opcode.RET
+    for s, block in islice(entries, 1, None):
+        # The transition into ``block`` ends the current task when it
+        # goes to a target: (kind code, target block) below.
+        code = 0
         if depth > 0:
-            if last.op is Opcode.CALL:
+            if prev_term is CALL:
                 depth += 1
-            elif last.op is Opcode.RET:
+            elif prev_term is RET:
                 depth -= 1
                 if depth == 0:
                     # Returned to the continuation block in the caller.
-                    if not cur_task.is_internal(cur_block, block):
-                        close(s, Target(TargetKind.BLOCK, block), block)
-                    else:
+                    absorbed[absorbed_from:s] = b"\x01" * (s - absorbed_from)
+                    if (cur_block, block) in cur_task.internal_edges:
                         cur_block = block
-            if depth > 0:
-                absorbed[s:span_end] = b"\x01" * (span_end - s)
-            continue
-
-        if last.op is Opcode.CALL:
-            if last.block in cur_task.absorbed_calls:
+                    else:
+                        code, target = K_OTHER, block
+        elif prev_term is CALL:
+            if prev_block in cur_task.absorbed_calls:
                 depth = 1
-                absorbed[s:span_end] = b"\x01" * (span_end - s)
+                absorbed_from = s
             else:
-                assert last.callee is not None
-                close(s, Target(TargetKind.CALL, block), block)
-        elif last.op is Opcode.RET:
-            close(s, Target(TargetKind.RETURN), block)
+                code, target = K_CALL, block
+        elif prev_term is RET:
+            code, target = K_RETURN, None
+        elif (cur_block, block) in cur_task.internal_edges:
+            cur_block = block
         else:
-            if cur_task.is_internal(cur_block, block):
-                cur_block = block
-            else:
-                close(s, Target(TargetKind.BLOCK, block), block)
+            code, target = K_OTHER, block
+        if code:
+            index = cur_targets.get((code, target))
+            if index is None:
+                raise TaskStreamError(
+                    f"task {cur_task.task_id} (root {cur_task.root}) "
+                    f"reached target {_target(code, target)} not in its "
+                    f"target list {cur_task.targets}"
+                )
+            cont = -1
+            if code == K_CALL:
+                fallthrough = program.block(prev_block).fallthrough
+                assert fallthrough is not None
+                cont = intern((prev_block[0], fallthrough))
+            table.extend((cur_start, s, cur_pc, index, code, intern(block),
+                          cont))
+            cur_task, cur_targets, cur_pc = rooted.get(block) or enter(block)
+            cur_start = s
+            cur_block = block
+        prev_block = block
+        prev_term = terminators[block]
+    if depth > 0:
+        absorbed[absorbed_from:n] = b"\x01" * (n - absorbed_from)
 
     # Final task ends the program.
-    final_op = insts[-1].op
-    target = Target(TargetKind.HALT) if final_op is Opcode.HALT else None
-    if target is not None:
-        try:
-            index = cur_task.targets.index(target)
-        except ValueError:
+    if prev_term is Opcode.HALT:
+        index = cur_targets.get((K_OTHER, None))
+        if index is None:
             raise TaskStreamError(
                 f"final task {cur_task.task_id} lacks a HALT target"
-            ) from None
+            )
+        code = K_OTHER
     else:
-        index = -1
-    tasks.append(
-        DynTask(
-            seq=len(tasks),
-            task=cur_task,
-            start=cur_start,
-            end=len(insts),
-            target=target,
-            target_index=index,
-            next_root=None,
-        )
-    )
-    return TaskStream(trace, partition, tasks, absorbed)
+        index, code = -1, K_NONE
+    table.extend((cur_start, n, cur_pc, index, code, -1, -1))
+    return TaskStream(trace, partition, array("q", table), roots, absorbed)
+
+
+def _target(code: int, block: Optional[BlockId]) -> Target:
+    """The :class:`Target` a kind code and target block stand for."""
+    if code == K_CALL:
+        return Target(TargetKind.CALL, block)
+    if code == K_RETURN:
+        return Target(TargetKind.RETURN)
+    if block is None:
+        return Target(TargetKind.HALT)
+    return Target(TargetKind.BLOCK, block)

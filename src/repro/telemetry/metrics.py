@@ -157,7 +157,7 @@ def task_size_counts(stream) -> List[int]:
     cached = getattr(stream, "_task_size_counts", None)
     if cached is None:
         histogram = Histogram("task_size", TASK_SIZE_BOUNDS)
-        histogram.observe_many(task.length for task in stream.tasks)
+        histogram.observe_many(stream.task_lengths())
         cached = (list(histogram.counts), histogram.sum, histogram.max)
         stream._task_size_counts = cached
     return cached

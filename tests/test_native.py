@@ -127,8 +127,9 @@ def _post_run_state(m):
         "squash_depths": m.squash_depths,
         "pu_of_seq": m.state.pu_of_seq,
         "generation": m.state.generation,
-        "complete": m.state.complete,
-        "forward": m.state.forward,
+        # A kernel run leaves the kernel's arrays, _tick its lists.
+        "complete": list(m.state.complete),
+        "forward": list(m.state.forward),
         "caches": m.hierarchy.stats(),
         "predictor": [(p.predictions, p.mispredictions,
                        getattr(p, "history", None)) for p in parts],

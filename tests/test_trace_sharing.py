@@ -10,7 +10,10 @@ that ``clear_cache`` drops it.  On every one of these streams, the
 release flags, which analyse each (task, block) once and are written
 once per block entry, are also checked against one analysis call per
 dynamic write, and the kernel's lowering of the trace against the
-Python packing.
+Python packing; the profile, the task stream and the kernel's task
+table are checked against the per-instruction references of
+``tests/test_columnar.py``, and the trace against a full-semantics
+re-execution.
 """
 
 import pytest
@@ -21,6 +24,10 @@ from repro.ir.interp import run_program
 from repro.sim import build_task_stream
 from repro.sim.config import ForwardPolicy
 from repro.workloads import all_benchmarks
+from tests.test_columnar import (
+    assert_columns_match_reference,
+    assert_replays_cleanly,
+)
 from tests.test_native import assert_lowering_matches_packing
 
 SCALE = 0.1
@@ -92,6 +99,10 @@ def _assert_matches_fresh_run(compiled):
         compiled.release
     ) == _reference_release(compiled.stream, compiled.release)
     assert_lowering_matches_packing(compiled.stream)
+    assert_columns_match_reference(
+        compiled.trace, compiled.partition, compiled.stream
+    )
+    assert_replays_cleanly(compiled.partition.program, compiled.trace)
     # The per-block-entry counts records take from the trace.
     assert compiled.trace.control_transfer_count() == sum(
         d.op.is_control for d in fresh.trace
