@@ -6,15 +6,18 @@ is bypassed — so the measurement reflects the full compile + simulate
 pipeline, exactly what a cold ``repro figure5 --jobs 1 --no-cache``
 pays.  Each measurement records wall seconds, cell count, total
 simulated cycles and simulated cycles per wall second, plus the git
-commit, the engine and the loop that ran it (``native`` or
-``python``), into a machine-readable dict that serialises to
-``BENCH_sim.json``.
+commit it was measured at, the engine and the loop that ran it
+(``native`` or ``python``), into a machine-readable dict that
+serialises to ``BENCH_sim.json``.
 
 The committed ``BENCH_sim.json`` at the repo root is the baseline the
 CI perf-smoke job compares against: ``check_regression`` fails a run
 whose wall time exceeds the baseline by more than the tolerance
 (default 25%), so an accidental slowdown of the simulation core is
-caught at review time rather than discovered months later.
+caught at review time rather than discovered months later.  A
+partial ``--update`` replaces only the pairs it measured, so each
+entry keeps its own commit, and a fast-vs-reference speedup is only
+annotated for a grid whose two entries were measured at one commit.
 """
 
 from __future__ import annotations
@@ -76,15 +79,24 @@ GRIDS: Dict[str, GridSpec] = {
 
 
 def git_commit() -> str:
-    """Short hash of HEAD, or "unknown" outside a git checkout."""
+    """Short hash of HEAD, with ``-dirty`` appended when tracked files
+    differ from it (the code measured is not HEAD's), or "unknown"
+    outside a git checkout."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
             capture_output=True, text=True, timeout=10,
         )
+        if out.returncode != 0:
+            return "unknown"
+        diff = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--"],
+            capture_output=True, timeout=10,
+        )
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
+    dirty = "-dirty" if diff.returncode == 1 else ""
+    return out.stdout.strip() + dirty
 
 
 def run_grid(grid: str, engine: str = "fast", jobs: int = 1) -> dict:
@@ -126,15 +138,16 @@ def run_bench(
     jobs: int = 1,
 ) -> dict:
     """Time every (grid, engine) pair; returns the full bench record."""
+    commit = git_commit()
     measurements: Dict[str, dict] = {}
     for grid in grids:
         for engine in engines:
-            measurements[f"{grid}@{engine}"] = run_grid(
-                grid, engine=engine, jobs=jobs
-            )
+            entry = run_grid(grid, engine=engine, jobs=jobs)
+            entry["commit"] = commit
+            measurements[f"{grid}@{engine}"] = entry
     record = {
         "schema": SCHEMA_VERSION,
-        "commit": git_commit(),
+        "commit": commit,
         "python": platform.python_version(),
         "grids": measurements,
     }
@@ -143,19 +156,22 @@ def run_bench(
 
 
 def _annotate_speedups(record: dict) -> None:
-    """Fast-vs-reference wall-time ratio per grid, where both ran."""
+    """Fast-vs-reference wall-time ratio per grid, where both ran at
+    the same commit (times from different code do not divide)."""
     grids = record["grids"]
     speedups: Dict[str, float] = {}
     for entry in grids.values():
         if entry["engine"] != "fast" or not entry["wall_s"]:
             continue
         ref = grids.get(f"{entry['grid']}@reference")
-        if ref:
+        if ref and ref.get("commit") == entry.get("commit"):
             speedups[entry["grid"]] = round(
                 ref["wall_s"] / entry["wall_s"], 2
             )
     if speedups:
         record["speedup"] = speedups
+    else:
+        record.pop("speedup", None)
 
 
 def load_baseline(path: str) -> Optional[dict]:
@@ -176,17 +192,23 @@ def write_record(path: str, record: dict) -> None:
 def merge_into_baseline(path: str, record: dict) -> dict:
     """Fold ``record``'s measurements into the baseline file at ``path``.
 
-    Existing measurements for other (grid, engine) pairs are kept;
-    measured pairs are replaced.  The merged record is written back
-    and returned.
+    Existing measurements for other (grid, engine) pairs are kept,
+    with the commit they were measured at; measured pairs are
+    replaced.  The top-level ``commit`` names the last update.  The
+    merged record is written back and returned.
     """
     baseline = load_baseline(path) or {
         "schema": SCHEMA_VERSION, "grids": {}
     }
+    grids = baseline.setdefault("grids", {})
+    for entry in grids.values():
+        # Entries from before per-entry commits were all measured at
+        # the baseline's one commit.
+        entry.setdefault("commit", baseline.get("commit", "unknown"))
     baseline["schema"] = SCHEMA_VERSION
     baseline["commit"] = record["commit"]
     baseline["python"] = record["python"]
-    baseline.setdefault("grids", {}).update(record["grids"])
+    grids.update(record["grids"])
     _annotate_speedups(baseline)
     write_record(path, baseline)
     return baseline

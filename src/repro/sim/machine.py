@@ -62,8 +62,6 @@ from repro.sim.pu import ProcessingUnit
 from repro.sim.runstate import RunState
 from repro.sim.taskstream import TaskStream
 
-_NEVER = 1 << 60
-
 _R_USEFUL = REASON_INDEX[StallReason.USEFUL]
 _R_TASK_START = REASON_INDEX[StallReason.TASK_START]
 _R_TASK_END = REASON_INDEX[StallReason.TASK_END]
@@ -187,12 +185,6 @@ class MultiscalarMachine:
         self._active_span = 0
         self._span_accum = 0
         self.cycle = 0
-        #: bumped whenever machine state that any PU's issue decision
-        #: could observe changes (see ProcessingUnit.issue memoization)
-        self._mut_version = 0
-        #: bumped on retires only; consulted just by ARB-gate-blocked
-        #: results, so a retire doesn't invalidate every memo
-        self._retire_version = 0
         #: idle PU-cycles, folded into the breakdown at result time so
         #: the per-cycle path is an int increment, not a dict update
         self._idle_accum = 0
@@ -205,13 +197,6 @@ class MultiscalarMachine:
         #: study's starvation telemetry
         self._pu_useful = [0] * self.config.n_pus
         self._pu_occupied = [0] * self.config.n_pus
-        #: per-tick constants, unpacked once per _tick call
-        #: instead of re-reading config attributes every cycle
-        self._tick_consts = (
-            self.config.task_start_overhead,
-            self.config.rob_size,
-            self.pus[0]._lazy_fp if self.pus else False,
-        )
         # Optional reliability hooks (duck-typed; see repro.reliability).
         # ``monitor`` receives assignment/squash/retire events and may
         # raise on invariant violations; ``faults`` injects forced
@@ -247,18 +232,9 @@ class MultiscalarMachine:
             return True
         return False
 
-    def retouch_sync(self, pairs: List[Tuple[int, int]]) -> None:
-        """Touch the sync-table entries a memoized scan touched, in
-        order (a replayed ``issue`` leaves the LRU as a re-run would)."""
-        pc = self.state.pc
-        move_to_end = self.sync_pairs.move_to_end
-        for store_idx, load_idx in pairs:
-            move_to_end((pc[store_idx], pc[load_idx]))
-
     def _learn_sync(self, store_idx: int, load_idx: int) -> None:
         if self.config.sync_table_size <= 0:
             return
-        self._mut_version += 1
         trace = self.stream.trace
         key = (trace.pc_at(store_idx), trace.pc_at(load_idx))
         self.sync_pairs[key] = None
@@ -278,7 +254,6 @@ class MultiscalarMachine:
 
     def _squash_from(self, first_seq: int, cycle: int, memory: bool) -> None:
         """Squash every in-flight real task with seq >= ``first_seq``."""
-        self._mut_version += 1
         victims = sorted(s for s in self.in_flight if s >= first_seq)
         if victims:
             self.squash_depths.append(len(victims))
@@ -320,7 +295,6 @@ class MultiscalarMachine:
             self.monitor.post_squash(first_seq, cycle)
 
     def _squash_wrong(self, cycle: int) -> None:
-        self._mut_version += 1
         for pu in self.pus:
             if pu.wrong:
                 penalty = max(0, cycle - pu.assign_cycle)
@@ -418,11 +392,6 @@ class MultiscalarMachine:
             return
         if self.next_seq >= len(self.stream.tasks):
             return
-        # No version bump: a fresh assignment changes nothing another
-        # PU's blocked-issue computation reads (pu_of_seq of a task is
-        # only consulted once that task has completed values, which
-        # postdates its assignment; squash-driven reassignment is
-        # covered by the squash bump).
         seq = self.next_seq
         dyn = self.stream.tasks[seq]
         pu.assign(dyn, cycle)
@@ -465,7 +434,6 @@ class MultiscalarMachine:
                 self.monitor.on_retire(seq, cycle)
             self.retire_seq += 1
             self._retiring_pu = None
-            self._retire_version += 1
         pu = self.in_flight.get(self.retire_seq)
         if pu is not None and pu.done:
             pu.local_counts[_R_TASK_END] += self.config.task_end_overhead
@@ -490,27 +458,12 @@ class MultiscalarMachine:
             if in_flight:
                 if in_flight[0][0] > cycle:
                     continue
-            elif pu.done or pu.remaining or pu.fetch_ptr < pu.dyn_task.end:
+            elif pu.done or pu.remaining or pu.fetch_ptr < pu.fetch_end:
                 # Nothing pending, and the done-flip (the only other
                 # thing drain does) needs remaining == 0 AND a finished
                 # fetch stream.
                 continue
-            stores, global_event, cross_popped = pu.drain_completions(cycle)
-            if global_event:
-                self._mut_version += 1
-            if cross_popped:
-                # Invalidate exactly the tasks whose issue decisions
-                # can observe these completions (their register or
-                # memory consumers); everyone else's memoized blocked
-                # results stay valid.
-                consumer_seqs = self.state.consumer_seqs
-                tasks_on_pus = self.in_flight
-                for cidx in cross_popped:
-                    for cs in consumer_seqs[cidx]:
-                        cpu = tasks_on_pus.get(cs)
-                        if cpu is not None:
-                            cpu.issue_cache_key = -1
-            for store_idx in stores:
+            for store_idx in pu.drain_completions(cycle):
                 self._check_store_violation(store_idx, cycle)
         if self.pending_mispredict is not None:
             src = self.in_flight.get(self.pending_mispredict)
@@ -539,9 +492,8 @@ class MultiscalarMachine:
             if nxt.dyn_task is None and not nxt.wrong:
                 self._assign(cycle)
         # Phase D: execute + accounting.
-        task_start_overhead, rob_size, lazy_fp = self._tick_consts
-        mut_version = self._mut_version
-        retire_version = self._retire_version
+        task_start_overhead = config.task_start_overhead
+        rob_size = config.rob_size
         idle = 0
         for pu in pus:
             if pu.wrong:
@@ -555,53 +507,22 @@ class MultiscalarMachine:
             if pu.done:
                 counts[_R_LOAD_IMBALANCE] += 1
                 continue
-            if (
-                pu.issue_cache_key == mut_version
-                and cycle < pu.issue_wake
-                and (
-                    not pu.retire_sensitive
-                    or pu.issue_retire_key == retire_version
-                )
-            ):
-                # Memoized blocked result: nothing this PU's issue
-                # decision observes has changed since it was computed.
-                issued = 0
-                reason = pu.last_block
-                if pu.sync_touches:
-                    self.retouch_sync(pu.sync_touches)
-            elif pu.unissued:
+            issued, reason = 0, None
+            if pu.unissued:
                 issued, reason = pu.issue(cycle, self)
-            else:
-                # Empty window: issue() would early-return; skip the
-                # call (its other preconditions are already excluded
-                # above) but keep its cache bookkeeping.
-                pu.issue_wake = _NEVER
-                pu.retire_sensitive = False
-                pu.last_block = None
-                pu.issue_cache_key = mut_version
-                issued = 0
-                reason = None
             if (
                 pu.pending_branch < 0
                 and cycle >= pu.fetch_resume
                 and pu.fetch_ptr < pu.fetch_end
                 and pu.rob_count < rob_size
-                and pu.fetch(cycle)
-                and lazy_fp
-                and pu.done
             ):
-                # The task finished at fetch: its writes just
-                # bulk-forwarded, which later-scanned PUs' issue
-                # decisions may observe this very cycle — keep the
-                # hoisted version in step.
-                self._mut_version += 1
-                mut_version = self._mut_version
+                pu.fetch(cycle)
             if issued:
                 counts[_R_USEFUL] += 1
             elif cycle < pu.assign_cycle + task_start_overhead:
                 counts[_R_TASK_START] += 1
             elif reason is not None:
-                counts[pu.last_slot] += 1
+                counts[reason.slot] += 1
             else:
                 counts[_R_FETCH] += 1
         self._idle_accum += idle

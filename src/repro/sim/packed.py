@@ -14,7 +14,7 @@ parallel arrays indexed by trace position.  They come in two parts:
   :class:`~repro.compiler.partition.TraceMemo`).
 * :class:`PackedTrace` — the arrays that depend on where the
   partition cuts the trace: the dynamic task of each instruction and
-  the cross-task consumer flags and lists.
+  whether its register write is read by another task.
 
 Only the reference loop reads them.  They are built from the trace's
 :class:`~repro.ir.interp.DynInst` view and the stream's
@@ -202,32 +202,14 @@ class PackedTrace:
             if span > 0:
                 task_seq[dyn_task.start : dyn_task.end] = [seq] * span
 
-        # Cross-task consumer tracking.  Completion of an instruction
-        # without the ``cross_consumer`` flag cannot unblock any
-        # *other* task: no later task reads its register value and no
-        # later task's load memory-depends on it.  For flagged
-        # instructions ``consumer_seqs`` lists exactly the dynamic
-        # tasks whose issue decisions can observe the completion — the
-        # event engine invalidates only those tasks' memoized
-        # blocked-issue results instead of everyone's.
+        # A register write with a consumer in another task forwards
+        # over the ring (egress bandwidth); one read only inside its
+        # own task does not.
         self.has_remote_consumer = has_remote = bytearray(n)
-        self.cross_consumer = cross = bytearray(n)
-        consumers: Dict[int, set] = {}
-        consumer_entry = consumers.setdefault
-        for seq, p, prods in zip(
-            task_seq, arrays.mem_producer, arrays.producers
-        ):
-            if p >= 0 and task_seq[p] != seq:
-                cross[p] = 1
-                consumer_entry(p, set()).add(seq)
+        for seq, prods in zip(task_seq, arrays.producers):
             for p in prods:
                 if task_seq[p] != seq:
                     has_remote[p] = 1
-                    cross[p] = 1
-                    consumer_entry(p, set()).add(seq)
-        self.consumer_seqs: Dict[int, Tuple[int, ...]] = {
-            p: tuple(seqs) for p, seqs in consumers.items()
-        }
 
         self._stream = stream
 

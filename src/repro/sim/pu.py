@@ -20,12 +20,12 @@ stall accounting is a dense int list (slotted per
 :data:`~repro.sim.breakdown.REASONS`), so a cycle of bookkeeping
 costs a couple of list indexings instead of enum-keyed dict updates.
 
-``issue`` memoizes a blocked result for the reference loop
-(:meth:`~repro.sim.machine.MultiscalarMachine._tick`): it records the
-blocking reason of the oldest unissued instruction and the earliest
-ring-forward arrival among blocked candidates, and the loop replays
-the result until something it observed changes.  The native loop
-(``native.c``) ports these methods without the memo.
+These methods are the model the native loop (``native.c``) ports
+function by function: ``drain_completions`` is its ``drain``,
+``issue`` its ``issue`` and ``fetch`` its ``fetch``.  Nothing is
+memoized; the reference loop
+(:meth:`~repro.sim.machine.MultiscalarMachine._tick`) re-runs every
+non-empty window's issue scan every cycle, as the kernel does.
 """
 
 from __future__ import annotations
@@ -36,19 +36,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.sim.breakdown import REASON_INDEX, StallReason
 from repro.sim.config import SimConfig
-from repro.sim.runstate import (
-    OPCLASS_BRANCH,
-    OPCLASS_FP,
-    OPCLASS_INT,
-    OPCLASS_MEM,
-    RunState,
-)
+from repro.sim.runstate import RunState
 from repro.sim.taskstream import DynTask
 
 _NEVER = 1 << 60
 
 _N_REASONS = len(REASON_INDEX)
-_R_FETCH = REASON_INDEX[StallReason.FETCH]
 
 
 class ProcessingUnit:
@@ -138,13 +131,10 @@ class ProcessingUnit:
             state.block_start,
             state.is_cond_branch,
             state.gshare_mispred,
-            state.is_mem,
             state.pc,
             self.fetch_width,
             config.rob_size,
             config.l1i.hit_latency,
-            config.out_of_order,
-            config.issue_list_size,
         )
 
     @cached_property
@@ -156,7 +146,6 @@ class ProcessingUnit:
             state.has_write,
             state.release_now,
             state.is_store,
-            state.cross_consumer,
             config.release_lag,
             config.branch_mispredict_penalty,
         )
@@ -172,17 +161,12 @@ class ProcessingUnit:
         self.assign_cycle = -1
         self.fetch_ptr = 0
         self.fetch_resume = 0
-        self.next_mem_ptr = 0
         self.pending_branch = -1
         #: occupancy of the reorder buffer (fetched, not yet completed)
         self.rob_count = 0
-        #: window entries awaiting issue: (trace_idx, fetch_cycle)
+        #: window entries awaiting issue, in program order:
+        #: (trace_idx, fetch_cycle)
         self.unissued: List[Tuple[int, int]] = []
-        #: fetched memory-op trace indices in program order; the entry
-        #: at ``mem_head`` is the oldest unissued one (the only memory
-        #: op allowed to issue — an O(1) check instead of a window scan)
-        self.unissued_mem: List[int] = []
-        self.mem_head = 0
         self.in_flight: List[Tuple[int, int]] = []  # (complete_cycle, idx)
         self.remaining = 0
         self.done = False
@@ -192,34 +176,9 @@ class ProcessingUnit:
         self.retiring = False
         #: per-task stall accounting, slotted per breakdown.REASONS
         self.local_counts: List[int] = [0] * _N_REASONS
-        #: earliest ring-forward arrival among blocked candidates, as
-        #: observed by the last ``issue`` call (memo input)
-        self.issue_wake = _NEVER
-        #: blocking reason of the oldest unissued instruction, as
-        #: observed by the last ``issue`` call (memo input)
-        self.last_block: Optional[StallReason] = None
-        #: dense slot of ``last_block`` (valid when it is not None)
-        self.last_slot = _R_FETCH
         #: trace index one past this task's span (0 when idle); lets
         #: the machine pre-test fetchability without touching dyn_task
         self.fetch_end = 0
-        #: machine mutation version at which the last blocked ``issue``
-        #: result was computed; -1 = stale.  While the machine's
-        #: version matches and ``cycle < issue_wake``, a re-issue would
-        #: provably reproduce (0, last_block), so the tick loop skips
-        #: the call entirely.
-        self.issue_cache_key = -1
-        #: retire version at compute time, consulted only when the
-        #: blocked result actually read ``machine.retire_seq`` (the
-        #: ARB capacity gate) — most blocked results don't, so plain
-        #: retires leave their memoization intact.
-        self.issue_retire_key = -1
-        self.retire_sensitive = False
-        #: (store, load) trace-index pairs whose sync-table entry the
-        #: last blocked scan touched, in scan order (None: no touch).
-        #: A memo replay touches them again, so the table's LRU order
-        #: is the one a re-run scan would leave.
-        self.sync_touches: Optional[List[Tuple[int, int]]] = None
 
     @property
     def idle(self) -> bool:
@@ -234,7 +193,6 @@ class ProcessingUnit:
         self.assign_cycle = cycle
         self.fetch_ptr = dyn_task.start
         self.fetch_end = dyn_task.end
-        self.next_mem_ptr = dyn_task.start
         self.fetch_resume = cycle + self.config.task_start_overhead
         self.remaining = dyn_task.length
         self.state.pu_of_seq[dyn_task.seq] = self.index
@@ -245,48 +203,32 @@ class ProcessingUnit:
         self.wrong = True
         self.assign_cycle = cycle
 
-    def charge(self, reason: StallReason, cycles: int = 1) -> None:
-        """Account ``cycles`` to ``reason`` in the task-local breakdown."""
-        self.local_counts[REASON_INDEX[reason]] += cycles
-
     # ---------------------------------------------------------- completions
 
-    def drain_completions(
-        self, cycle: int
-    ) -> Tuple[List[int], bool, List[int]]:
+    def drain_completions(self, cycle: int) -> List[int]:
         """Pop instructions finishing at ``cycle``; update run state.
 
-        Returns ``(completed stores, global event, cross-consumer
-        completions)``: the machine checks the stores for memory
-        dependence violations, bumps its mutation version on a global
-        event (a LAZY-policy task finishing — its writes forward in
-        bulk), and invalidates the memoized issue results of exactly
-        the consumer tasks of each cross-consumer completion.
+        Returns the completed stores, which the machine checks for
+        memory dependence violations.
         """
         completed_stores: List[int] = []
-        cross_popped: List[int] = []
         in_flight = self.in_flight
-        global_event = False
         if in_flight and in_flight[0][0] <= cycle:
             (
                 complete,
                 has_write,
                 release_now,
                 is_store,
-                cross_consumer,
                 release_lag,
                 mispredict_penalty,
             ) = self._drain_consts
             heappop = heapq.heappop
             schedule_policy = self._schedule_fp
-            self.issue_cache_key = -1
             while in_flight and in_flight[0][0] <= cycle:
                 _, idx = heappop(in_flight)
                 complete[idx] = cycle
                 self.remaining -= 1
                 self.rob_count -= 1
-                if cross_consumer[idx]:
-                    cross_popped.append(idx)
                 if has_write[idx]:
                     if release_now[idx]:
                         self._schedule_forward(idx, cycle)
@@ -307,13 +249,8 @@ class ProcessingUnit:
             self.done = True
             self.done_cycle = cycle
             if self._lazy_fp:
-                # Bulk forwarding is the only completion effect another
-                # task's issue decision can observe here; under EAGER /
-                # SCHEDULE every forward was already published at its
-                # own drain (and targeted invalidation covered it).
-                global_event = True
                 self._forward_all_writes(cycle)
-        return completed_stores, global_event, cross_popped
+        return completed_stores
 
     def _schedule_forward(self, idx: int, earliest: int) -> None:
         state = self.state
@@ -349,42 +286,26 @@ class ProcessingUnit:
 
     # ---------------------------------------------------------------- fetch
 
-    def fetch(self, cycle: int) -> bool:
+    def fetch(self, cycle: int) -> None:
         """Bring up to ``fetch_width`` instructions into the window.
 
-        Returns True when anything was fetched (activity detection).
+        The machine calls it only when the PU can fetch this cycle: it
+        holds an unfinished task with instructions left to fetch, room
+        in the window, no unresolved mispredicted branch, and
+        ``cycle >= fetch_resume``.
         """
-        if self.dyn_task is None or self.done:
-            return False
-        if cycle < self.fetch_resume or self.pending_branch >= 0:
-            return False
         (
             block_start,
             is_cond_branch,
             gshare_mispred,
-            is_mem,
             pc,
             fetch_width,
             rob_size,
             l1i_hit_latency,
-            out_of_order,
-            issue_list_size,
         ) = self._fetch_consts
-        end = self.dyn_task.end
+        end = self.fetch_end
         unissued = self.unissued
-        unissued_mem = self.unissued_mem
         fetched = 0
-        # Appending to the window invalidates a memoized blocked-issue
-        # result only when the next scan would actually reach the new
-        # entries: an in-order scan breaks at its first blocker, and an
-        # out-of-order scan stops at ``issue_list_size`` candidates.
-        # (A previously-empty window always invalidates: its memo is
-        # the trivial "nothing to issue" result.)
-        if out_of_order:
-            if len(unissued) < issue_list_size:
-                self.issue_cache_key = -1
-        elif not unissued:
-            self.issue_cache_key = -1
         while (
             fetched < fetch_width
             and self.fetch_ptr < end
@@ -399,8 +320,6 @@ class ProcessingUnit:
                     self.fetch_resume = cycle + (latency - l1i_hit_latency)
             self.rob_count += 1
             unissued.append((idx, cycle))
-            if is_mem[idx]:
-                unissued_mem.append(idx)
             self.fetch_ptr = idx + 1
             fetched += 1
             if is_cond_branch[idx] and gshare_mispred[idx]:
@@ -424,7 +343,6 @@ class ProcessingUnit:
             self.done_cycle = cycle
             if self._lazy_fp:
                 self._forward_all_writes(cycle)
-        return fetched > 0
 
     def icache_access(self, pc: int) -> int:
         """Overridden by the machine with the shared hierarchy."""
@@ -433,22 +351,12 @@ class ProcessingUnit:
     # ---------------------------------------------------------------- issue
 
     def issue(self, cycle: int, machine) -> Tuple[int, Optional[StallReason]]:
-        """Issue ready instructions; return (#issued, stall reason).
+        """Issue ready window entries; return (#issued, stall reason).
 
-        The stall reason reflects the oldest unissued instruction when
+        The stall reason is that of the oldest blocked entry when
         nothing issued this cycle (None when something issued or there
-        is nothing to issue).
-
-        A blocked result is memoized against the machine's mutation
-        version: until a completion with cross-task consumers, a
-        retire, an assign, a squash, or this PU's own fetch/issue/drain
-        occurs — and before any recorded ring-forward arrival
-        (``issue_wake``) — re-running this computation cannot change
-        its outcome, so the tick loop replays ``(0, last_block)``
-        without calling in.  A scan that hit the memory sync table
-        records the pairs it touched (``sync_touches``); the replay
-        touches them again in the same order, and the result is
-        retire-sensitive because being the head task lifts a sync wait.
+        is nothing to report).  The machine calls it only for a PU
+        holding an unfinished task with a non-empty window.
 
         The per-candidate blocking analysis (register operands,
         program-order memory, ARB capacity, sync table) and the issue
@@ -456,15 +364,6 @@ class ProcessingUnit:
         run and the call overhead of one helper per candidate used to
         dominate it.
         """
-        self.issue_wake = _NEVER
-        self.retire_sensitive = False
-        self.sync_touches = None
-        unissued = self.unissued
-        if self.dyn_task is None or self.done or not unissued:
-            self.last_block = None
-            self.issue_cache_key = machine._mut_version
-            return 0, None
-        issued = 0
         (
             opcls,
             is_load,
@@ -493,7 +392,7 @@ class ProcessingUnit:
         budget = self._fu_budget.copy()
         first_block: Optional[StallReason] = None
         issued_pos: List[int] = []
-
+        unissued = self.unissued
         limit = len(unissued)
         if out_of_order and limit > issue_list_size:
             limit = issue_list_size
@@ -501,12 +400,8 @@ class ProcessingUnit:
         seq = self.seq
         at_head = seq == machine.retire_seq
         heappush = heapq.heappush
-        unissued_mem = self.unissued_mem
-        mem_head = self.mem_head
-        issued_mem = 0
-        issue_wake = _NEVER
-        sync_touches: Optional[List[Tuple[int, int]]] = None
-        retire_sensitive = False
+        issued = 0
+        seen_mem = False
 
         for pos in range(limit):
             if issued >= issue_width:
@@ -539,11 +434,7 @@ class ProcessingUnit:
                 issued += 1
                 continue
             reason: Optional[StallReason] = None
-            # Register operands.  A block on a scheduled ring
-            # forward records the arrival cycle in ``issue_wake``
-            # for the memo — the only blocking condition that
-            # clears at a known future cycle rather than at another
-            # unit's event.
+            # Register operands.
             for p in producers[idx]:
                 pseq = task_seq[p]
                 if pseq == seq:
@@ -563,47 +454,40 @@ class ProcessingUnit:
                     if hops > 1:
                         fwd += (hops - 1) * hop_latency
                     if fwd > cycle:
-                        if fwd < issue_wake:
-                            issue_wake = fwd
                         reason = StallReason.INTER_COMM
                         break
-            if reason is None and is_mem[idx]:
-                # Program-order memory issue within the task.  The
-                # head index is frozen for the whole cycle (the
-                # reference window scan also still sees entries
-                # issued earlier this cycle), so at most one memory
-                # op issues per cycle through this gate.
-                if unissued_mem[mem_head] != idx:
+            if is_mem[idx]:
+                # Memory ops issue in program order: only the oldest
+                # unissued one of the window (the first one the scan
+                # meets) may pass, at most once per cycle.
+                oldest = not seen_mem
+                seen_mem = True
+                if reason is None and not oldest:
                     reason = StallReason.MEMORY
-                if reason is None:
-                    # ARB capacity: a speculative task with a full
-                    # ARB stalls its memory operations until it
-                    # becomes the head.  Outcome depends on
-                    # retire_seq: invalidate on retire.
-                    if arb_capacity > 0 and self.arb_used >= arb_capacity:
-                        retire_sensitive = True
-                        if not at_head:
-                            reason = StallReason.MEMORY
-                    if reason is None and is_load[idx]:
-                        p = mem_producer[idx]
-                        if p >= 0:
-                            pseq = task_seq[p]
-                            if pseq == seq:
-                                done = complete[p]
-                                if done < 0 or done > cycle:
-                                    reason = StallReason.MEMORY
-                            elif complete[p] < 0 or complete[p] > cycle:
-                                # Not forwarded by the ARB yet.
-                                if machine.is_synchronised(p, idx):
-                                    # Touched the sync table's LRU:
-                                    # a memo replay must touch it too.
-                                    if sync_touches is None:
-                                        sync_touches = []
-                                    sync_touches.append((p, idx))
-                                    retire_sensitive = True
-                                    if not at_head:
-                                        reason = StallReason.SYNC_WAIT
-                                # else: speculate
+                # ARB capacity: a speculative task with a full ARB
+                # stalls its memory operations until it is the head.
+                if (
+                    reason is None
+                    and arb_capacity > 0
+                    and self.arb_used >= arb_capacity
+                    and not at_head
+                ):
+                    reason = StallReason.MEMORY
+                if reason is None and is_load[idx]:
+                    p = mem_producer[idx]
+                    if p >= 0:
+                        if task_seq[p] == seq:
+                            done = complete[p]
+                            if done < 0 or done > cycle:
+                                reason = StallReason.MEMORY
+                        elif complete[p] < 0 or complete[p] > cycle:
+                            # Not forwarded by the ARB yet: wait if the
+                            # sync table holds the pair, else speculate.
+                            if (
+                                machine.is_synchronised(p, idx)
+                                and not at_head
+                            ):
+                                reason = StallReason.SYNC_WAIT
             if reason is not None:
                 if first_block is None:
                     first_block = reason
@@ -637,28 +521,13 @@ class ProcessingUnit:
             heappush(in_flight, (cycle + latency + lat_extra[cls], idx))
             issued_pos.append(pos)
             issued += 1
-            if is_mem[idx]:
-                self.next_mem_ptr = idx + 1
-                issued_mem += 1
-                if not at_head:
-                    self.arb_used += 1
+            if is_mem[idx] and not at_head:
+                self.arb_used += 1
 
-        self.issue_wake = issue_wake
         if issued:
             if self.first_issue < 0:
                 self.first_issue = cycle
-            if issued_mem:
-                self.mem_head = mem_head + issued_mem
             for shift, pos in enumerate(issued_pos):
                 del unissued[pos - shift]
-            self.last_block = None
-            self.issue_cache_key = -1
             return issued, None
-        self.last_block = first_block
-        if first_block is not None:
-            self.last_slot = first_block.slot
-        self.retire_sensitive = retire_sensitive
-        self.sync_touches = sync_touches
-        self.issue_cache_key = machine._mut_version
-        self.issue_retire_key = machine._retire_version
         return 0, first_block

@@ -23,21 +23,7 @@ from typing import List, Optional
 
 from repro.compiler.regcomm import ReleaseAnalysis
 from repro.sim.config import ForwardPolicy, SimConfig
-from repro.sim.packed import (
-    OPCLASS_BRANCH,
-    OPCLASS_FP,
-    OPCLASS_INT,
-    OPCLASS_MEM,
-)
 from repro.sim.taskstream import TaskStream
-
-__all__ = [
-    "OPCLASS_BRANCH",
-    "OPCLASS_FP",
-    "OPCLASS_INT",
-    "OPCLASS_MEM",
-    "RunState",
-]
 
 #: static aliases into the trace's TraceArrays
 _TRACE_FIELDS = (
@@ -46,9 +32,7 @@ _TRACE_FIELDS = (
     "mem_producer", "gshare_mispred", "has_write", "gshare_accuracy",
 )
 #: static aliases into the stream's PackedTrace
-_STREAM_FIELDS = (
-    "task_seq", "has_remote_consumer", "cross_consumer", "consumer_seqs",
-)
+_STREAM_FIELDS = ("task_seq", "has_remote_consumer")
 _PACKED_FIELDS = frozenset(
     _TRACE_FIELDS + _STREAM_FIELDS + ("packed", "release_now")
 )

@@ -258,9 +258,11 @@ class _PairRecordingMachine(MultiscalarMachine):
 class TestSyncTableEviction:
     """Both engines with a sync table smaller than the pairs learned.
 
-    A memoized sync wait replays its table touches; if the replay
-    touched differently from the reference loop's re-run scan, a later
-    eviction would pick another victim and the runs would diverge.
+    The kernel keeps the table's LRU order as per-pair touch stamps and
+    evicts the oldest stamp; ``_tick`` keeps an ``OrderedDict`` and
+    moves a touched pair to the end.  If the two orders differed under
+    eviction, a later overflow would drop another pair and the runs
+    would diverge.
     """
 
     @pytest.mark.parametrize("size", [1, 2, 3])

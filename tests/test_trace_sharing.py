@@ -88,8 +88,7 @@ def _assert_matches_fresh_run(compiled):
     got, want = compiled.stream.packed, fresh.packed
     assert got.arrays is not want.arrays
     assert vars(got.arrays) == vars(want.arrays)
-    for name in ("n", "task_seq", "has_remote_consumer", "cross_consumer",
-                 "consumer_seqs"):
+    for name in ("n", "task_seq", "has_remote_consumer"):
         assert getattr(got, name) == getattr(want, name), name
     for policy in ForwardPolicy:
         assert got.release_now(policy, compiled.release) == want.release_now(
