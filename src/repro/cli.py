@@ -11,8 +11,10 @@ Commands:
 * ``table1`` — regenerate Table 1.
 * ``breakdown`` — Figure 2 cycle accounting.
 * ``centralized`` — distributed vs centralized motivation study.
-* ``verify`` — differential oracle + invariant checks (optionally
-  under seeded fault injection) for any set of workloads.
+* ``verify`` — the oracle battery for any set of workloads: invariant
+  monitors and the differential oracle on the reference loop, and,
+  unless seeded fault injection is on, the native loop checked
+  against that monitored run.
 * ``bench`` — time a grid cold and check/update ``BENCH_sim.json``.
 * ``trace`` — run one cell with the telemetry collector attached and
   export a Perfetto-loadable Chrome trace-event JSON timeline.
@@ -29,10 +31,12 @@ Commands:
   profiles; ``--json``: machine-readable).
 * ``gen`` — emit one seeded synthetic program as assembly text.
 * ``fuzz`` — differential fuzzing campaign: N generated programs
-  × all four heuristic levels × both engines, cross-checked with
-  the reliability oracle; ``--minimize`` delta-debugs divergent
-  programs to minimal reproducers; ``--strategy`` sweeps non-paper
-  selection strategies as extra differential cells.
+  × all four heuristic levels, each cell run through the same
+  oracle battery as ``verify`` (the monitored reference loop and the
+  native loop); ``--minimize`` delta-debugs divergent programs to
+  minimal reproducers; ``--strategy`` and ``--machine`` sweep
+  non-paper selection strategies and machine presets as extra
+  cells.
 * ``tune`` — search-based autotuning of task selection: a seeded
   genetic algorithm (or random-search baseline) over the selection
   genome, scored by simulated cycles through the harness; resumable
@@ -421,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver_p.add_argument("--seed", type=int, default=0,
                        help="base seed for the fault plans")
-    ver_p.add_argument("--engine", choices=ENGINES, default="fast",
-                       help="simulation core under test (default: fast)")
 
     bench_p = sub.add_parser(
         "bench",
@@ -793,7 +795,6 @@ def _cmd_verify(args: argparse.Namespace) -> str:
         scale=args.scale,
         faults=args.faults,
         seed=args.seed,
-        engine=args.engine,
     )
     lines = [report.summary() for report in reports]
     bad = sum(1 for report in reports if not report.ok)

@@ -259,6 +259,21 @@ def _assemble_record(
     )
 
 
+def cell_config(
+    sim: Optional[SimConfig], n_pus: int, out_of_order: bool
+) -> SimConfig:
+    """The machine configuration one cell simulates.
+
+    A machine spec already fixed n_pus, topology and L1 scaling at
+    construction and is authoritative; the legacy homogeneous path
+    scales the L1s for ``n_pus``.
+    """
+    config = sim or SimConfig()
+    if config.machine is None:
+        config = config.scaled_for_pus(n_pus)
+    return replace(config, out_of_order=out_of_order)
+
+
 def run_benchmark(
     name: str,
     level: HeuristicLevel,
@@ -286,15 +301,9 @@ def run_benchmark(
     compiled = compile_benchmark(
         name, level, scale, selection, input_set, profile_input
     )
-    config = sim or SimConfig()
-    # A machine spec already fixed n_pus, topology and L1 scaling at
-    # construction and is authoritative; the legacy homogeneous path
-    # scales the L1s for ``n_pus``.
-    if config.machine is None:
-        config = config.scaled_for_pus(n_pus)
     machine = MultiscalarMachine(
         compiled.stream,
-        replace(config, out_of_order=out_of_order),
+        cell_config(sim, n_pus, out_of_order),
         compiled.release,
         monitor,
         fault_plan,

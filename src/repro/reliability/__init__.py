@@ -11,8 +11,11 @@ Three pillars (see DESIGN.md §8):
   mispredictions and spurious memory violations, proving the
   squash-and-recover paths preserve architectural state.
 
-Entry points: :func:`verify_workload` / :func:`verify_grid`
-(``repro verify`` on the command line).
+:func:`~repro.reliability.verify.check_run` is the one cell check
+built from them: it also runs the cell unmonitored, on the native
+loop, and compares the two results.  Entry points:
+:func:`verify_workload` / :func:`verify_grid` (``repro verify`` on
+the command line) and the fuzz campaign (:mod:`repro.synth`).
 """
 
 from repro.reliability.faults import FaultPlan, InjectedFault
@@ -24,7 +27,12 @@ from repro.reliability.oracle import (
     replay_commits,
     sequential_reference,
 )
-from repro.reliability.verify import VerifyReport, verify_grid, verify_workload
+from repro.reliability.verify import (
+    VerifyReport,
+    check_run,
+    verify_grid,
+    verify_workload,
+)
 
 __all__ = [
     "ArchState",
@@ -34,6 +42,7 @@ __all__ = [
     "InvariantViolation",
     "VerifyReport",
     "check_commit_log",
+    "check_run",
     "compare_states",
     "replay_commits",
     "sequential_reference",

@@ -1,33 +1,38 @@
-"""End-to-end verification: the ``repro verify`` entry point.
+"""The oracle battery and the ``repro verify`` entry point.
 
-``verify_workload`` cross-checks one experiment cell three ways:
+:func:`check_run` is the one cell check that ``repro verify``, the
+fuzz campaign worker and the reducer predicate all call.  It:
 
-1. the **invariant monitor** rides along the machine run, asserting
-   the squash/retire/commit invariants every cycle;
-2. the **differential oracle** compares the sequential reference
-   execution against a full-semantics replay of the machine's commit
-   log; and
-3. an optional seeded :class:`~repro.reliability.faults.FaultPlan`
-   injects forced mispredictions and spurious memory violations to
-   prove the recovery paths themselves preserve 1 and 2.
+1. lints the program (:func:`~repro.ir.validate.well_formed`) and the
+   partition (:func:`~repro.ir.validate.partition_issues`);
+2. runs the cell with the **invariant monitor** attached, asserting
+   the squash/retire/commit invariants every cycle.  The monitor
+   reads live machine state, so this run takes the reference loop
+   (``_tick``), and so does any run with a seeded
+   :class:`~repro.reliability.faults.FaultPlan` injecting forced
+   mispredictions and spurious memory violations;
+3. checks the **differential oracle**: the monitor's commit log,
+   replayed with full semantics, against the sequential reference
+   execution; and
+4. without a fault plan, runs the cell again unmonitored, which is the
+   native loop, and reports every :class:`~repro.sim.SimResult`
+   field that differs from the monitored run.
 
-A monitored run takes the reference loop (``_tick``): the monitor
-reads live machine state.  So that ``verify`` still checks the default
-engine, a fast-engine cell without faults also runs unmonitored,
-through the native loop, and must reproduce the monitored run's
-cycles, breakdown, squash counts and per-PU cycles.
-
+``verify_workload`` runs the battery on one compiled registry cell;
 ``verify_grid`` sweeps workloads x heuristic levels and aggregates
-reports; the CLI and the CI ``verify`` job are thin wrappers over it.
+reports, and the CLI and the CI ``verify`` job are thin wrappers over
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import List, Optional, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel, SelectionConfig
-from repro.experiments.runner import compile_benchmark, run_benchmark
+from repro.compiler.regcomm import ReleaseAnalysis
+from repro.experiments.runner import cell_config, compile_benchmark
+from repro.ir.validate import partition_issues, well_formed
 from repro.reliability.faults import FaultPlan
 from repro.reliability.monitors import InvariantMonitor, InvariantViolation
 from repro.reliability.oracle import (
@@ -36,10 +41,67 @@ from repro.reliability.oracle import (
     replay_commits,
     sequential_reference,
 )
-from repro.sim import SimConfig
+from repro.sim import MultiscalarMachine, SimConfig, SimResult, TaskStream
 from repro.workloads import all_benchmarks
 
 ALL_LEVELS = tuple(HeuristicLevel)
+
+
+def check_run(
+    stream: TaskStream,
+    release: ReleaseAnalysis,
+    config: SimConfig,
+    faults: Optional[FaultPlan] = None,
+    label: Optional[str] = None,
+) -> Tuple[Optional[SimResult], List[str], int]:
+    """Run the oracle battery on one cell; never raises on divergence.
+
+    Returns the monitored run's result (None when an invariant
+    violation aborted it), every divergence found, and the number of
+    checks the invariant monitor made.
+    """
+    partition = stream.partition
+    program = partition.program
+    trace = stream.trace
+    divergences = [f"well-formedness: {i}" for i in well_formed(program)]
+    divergences += [
+        f"partition: {i}" for i in partition_issues(program, partition)
+    ]
+    monitor = InvariantMonitor()
+    try:
+        result = MultiscalarMachine(
+            stream, config, release, monitor, faults, label=label
+        ).run()
+    except InvariantViolation as exc:
+        divergences.append(f"invariant violation: {exc}")
+        return None, divergences, monitor.checks
+
+    ref_trace, ref_state = sequential_reference(program)
+    if len(ref_trace) != len(trace):
+        divergences.append(
+            f"sequential re-execution produced {len(ref_trace)} "
+            f"instructions, compiled trace has {len(trace)} "
+            f"(non-deterministic workload?)"
+        )
+    else:
+        divergences += check_commit_log(monitor.commit_log, len(trace))
+        replay_state, replay_divergences = replay_commits(
+            program, trace, monitor.commit_log
+        )
+        divergences += replay_divergences
+        divergences += compare_states(ref_state, replay_state)
+
+    if faults is None:
+        unmonitored = MultiscalarMachine(
+            stream, config, release, label=label
+        ).run()
+        for f in fields(SimResult):
+            got, want = getattr(unmonitored, f.name), getattr(result, f.name)
+            if got != want:
+                divergences.append(
+                    f"native loop {f.name} {got!r} != monitored run {want!r}"
+                )
+    return result, divergences, monitor.checks
 
 
 @dataclass
@@ -93,16 +155,12 @@ def verify_workload(
     out_of_order: bool = True,
     scale: float = 1.0,
     selection: Optional[SelectionConfig] = None,
-    sim: Optional[SimConfig] = None,
     input_set: str = "ref",
     faults: int = 0,
     seed: int = 0,
 ) -> VerifyReport:
-    """Verify one cell; returns a report (never raises on divergence).
-
-    Invariant violations (which abort the simulation mid-run) are
-    converted into report divergences so grid sweeps keep going.
-    """
+    """Run the oracle battery on one registry cell; returns a report
+    (never raises on divergence)."""
     report = VerifyReport(
         benchmark=benchmark, level=level, n_pus=n_pus,
         out_of_order=out_of_order,
@@ -111,82 +169,22 @@ def verify_workload(
         benchmark, level, scale=scale, selection=selection,
         input_set=input_set,
     )
-    program = compiled.partition.program
-    ref_trace, ref_state = sequential_reference(program)
     report.dynamic_tasks = len(compiled.stream.tasks)
-    if len(ref_trace) != len(compiled.trace):
-        report.divergences.append(
-            f"sequential re-execution produced {len(ref_trace)} "
-            f"instructions, compiled trace has {len(compiled.trace)} "
-            f"(non-deterministic workload?)"
-        )
-        return report
-
-    monitor = InvariantMonitor()
     plan = FaultPlan(seed=seed, faults=faults) if faults > 0 else None
-    try:
-        record = run_benchmark(
-            benchmark, level, n_pus=n_pus, out_of_order=out_of_order,
-            scale=scale, selection=selection, sim=sim, input_set=input_set,
-            monitor=monitor, fault_plan=plan,
-        )
-    except InvariantViolation as exc:
-        report.invariant_checks = monitor.checks
-        report.divergences.append(f"invariant violation: {exc}")
-        return report
-    report.instructions = record.instructions
-    report.cycles = record.cycles
-    report.control_squashes = record.control_squashes
-    report.memory_squashes = record.memory_squashes
-    report.invariant_checks = monitor.checks
+    result, report.divergences, report.invariant_checks = check_run(
+        compiled.stream, compiled.release,
+        cell_config(None, n_pus, out_of_order), faults=plan,
+        label=report.describe(),
+    )
+    if result is not None:
+        report.instructions = result.committed_instructions
+        report.cycles = result.cycles
+        report.control_squashes = result.control_squashes
+        report.memory_squashes = result.memory_squashes
     if plan is not None:
         report.injected_control = plan.control_injected
         report.injected_memory = plan.memory_injected
-
-    if plan is None and (sim is None or sim.engine == "fast"):
-        unmonitored = run_benchmark(
-            benchmark, level, n_pus=n_pus, out_of_order=out_of_order,
-            scale=scale, selection=selection, sim=sim, input_set=input_set,
-        )
-        report.divergences.extend(_engine_divergences(record, unmonitored))
-    report.divergences.extend(
-        check_commit_log(monitor.commit_log, len(compiled.trace))
-    )
-    replay_state, replay_divergences = replay_commits(
-        program, compiled.trace, monitor.commit_log
-    )
-    report.divergences.extend(replay_divergences)
-    report.divergences.extend(compare_states(ref_state, replay_state))
-    if record.instructions != ref_state.retired_instructions:
-        report.divergences.append(
-            f"machine committed {record.instructions} instructions, "
-            f"sequential reference retired {ref_state.retired_instructions}"
-        )
     return report
-
-
-def _engine_divergences(monitored, unmonitored) -> List[str]:
-    """Where the native loop's record differs from the monitored
-    (``_tick``) run of the same cell."""
-    def per_pu(record):
-        return (record.metrics or {}).get("pu")
-
-    pairs = [
-        ("cycles", monitored.cycles, unmonitored.cycles),
-        ("breakdown", monitored.breakdown.as_dict(),
-         unmonitored.breakdown.as_dict()),
-        ("control squashes", monitored.control_squashes,
-         unmonitored.control_squashes),
-        ("memory squashes", monitored.memory_squashes,
-         unmonitored.memory_squashes),
-        ("per-PU useful/occupied cycles", per_pu(monitored),
-         per_pu(unmonitored)),
-    ]
-    return [
-        f"native loop {what} {got} != monitored run {want}"
-        for what, want, got in pairs
-        if got != want
-    ]
 
 
 def verify_grid(
@@ -197,18 +195,13 @@ def verify_grid(
     scale: float = 1.0,
     faults: int = 0,
     seed: int = 0,
-    engine: str = "fast",
 ) -> List[VerifyReport]:
     """Verify every (benchmark, level) cell; returns all reports.
 
     With ``faults``, each cell gets its own deterministic plan seeded
     by ``seed`` and the cell's position, so different cells inject
-    different (but reproducible) schedules.  ``engine`` selects the
-    simulation core under test: with "fast" (the default) and no
-    faults, each cell's monitored ``_tick`` run is also checked
-    against an unmonitored run on the native loop.
+    different (but reproducible) schedules.
     """
-    sim = None if engine == "fast" else SimConfig(engine=engine)
     names = list(benchmarks) or [bm.name for bm in all_benchmarks()]
     reports: List[VerifyReport] = []
     for b_index, name in enumerate(names):
@@ -216,6 +209,6 @@ def verify_grid(
             cell_seed = seed + 1009 * b_index + 9176 * l_index
             reports.append(verify_workload(
                 name, level, n_pus=n_pus, out_of_order=out_of_order,
-                scale=scale, sim=sim, faults=faults, seed=cell_seed,
+                scale=scale, faults=faults, seed=cell_seed,
             ))
     return reports

@@ -90,8 +90,8 @@ class SimResult:
     #: (feeds the telemetry squash-depth histogram)
     squash_depths: List[int] = field(default_factory=list)
     #: per-PU cycles spent issuing retired work (index = PU position
-    #: around the ring); identical across engines because every task's
-    #: accounting folds at the shared retire path
+    #: around the ring); both loops fold a task's counts in when it
+    #: retires (``_retire`` in ``_tick``, ``retire`` in ``native.c``)
     pu_useful: List[int] = field(default_factory=list)
     #: per-PU total occupied cycles of retired tasks (useful + stalls
     #: + task overheads; excludes idle and squashed occupancy)

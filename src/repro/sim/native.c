@@ -1170,13 +1170,6 @@ static void fetch(Machine *m, PU *pu, i64 cycle)
         if (pu->fetch_resume > cycle)
             break;
     }
-    if (!pu->done && pu->remaining == 0 && pu->fetch_ptr >= end
-        && pu->rob_count == 0) {
-        pu->done = 1;
-        pu->done_cycle = cycle;
-        if (m->policy == POLICY_LAZY)
-            forward_all_writes(m, pu, cycle);
-    }
 }
 
 /* --------------------------------------------------------------- tick */

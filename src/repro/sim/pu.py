@@ -292,7 +292,9 @@ class ProcessingUnit:
         The machine calls it only when the PU can fetch this cycle: it
         holds an unfinished task with instructions left to fetch, room
         in the window, no unresolved mispredicted branch, and
-        ``cycle >= fetch_resume``.
+        ``cycle >= fetch_resume``.  So at least one instruction enters
+        the window, and the task cannot go done here; it goes done in
+        :meth:`drain_completions`.
         """
         (
             block_start,
@@ -333,16 +335,6 @@ class ProcessingUnit:
                 break
             if self.fetch_resume > cycle:
                 break
-        if (
-            not self.done
-            and self.remaining == 0
-            and self.fetch_ptr >= end
-            and self.rob_count == 0
-        ):
-            self.done = True
-            self.done_cycle = cycle
-            if self._lazy_fp:
-                self._forward_all_writes(cycle)
 
     def icache_access(self, pc: int) -> int:
         """Overridden by the machine with the shared hierarchy."""

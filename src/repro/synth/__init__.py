@@ -6,8 +6,10 @@ loop bodies around ``LOOP_THRESH``, callees around ``CALL_THRESH``,
 diamond/hammock chains near the suitability limit — fully determined
 by ``(seed, SynthParams)``.  The campaign driver
 (:mod:`repro.synth.campaign`) feeds those programs through all four
-heuristic levels on both simulation engines and cross-checks every
-cell with the reliability oracle; the reducer
+heuristic levels and runs every cell through the reliability
+subsystem's oracle battery (the monitored reference loop, the
+commit-log oracle, and the native loop checked against the monitored
+run); the reducer
 (:mod:`repro.synth.reduce`) delta-debugs any divergent program down
 to a minimal reproducer.
 

@@ -195,9 +195,9 @@ def run_metrics(result, stream) -> Dict:
     depths.observe_many(result.squash_depths)
     summary = registry.summary()
     # Per-PU utilization telemetry (scaling-study starvation columns).
-    # Engine-identical because the accounting folds at the machines'
-    # shared retire path; guarded so pre-machines results (or mocks
-    # without the fields) keep the historical summary shape.
+    # Both loops fold a task's per-PU counts in when it retires;
+    # guarded so pre-machines results (or mocks without the fields)
+    # keep the historical summary shape.
     pu_useful = getattr(result, "pu_useful", None)
     if pu_useful:
         summary["pu"] = {

@@ -136,11 +136,6 @@ def _ledger_cells(path: Path) -> Dict[str, Dict]:
             metrics["ipc"] = metrics.get("instructions", 0) / metrics["cycles"]
         fuzz = summary.get("fuzz")
         if isinstance(fuzz, dict):
-            # Fuzz-campaign ledgers run every cell on both engines;
-            # disambiguate so the two runs don't collapse into one
-            # cell, and surface the per-cell oracle verdict.
-            if fuzz.get("engine"):
-                label = f"{label}#{fuzz['engine']}"
             # Strategy-sweep cells reuse the level of the reference
             # cell they shadow; the suffix keeps them distinct.
             if fuzz.get("strategy"):

@@ -86,7 +86,6 @@ class TestParser:
     @pytest.mark.parametrize("command", [
         ["run", "compress"],
         ["figure5"],
-        ["verify", "compress"],
         ["trace", "compress"],
         ["profile-sim", "compress"],
     ], ids=lambda c: c[0])
@@ -96,6 +95,16 @@ class TestParser:
         for engine in ("batched", "warp"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(command + ["--engine", engine])
+
+    def test_verify_has_no_engine_flag(self, capsys):
+        """verify always checks the monitored reference loop against
+        the kernel; there is no engine to choose."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["verify", "compress", "--engine", "reference"]
+            )
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_fuzz_has_no_engine_flag(self):
         """fast and reference always run; there is no engine to add."""

@@ -7,8 +7,9 @@ is a regression net at the opposite end of the spectrum from the big
 registry workloads: each program is a handful of blocks exercising
 one shape the generator targets — loops, calls, diamonds, aliasing
 memory, FP, long def-use chains — and every one is pushed through the
-full differential check (all heuristic levels x both engines x the
-commit-log oracle) on every test run.
+full differential check on every test run: at all heuristic levels,
+the monitored reference loop against the commit-log oracle, and the
+native loop against the monitored run.
 """
 
 from __future__ import annotations

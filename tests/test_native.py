@@ -170,7 +170,7 @@ def test_max_cycles_stuck_carries_the_same_fields():
 
 
 def test_verify_reports_a_kernel_off_by_one(monkeypatch):
-    """verify runs fault-free fast cells through the kernel too, and a
+    """verify runs fault-free cells through the kernel too, and a
     kernel that drifts from the monitored ``_tick`` run is a divergence."""
     real_run = native.run
 
@@ -190,6 +190,27 @@ def test_verify_reports_a_kernel_off_by_one(monkeypatch):
     assert any("native loop cycles" in d for d in report.divergences), (
         report.divergences
     )
+
+
+def test_verify_reports_a_kernel_cache_write_back_fault(monkeypatch):
+    """verify compares the kernel's whole ``SimResult``: one extra L1D
+    hit written back after the run leaves the cycles alone but shows
+    in ``cache_stats``."""
+    real_run = native.run
+
+    def extra_hit(machine):
+        cycles = real_run(machine)
+        if cycles is not None:
+            machine.hierarchy.l1d.hits += 1
+        return cycles
+
+    monkeypatch.setattr(native, "run", extra_hit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_workload("compress", HeuristicLevel.CONTROL_FLOW,
+                                 scale=SMALL)
+    assert len(report.divergences) == 1, report.divergences
+    assert report.divergences[0].startswith("native loop cache_stats ")
 
 
 def assert_lowering_matches_packing(stream):

@@ -10,9 +10,13 @@ from repro.compiler import HeuristicLevel
 from repro.harness.spec import RunSpec
 from repro.ir import Opcode
 from repro.ir.interp import run_program
-from repro.sim import MultiscalarMachine, SimConfig
+from repro.sim import native
 from repro.synth import check_program, fuzz_specs, generate_program, run_campaign
-from repro.synth.campaign import CampaignLedger, program_seed
+from repro.synth.campaign import (
+    FUZZ_STRATEGY_LEVEL,
+    CampaignLedger,
+    program_seed,
+)
 
 LEVELS2 = (HeuristicLevel.BASIC_BLOCK, HeuristicLevel.CONTROL_FLOW)
 
@@ -21,7 +25,7 @@ def test_small_campaign_passes():
     result = run_campaign(budget=2, seed=1, jobs=1)
     assert result.ok, result.summary()
     assert len(result.programs) == 2
-    assert result.cells == 2 * len(HeuristicLevel) * 2
+    assert result.cells == 2 * len(HeuristicLevel)
     counters = result.metrics["counters"]
     assert counters["fuzz.programs"] == 2
     assert counters["fuzz.divergences"] == 0
@@ -51,37 +55,47 @@ def test_campaign_ledger_deterministic(tmp_path):
 def test_campaign_degenerate_task_attribution():
     """Regression seed: the second seed-1 program carries a task that
     goes ``done`` without ever popping a completion heap entry.  The
-    stretch after that flip must be charged to LOAD_IMBALANCE, as the reference engine charges it, not to the
-    stale FETCH slot — same total cycles is not enough, the fast
-    engine's breakdown must match too."""
+    stretch after that flip must be charged to LOAD_IMBALANCE, as the
+    reference loop charges it, not to the stale FETCH slot.  Each cell
+    compares the native loop's whole result with the monitored
+    reference run, so the kernel's breakdown must match, not just its
+    total cycles."""
     result = run_campaign(
         budget=2, seed=1, jobs=1,
         levels=(HeuristicLevel.BASIC_BLOCK,),
     )
     assert result.ok, result.summary()
-    assert result.cells == 2 * 2
+    assert result.cells == 2
 
 
 def test_fuzz_specs_engine_column_order():
-    """Both engines appear per level, fast then reference."""
-    specs, _ = fuzz_specs(1, seed=1, levels=LEVELS2)
-    assert len(specs) == len(LEVELS2) * 2
-    assert [s.sim.engine for s in specs[:2]] == ["fast", "reference"]
-    # both share one compilation, neither shares a record identity
-    assert len({s.compile_hash() for s in specs[:2]}) == 1
-    assert len({s.spec_hash() for s in specs[:2]}) == 2
+    """There is no engine column: one spec per (program, level), in
+    program then level order, on the default machine.  The worker runs
+    the monitored reference loop and the kernel on that one cell."""
+    specs, names = fuzz_specs(2, seed=1, levels=LEVELS2)
+    assert names == ["synth:default:1000003", "synth:default:1000004"]
+    assert [(s.benchmark, s.level) for s in specs] == [
+        (name, level) for name in names for level in LEVELS2
+    ]
+    assert all(s.sim is None for s in specs)
+    assert len({s.spec_hash() for s in specs}) == len(specs)
 
 
 def test_fuzz_specs_share_compile_groups():
-    """The fast/reference pair of one cell shares one compilation but
-    has distinct record-cache identities."""
-    specs, names = fuzz_specs(1, seed=1, levels=LEVELS2)
-    assert names == ["synth:default:1000003"]
-    assert len(specs) == len(LEVELS2) * 2
-    fast, ref = specs[0], specs[1]
-    assert fast.compile_hash() == ref.compile_hash()
-    assert fast.spec_hash() != ref.spec_hash()
-    assert fast.source_hash and fast.source_hash == ref.source_hash
+    """A machine-sweep cell shares its level cell's compilation but has
+    a distinct record-cache identity; every cell of a program carries
+    that program's source hash."""
+    specs, names = fuzz_specs(2, seed=1, levels=(FUZZ_STRATEGY_LEVEL,),
+                              machines=("big-little-8",))
+    assert names == ["synth:default:1000003", "synth:default:1000004"]
+    assert len(specs) == 2 * 2
+    plain, machine = specs[0], specs[1]
+    assert machine.sim is not None and machine.sim.machine is not None
+    assert plain.compile_hash() == machine.compile_hash()
+    assert plain.spec_hash() != machine.spec_hash()
+    hashes = [s.source_hash for s in specs]
+    assert all(hashes)
+    assert hashes[0] == hashes[1] != hashes[2] == hashes[3]
 
 
 def test_source_hash_salts_compile_signature():
@@ -133,35 +147,36 @@ def _xor_trigger_seed() -> int:
 
 @pytest.fixture
 def planted_fast_engine_fault(monkeypatch):
-    """Perturb the fast engine's cycle count on XOR-executing runs.
+    """Perturb the kernel's cycle count on XOR-executing runs.
 
-    The plant is at :meth:`MultiscalarMachine.run` so every consumer —
-    the campaign worker, ``check_program``, the reducer predicate —
-    sees the same wrong fast engine, exactly like a real engine bug.
+    The plant is at :func:`repro.sim.native.run`, where a kernel bug
+    would live, so every consumer — the campaign worker,
+    ``check_program``, the reducer predicate — sees the same wrong
+    native loop, while the monitored reference runs stay correct.
     """
-    real_run = MultiscalarMachine.run
+    real_run = native.run
 
-    def buggy_run(self):
-        result = real_run(self)
-        if self.config.engine == "fast" and any(
-            dyn.op is Opcode.XOR for dyn in self.stream.trace.insts
+    def buggy_run(machine):
+        cycles = real_run(machine)
+        if cycles is not None and any(
+            dyn.op is Opcode.XOR for dyn in machine.stream.trace.insts
         ):
-            result.cycles += 1
-        return result
+            cycles += 1
+        return cycles
 
-    monkeypatch.setattr(MultiscalarMachine, "run", buggy_run)
+    monkeypatch.setattr(native, "run", buggy_run)
     return buggy_run
 
 
 def test_planted_fault_is_caught_and_reduced(planted_fast_engine_fault):
-    """Acceptance: a planted engine divergence is detected by the
+    """Acceptance: a planted kernel divergence is detected by the
     campaign and delta-debugged to a <= 3 block reproducer."""
     index = _xor_trigger_seed()
     result = run_campaign(budget=index + 1, seed=1, jobs=1,
                           levels=LEVELS2, minimize=True)
     assert not result.ok
     name = f"synth:default:{program_seed(1, index)}"
-    assert any(name in d and "diverge on cycles" in d
+    assert any(name in d and "native loop cycles" in d
                for d in result.divergences), result.divergences[:5]
     assert name in result.reduced
     reduced_text = result.reduced[name]
@@ -173,6 +188,26 @@ def test_planted_fault_is_caught_and_reduced(planted_fast_engine_fault):
     assert " xor " in reduced_text or "xor\t" in reduced_text.replace(
         "xor ", "xor\t"
     )
+
+
+def test_kernel_off_by_one_is_a_divergence(monkeypatch):
+    """The campaign and ``check_program`` run the native loop: a kernel
+    that returns one cycle too many diverges from the monitored run."""
+    real_run = native.run
+
+    def off_by_one(machine):
+        cycles = real_run(machine)
+        return None if cycles is None else cycles + 1
+
+    monkeypatch.setattr(native, "run", off_by_one)
+    result = run_campaign(budget=1, seed=1, jobs=1,
+                          levels=(HeuristicLevel.BASIC_BLOCK,))
+    assert any("native loop cycles" in d for d in result.divergences), (
+        result.summary()
+    )
+    issues = check_program(generate_program(5),
+                           levels=(HeuristicLevel.BASIC_BLOCK,))
+    assert any("native loop cycles" in d for d in issues), issues
 
 
 def test_planted_fault_clears_with_patch_removed():
