@@ -27,6 +27,7 @@ program, not the input.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
@@ -63,14 +64,23 @@ class TraceMemo:
     image.  The instruction limit is not part of the key: the
     interpreter raises at its limit, so a trace that exists is
     complete.  A program must never be mutated once its trace is
-    memoized.
+    memoized, so each program object is rendered and digested once
+    (selection profiles ``partition.program`` and the compile then
+    asks for its trace).
     """
 
     def __init__(self) -> None:
         self._runs: Dict[bytes, _Run] = {}
+        self._digests: "weakref.WeakKeyDictionary[Program, bytes]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     def _run(self, program: Program, max_instructions: int) -> _Run:
-        key = hashlib.sha256(program_to_text(program).encode()).digest()
+        key = self._digests.get(program)
+        if key is None:
+            key = self._digests[program] = hashlib.sha256(
+                program_to_text(program).encode()
+            ).digest()
         run = self._runs.get(key)
         if run is None:
             run = self._runs[key] = _Run(
@@ -96,6 +106,7 @@ class TraceMemo:
     def clear(self) -> None:
         """Forget every run."""
         self._runs.clear()
+        self._digests.clear()
 
 
 def select_tasks(

@@ -107,6 +107,23 @@ class ReleaseAnalysis:
                 after.get(block_id, set())
             )
 
+    def release_mask(self, task: Task, block_id: BlockId) -> bytearray:
+        """:meth:`is_release` of every write in ``block_id`` under
+        ``task``, one byte per instruction (1: release point)."""
+        blk = self.program.block(block_id)
+        later = set(self._after_defs[(task.task_id, block_id)])
+        if block_id in task.absorbed_calls:
+            term = blk.terminator
+            assert term is not None and term.target is not None
+            later |= self._func_writes[term.target]
+        mask = bytearray(len(blk.instructions))
+        for index in range(len(blk.instructions) - 1, -1, -1):
+            register = blk.instructions[index].writes
+            if register is not None:
+                mask[index] = register not in later
+                later.add(register)
+        return mask
+
     def is_release(
         self, task: Task, block_id: BlockId, inst_index: int, register: str
     ) -> bool:

@@ -194,8 +194,10 @@ def compile_benchmark(
     if cached is not None:
         return cached
     traces = _compile_cache.traces
-    # Interpreting a trace creates millions of short-lived tracked
-    # objects; the cyclic collector only adds scan time here.
+    # A compile creates many short-lived tracked objects (the trace's
+    # block entries, the profile, the stream cut, and everything the
+    # Python interpreter builds when it runs); the cyclic collector
+    # only adds scan time here.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

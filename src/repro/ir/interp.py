@@ -17,6 +17,18 @@ stream cut and the native timing model read the columns;
 :class:`DynInst` list from them on first use, for the reference
 engine's packing, the oracle and tests.
 
+:func:`run_program` records the columns in the native kernel
+(:func:`repro.sim.native.interpret`) whenever it loads.  The
+:class:`Interpreter` here is the reference: the oracle's sequential
+execution and the commit replay run it, and ``run_program`` falls
+back to it when the kernel is unavailable, and for any program whose
+run needs a value the kernel cannot reproduce exactly (an int64
+overflow in ADD, SUB, MUL or SHL, a negative shift, int() of a NaN,
+infinite or out-of-range float, an int-versus-float compare beyond
+2^53) or raises an error, so the reference raises its own exception.
+Only the instruction limit is reported by the kernel itself, as the
+same :class:`ExecutionLimitExceeded`.
+
 Semantics notes:
 
 * Integer division/remainder truncate toward zero (C semantics);
@@ -480,5 +492,19 @@ for _op, _fn in _ALU_FUNCS.items():
 
 
 def run_program(program: Program, max_instructions: int = 2_000_000) -> Trace:
-    """Convenience: interpret ``program`` and return its trace."""
-    return Interpreter(program, max_instructions=max_instructions).run()
+    """Interpret ``program`` and return its trace.
+
+    The native kernel records it when it loads; the reference
+    :class:`Interpreter` runs when it does not, and whenever the kernel
+    reports a value it cannot reproduce or an error (so the reference
+    raises its own exception).  Past ``max_instructions`` both raise
+    :class:`ExecutionLimitExceeded`.
+    """
+    program.validate()
+    # Imported here: the kernel's module imports this one.
+    from repro.sim import native
+
+    trace = native.interpret(program, max_instructions)
+    if trace is None:
+        trace = Interpreter(program, max_instructions=max_instructions).run()
+    return trace

@@ -24,6 +24,7 @@ from repro.reliability.oracle import (
     ArchState,
     check_commit_log,
     compare_states,
+    compare_traces,
     replay_commits,
     sequential_reference,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "check_commit_log",
     "check_run",
     "compare_states",
+    "compare_traces",
     "replay_commits",
     "sequential_reference",
     "verify_grid",

@@ -172,6 +172,31 @@ def _diff_dict(kind: str, ref: Dict, got: Dict,
             out.append(f"{kind}[{key}]: reference {a!r} != replay {b!r}")
 
 
+#: the recorded columns of a :class:`~repro.ir.interp.Trace`
+TRACE_COLUMNS = ("block_entries", "entry_pcs", "mem_addrs", "taken")
+
+
+def compare_traces(trace: Trace, reference: Trace) -> List[str]:
+    """Divergences of ``trace``'s columns from the ``reference``
+    interpreter's: the instruction count, then the first index at
+    which each column differs."""
+    out: List[str] = []
+    if trace.n != reference.n:
+        out.append(f"trace n {trace.n} != reference {reference.n}")
+    for name in TRACE_COLUMNS:
+        got, want = getattr(trace, name), getattr(reference, name)
+        if got == want:
+            continue
+        i = next((k for k, pair in enumerate(zip(got, want))
+                  if pair[0] != pair[1]), min(len(got), len(want)))
+
+        def at(column):
+            return repr(column[i]) if i < len(column) else "<missing>"
+
+        out.append(f"trace {name}[{i}] {at(got)} != reference {at(want)}")
+    return out
+
+
 def compare_states(reference: ArchState, replay: ArchState) -> List[str]:
     """Human-readable divergences between two final states."""
     out: List[str] = []

@@ -11,9 +11,11 @@ fuzz campaign worker and the reducer predicate all call.  It:
    (``_tick``), and so does any run with a seeded
    :class:`~repro.reliability.faults.FaultPlan` injecting forced
    mispredictions and spurious memory violations;
-3. checks the **differential oracle**: the monitor's commit log,
-   replayed with full semantics, against the sequential reference
-   execution; and
+3. checks the **differential oracle**: the compiled trace's columns
+   (recorded by the native interpreter when the kernel loads) against
+   the reference :class:`~repro.ir.interp.Interpreter`'s, and the
+   monitor's commit log, replayed with full semantics, against the
+   sequential reference execution; and
 4. without a fault plan, runs the cell again unmonitored, which is the
    native loop, and reports every :class:`~repro.sim.SimResult`
    field that differs from the monitored run.
@@ -38,6 +40,7 @@ from repro.reliability.monitors import InvariantMonitor, InvariantViolation
 from repro.reliability.oracle import (
     check_commit_log,
     compare_states,
+    compare_traces,
     replay_commits,
     sequential_reference,
 )
@@ -77,13 +80,8 @@ def check_run(
         return None, divergences, monitor.checks
 
     ref_trace, ref_state = sequential_reference(program)
-    if len(ref_trace) != len(trace):
-        divergences.append(
-            f"sequential re-execution produced {len(ref_trace)} "
-            f"instructions, compiled trace has {len(trace)} "
-            f"(non-deterministic workload?)"
-        )
-    else:
+    divergences += compare_traces(trace, ref_trace)
+    if len(ref_trace) == len(trace):
         divergences += check_commit_log(monitor.commit_log, len(trace))
         replay_state, replay_divergences = replay_commits(
             program, trace, monitor.commit_log

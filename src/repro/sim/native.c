@@ -1,6 +1,21 @@
-/* Native cycle loop of the Multiscalar machine (the "fast" engine).
+/* Native kernel of the Multiscalar machine: the functional interpreter
+ * and the cycle loop of the "fast" engine.
  *
- * A plain C port of MultiscalarMachine._tick and everything it calls:
+ * ms_interp executes a program from per-pc tables of its static
+ * instructions and records the trace's columns (repro.ir.interp.Trace):
+ * the instruction count, the block entries (start index, block id,
+ * start pc), the effective address of each memory op and the outcome
+ * of each conditional branch.  Integer registers hold int64 and fp
+ * registers doubles, as the reference Interpreter's Python ints and
+ * floats do on every value the kernel accepts; any value it cannot
+ * reproduce exactly (an int64 overflow, a negative shift, int() of a
+ * NaN, infinite or out-of-range float, an int-versus-float compare
+ * beyond 2^53, a division the reference raises on) and any error the
+ * reference raises ends the run with INTERP_FALLBACK, and
+ * repro.ir.interp.run_program interprets the program in Python instead.
+ *
+ * The cycle loop is a plain C port of MultiscalarMachine._tick and
+ * everything it calls:
  * phases A-D in ring order (drain + store-violation checks, retire,
  * assign + successor prediction, issue + fetch + accounting), squash,
  * the path / gshare / hybrid task predictors and the return address
@@ -22,7 +37,11 @@
  * after the run.
  *
  * Entry points (called through ctypes by repro.sim.native):
+ *   ms_interp(iparams, ibufs, iout) -> handle   interpret a program
+ *   ms_interp_copy(handle, what, dst)  copy one recorded trace column
+ *   ms_interp_free(handle)
  *   ms_lower(lparams, lin, bufs, lout) -> status   fill the trace buffers
+ *   ms_release(rparams, rbufs) -> status   SCHEDULE release flags
  *   ms_run(params, pu_params, bufs, out) -> handle (NULL: out of memory)
  *   ms_copy(handle, what, dst)            copy a variable-length output
  *   ms_free(handle)
@@ -266,7 +285,7 @@ typedef struct {
     i64 clock, n_present, capacity;
 } SyncTable;
 
-static uint64_t sync_hash(i64 a, i64 b)
+static uint64_t pair_hash(i64 a, i64 b)
 {
     uint64_t h = (uint64_t)a * 0x9E3779B97F4A7C15ull;
     h ^= (uint64_t)b + 0x632BE59BD9B4E019ull + (h << 6) + (h >> 2);
@@ -279,7 +298,7 @@ static i64 sync_find(const SyncTable *t, i64 a, i64 b)
     if (!t->n_entries)
         return -1;
     uint64_t mask = (uint64_t)t->n_slots - 1;
-    for (uint64_t s = sync_hash(a, b) & mask;; s = (s + 1) & mask) {
+    for (uint64_t s = pair_hash(a, b) & mask;; s = (s + 1) & mask) {
         i32 e = t->slots[s];
         if (e < 0)
             return -1;
@@ -291,7 +310,7 @@ static i64 sync_find(const SyncTable *t, i64 a, i64 b)
 static void sync_slot_in(SyncTable *t, i64 e)
 {
     uint64_t mask = (uint64_t)t->n_slots - 1;
-    uint64_t s = sync_hash(t->entries[e].store_pc, t->entries[e].load_pc)
+    uint64_t s = pair_hash(t->entries[e].store_pc, t->entries[e].load_pc)
                  & mask;
     while (t->slots[s] >= 0)
         s = (s + 1) & mask;
@@ -1254,6 +1273,489 @@ static void tick(Machine *m, i64 cycle)
     m->span_accum += m->active_span;
 }
 
+/* ------------------------------------------------------ interpretation */
+
+/* iparams[] layout (int64), mirrored by native.py. */
+enum { IP_N_BLOCKS, IP_N_REGS, IP_N_MEMORY, IP_ENTRY, IP_LIMIT, N_IPARAMS };
+
+/* ibufs[] layout, mirrored by native.py: the program's static encoding,
+ * indexed by pc, by block id (blocks in layout order) and by register
+ * id, then its initial memory image. */
+enum {
+    IB_OP, IB_IMM_KIND,             /* u8[n_pcs]                          */
+    IB_WRITE, IB_SRC0, IB_SRC1,     /* i32[n_pcs]: register or -1         */
+    IB_TARGET,                      /* i32[n_pcs]: branch, jump or callee
+                                       entry block                        */
+    IB_IMM,                         /* i64[n_pcs]: int value or double bits */
+    IB_BLOCK_PC,                    /* i64[n_blocks]: pc of the first inst */
+    IB_BLOCK_LEN, IB_BLOCK_FALL,    /* i32[n_blocks]; fallthrough or -1   */
+    IB_REG_FP,                      /* u8[n_regs]: 1 for an fp register   */
+    IB_MEM_ADDR, IB_MEM_BITS,       /* i64[n_memory]                      */
+    IB_MEM_FP,                      /* u8[n_memory]: 1 for a float value  */
+    N_IBUFS
+};
+
+/* Interpreter opcodes, mirrored by native.py.  OP_BAD marks an
+ * instruction the encoder cannot express (a missing operand, an
+ * immediate that is not an int64 or a double, ...): executing it
+ * falls back.  LI covers FLI, and MOV covers FMOV and CVTIF (the
+ * conversion is the destination register's). */
+enum {
+    OP_BAD, OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_REM, OP_AND, OP_OR, OP_XOR,
+    OP_SHL, OP_SHR, OP_SLT, OP_SLE, OP_SEQ, OP_SNE, OP_FADD, OP_FSUB,
+    OP_FMUL, OP_FDIV, OP_LI, OP_MOV, OP_CVTFI, OP_LOAD, OP_STORE, OP_BEQZ,
+    OP_BNEZ, OP_JUMP, OP_CALL, OP_RET, OP_HALT
+};
+/* IB_IMM_KIND values: no immediate (the second source is a register,
+ * or a memory op's offset of 0), an int64, a double. */
+enum { IMM_NONE, IMM_INT, IMM_FLOAT };
+
+/* iout[] layout, mirrored by native.py. */
+enum {
+    IO_STATUS, IO_N, IO_N_ENTRIES, IO_N_MEM, IO_N_BRANCHES, N_IOUT
+};
+enum { INTERP_OK, INTERP_LIMIT, INTERP_FALLBACK };
+/* ms_interp_copy columns: i64 entry starts, block ids, entry pcs and
+ * memory addresses; u8 branch outcomes (kept as i64 while recording). */
+enum {
+    IC_ENTRY_START, IC_ENTRY_BLOCK, IC_ENTRY_PC, IC_MEM_ADDR, IC_TAKEN,
+    N_ICOLS
+};
+
+/* A Python int or float: the reference's register and memory values. */
+typedef struct {
+    int fp;
+    union {
+        i64 i;
+        double f;
+    } u;
+} Val;
+
+/* The data memory: word address -> value, open addressing. */
+typedef struct {
+    i64 *keys;
+    Val *vals;
+    u8 *used;
+    uint64_t mask;
+    i64 n_used;
+} Memory;
+
+typedef struct {
+    Vec cols[N_ICOLS];
+    Memory mem;
+    Val *regs;
+    Vec stack;           /* call continuations (block ids) */
+} Interp;
+
+static uint64_t memory_find(const Memory *m, i64 addr)
+{
+    uint64_t k = ((uint64_t)addr * 0x9E3779B97F4A7C15ull >> 17) & m->mask;
+    while (m->used[k] && m->keys[k] != addr)
+        k = (k + 1) & m->mask;
+    return k;
+}
+
+static int memory_alloc(Memory *m, uint64_t n_slots)
+{
+    m->keys = malloc(n_slots * sizeof(i64));
+    m->vals = malloc(n_slots * sizeof(Val));
+    m->used = calloc(n_slots, 1);
+    m->mask = n_slots - 1;
+    m->n_used = 0;
+    return m->keys && m->vals && m->used;
+}
+
+/* The slot of `addr`, claimed (unused) if the word was never written;
+ * 0 when growing the table fails. */
+static int memory_slot(Memory *m, i64 addr, uint64_t *slot)
+{
+    uint64_t k = memory_find(m, addr);
+    if (m->used[k]) {
+        *slot = k;
+        return 1;
+    }
+    if ((uint64_t)(m->n_used + 1) * 2 > m->mask + 1) {
+        Memory old = *m;
+        if (!memory_alloc(m, (old.mask + 1) * 2)) {
+            free(m->keys);
+            free(m->vals);
+            free(m->used);
+            *m = old;
+            return 0;
+        }
+        for (uint64_t j = 0; j <= old.mask; j++) {
+            if (!old.used[j])
+                continue;
+            uint64_t to = memory_find(m, old.keys[j]);
+            m->keys[to] = old.keys[j];
+            m->vals[to] = old.vals[j];
+            m->used[to] = 1;
+        }
+        m->n_used = old.n_used;
+        free(old.keys);
+        free(old.vals);
+        free(old.used);
+        k = memory_find(m, addr);
+    }
+    m->keys[k] = addr;
+    m->used[k] = 1;
+    m->n_used++;
+    *slot = k;
+    return 1;
+}
+
+/* int(v); 0 when Python would raise (NaN, infinity) or leave int64. */
+static int to_int(Val v, i64 *out)
+{
+    if (!v.fp) {
+        *out = v.u.i;
+        return 1;
+    }
+    double d = v.u.f;
+    if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0))
+        return 0;
+    *out = (i64)d;
+    return 1;
+}
+
+/* float(v): an int64 rounds to nearest, as Python's int -> float. */
+static double to_float(Val v)
+{
+    return v.fp ? v.u.f : (double)v.u.i;
+}
+
+static int is_zero(Val v)
+{
+    return v.fp ? v.u.f == 0.0 : v.u.i == 0;
+}
+
+static Val int_val(i64 i)
+{
+    Val v = {0, {.i = i}};
+    return v;
+}
+
+static Val float_val(double f)
+{
+    Val v = {1, {.f = f}};
+    return v;
+}
+
+/* An immediate: an int64, or a double's bits. */
+static Val imm_val(int kind, i64 bits)
+{
+    Val v = {kind == IMM_FLOAT, {.i = bits}};
+    return v;
+}
+
+/* Python's a < b, a <= b, a == b or a != b as 0 / 1; -1 when an int
+ * beyond 2^53 meets a float (Python compares those exactly, and a
+ * double cannot hold the int). */
+static int compare(int op, Val a, Val b)
+{
+    if (!a.fp && !b.fp) {
+        i64 x = a.u.i, y = b.u.i;
+        return op == OP_SLT ? x < y : op == OP_SLE ? x <= y
+             : op == OP_SEQ ? x == y : x != y;
+    }
+    const i64 exact = (i64)1 << 53;
+    if ((!a.fp && (a.u.i > exact || a.u.i < -exact))
+        || (!b.fp && (b.u.i > exact || b.u.i < -exact)))
+        return -1;
+    double x = to_float(a), y = to_float(b);
+    return op == OP_SLT ? x < y : op == OP_SLE ? x <= y
+         : op == OP_SEQ ? x == y : x != y;
+}
+
+/* One ALU op of Opcode.alu (repro.ir.interp._ALU_FUNCS); 0 when the
+ * reference raises or its result is not an int64 or a double. */
+static int alu(int op, Val a, Val b, Val *out)
+{
+    i64 x, y, r;
+    if (op >= OP_SLT && op <= OP_SNE) {
+        int c = compare(op, a, b);
+        *out = int_val(c);
+        return c >= 0;
+    }
+    if (op >= OP_FADD) {
+        double f = to_float(a);
+        if (op == OP_FDIV) {
+            /* float(a) / b if b != 0 else 0.0 */
+            *out = float_val(is_zero(b) ? 0.0 : f / to_float(b));
+            return 1;
+        }
+        double g = to_float(b);
+        *out = float_val(op == OP_FADD ? f + g : op == OP_FSUB ? f - g
+                                                              : f * g);
+        return 1;
+    }
+    if ((op == OP_DIV || op == OP_REM) && is_zero(b)) {
+        *out = int_val(0);  /* division by zero yields 0 */
+        return 1;
+    }
+    if (!to_int(a, &x) || !to_int(b, &y))
+        return 0;
+    switch (op) {
+    case OP_ADD:
+        if (__builtin_add_overflow(x, y, &r))
+            return 0;
+        break;
+    case OP_SUB:
+        if (__builtin_sub_overflow(x, y, &r))
+            return 0;
+        break;
+    case OP_MUL:
+        if (__builtin_mul_overflow(x, y, &r))
+            return 0;
+        break;
+    case OP_DIV:
+        /* b != 0 but int(b) == 0 (a fraction) raises; INT64_MIN / -1
+         * leaves int64.  Otherwise both truncate toward zero. */
+        if (y == 0 || (x == INT64_MIN && y == -1))
+            return 0;
+        r = x / y;
+        break;
+    case OP_REM:
+        if (y == 0)
+            return 0;
+        r = y == -1 ? 0 : x % y;
+        break;
+    case OP_AND:
+        r = x & y;
+        break;
+    case OP_OR:
+        r = x | y;
+        break;
+    case OP_XOR:
+        r = x ^ y;
+        break;
+    case OP_SHL:
+        if (y < 0 || y > 63)
+            return 0;
+        r = (i64)((uint64_t)x << y);
+        if (r >> y != x)
+            return 0;
+        break;
+    case OP_SHR:
+        if (y < 0)
+            return 0;
+        r = y > 63 ? (x < 0 ? -1 : 0) : x >> y;
+        break;
+    default:
+        return 0;
+    }
+    *out = int_val(r);
+    return 1;
+}
+
+/* Write `v` to register `reg` (-1: r0, discarded) as its class holds
+ * it: int(v) or float(v); 0 when int(v) fails. */
+static int write_reg(Val *regs, const u8 *reg_fp, i32 reg, Val v)
+{
+    if (reg < 0)
+        return 1;
+    if (reg_fp[reg]) {
+        regs[reg] = float_val(to_float(v));
+        return 1;
+    }
+    i64 i;
+    if (!to_int(v, &i))
+        return 0;
+    regs[reg] = int_val(i);
+    return 1;
+}
+
+static void interp_free(Interp *t)
+{
+    if (!t)
+        return;
+    for (int c = 0; c < N_ICOLS; c++)
+        free(t->cols[c].v);
+    free(t->mem.keys);
+    free(t->mem.vals);
+    free(t->mem.used);
+    free(t->regs);
+    free(t->stack.v);
+    free(t);
+}
+
+/* Interpreter.run over the static encoding: record the trace's columns
+ * and set iout[]; NULL when out of memory. */
+void *ms_interp(const i64 *iparams, void *const *ibufs, i64 *iout)
+{
+    const u8 *op = ibufs[IB_OP], *imm_kind = ibufs[IB_IMM_KIND];
+    const i32 *write = ibufs[IB_WRITE], *src0 = ibufs[IB_SRC0];
+    const i32 *src1 = ibufs[IB_SRC1], *target = ibufs[IB_TARGET];
+    const i64 *imm = ibufs[IB_IMM], *block_pc = ibufs[IB_BLOCK_PC];
+    const i32 *block_len = ibufs[IB_BLOCK_LEN];
+    const i32 *block_fall = ibufs[IB_BLOCK_FALL];
+    const u8 *reg_fp = ibufs[IB_REG_FP];
+    const i64 *mem_addr = ibufs[IB_MEM_ADDR], *mem_bits = ibufs[IB_MEM_BITS];
+    const u8 *mem_fp = ibufs[IB_MEM_FP];
+    i64 n_regs = iparams[IP_N_REGS], n_memory = iparams[IP_N_MEMORY];
+    i64 limit = iparams[IP_LIMIT];
+    int failed = 0;
+
+    Interp *t = calloc(1, sizeof(Interp));
+    if (!t)
+        return NULL;
+    uint64_t n_slots = 256;
+    while (n_slots < 2 * (uint64_t)n_memory)
+        n_slots *= 2;
+    t->regs = calloc((size_t)(n_regs ? n_regs : 1), sizeof(Val));
+    if (!t->regs || !memory_alloc(&t->mem, n_slots)) {
+        interp_free(t);
+        return NULL;
+    }
+    for (i64 r = 0; r < n_regs; r++)
+        t->regs[r].fp = reg_fp[r];
+    for (i64 k = 0; k < n_memory; k++) {
+        uint64_t slot;
+        memory_slot(&t->mem, mem_addr[k], &slot);  /* sized: cannot grow */
+        t->mem.vals[slot].fp = mem_fp[k];
+        t->mem.vals[slot].u.i = mem_bits[k];
+    }
+
+    Val *regs = t->regs;
+    Vec *starts = &t->cols[IC_ENTRY_START], *blocks = &t->cols[IC_ENTRY_BLOCK];
+    Vec *pcs = &t->cols[IC_ENTRY_PC], *addrs = &t->cols[IC_MEM_ADDR];
+    int status = INTERP_OK;
+    i64 n = 0, block = iparams[IP_ENTRY];
+    for (;;) {
+        i64 len = block_len[block], first = block_pc[block];
+        vec_push(starts, n, &failed);
+        vec_push(blocks, block, &failed);
+        vec_push(pcs, len ? first : 0, &failed);
+        /* Every entry runs its whole block, so the instruction budget
+         * is checked once per entry. */
+        n += len;
+        if (n > limit) {
+            status = INTERP_LIMIT;
+            break;
+        }
+        i64 next = block_fall[block];
+        int halted = 0;
+        for (i64 p = first; p < first + len && !status; p++) {
+            Val a, b, v;
+            i64 base, addr;
+            uint64_t slot;
+            int kind = op[p];
+            switch (kind) {
+            case OP_LI:
+                if (!write_reg(regs, reg_fp, write[p],
+                               imm_val(imm_kind[p], imm[p])))
+                    status = INTERP_FALLBACK;
+                break;
+            case OP_MOV:
+                if (!write_reg(regs, reg_fp, write[p], regs[src0[p]]))
+                    status = INTERP_FALLBACK;
+                break;
+            case OP_CVTFI:
+                if (!to_int(regs[src0[p]], &base)
+                    || !write_reg(regs, reg_fp, write[p], int_val(base)))
+                    status = INTERP_FALLBACK;
+                break;
+            case OP_LOAD:
+            case OP_STORE:
+                /* address = int(base) + int(imm or 0), the base in
+                 * src0 and the offset an int64; a store's value is
+                 * src1. */
+                if (!to_int(regs[src0[p]], &base)
+                    || __builtin_add_overflow(base, imm[p], &addr)) {
+                    status = INTERP_FALLBACK;
+                    break;
+                }
+                vec_push(addrs, addr, &failed);
+                if (kind == OP_STORE) {
+                    if (!memory_slot(&t->mem, addr, &slot)) {
+                        failed = 1;
+                        break;
+                    }
+                    t->mem.vals[slot] = regs[src1[p]];
+                } else if (write[p] >= 0) {
+                    slot = memory_find(&t->mem, addr);
+                    v = t->mem.used[slot] ? t->mem.vals[slot] : int_val(0);
+                    if (!write_reg(regs, reg_fp, write[p], v))
+                        status = INTERP_FALLBACK;
+                }
+                break;
+            case OP_BEQZ:
+            case OP_BNEZ: {
+                int taken = is_zero(regs[src0[p]]) == (kind == OP_BEQZ);
+                vec_push(&t->cols[IC_TAKEN], taken, &failed);
+                if (taken)
+                    next = target[p];
+                break;
+            }
+            case OP_JUMP:
+                next = target[p];
+                break;
+            case OP_CALL:
+                vec_push(&t->stack, block_fall[block], &failed);
+                next = target[p];
+                break;
+            case OP_RET:
+                if (t->stack.len == 0)
+                    status = INTERP_FALLBACK;  /* the reference raises */
+                else
+                    next = t->stack.v[--t->stack.len];
+                break;
+            case OP_HALT:
+                halted = 1;
+                next = -1;
+                break;
+            case OP_BAD:
+                status = INTERP_FALLBACK;
+                break;
+            default:
+                a = regs[src0[p]];
+                b = src1[p] >= 0 ? regs[src1[p]]
+                                 : imm_val(imm_kind[p], imm[p]);
+                if (!alu(kind, a, b, &v)
+                    || !write_reg(regs, reg_fp, write[p], v))
+                    status = INTERP_FALLBACK;
+                break;
+            }
+            if (failed)
+                break;
+        }
+        if (status || failed || halted)
+            break;
+        if (next < 0) {
+            status = INTERP_FALLBACK;  /* fell off the end of the block */
+            break;
+        }
+        block = next;
+    }
+    if (failed) {
+        interp_free(t);
+        return NULL;
+    }
+    iout[IO_STATUS] = status;
+    iout[IO_N] = n;
+    iout[IO_N_ENTRIES] = starts->len;
+    iout[IO_N_MEM] = addrs->len;
+    iout[IO_N_BRANCHES] = t->cols[IC_TAKEN].len;
+    return t;
+}
+
+/* Copy one recorded column into `dst` (sized from iout[]). */
+void ms_interp_copy(void *handle, int what, void *dst)
+{
+    const Vec *col = &((Interp *)handle)->cols[what];
+    if (what == IC_TAKEN) {
+        for (i64 k = 0; k < col->len; k++)
+            ((u8 *)dst)[k] = (u8)col->v[k];
+    } else {
+        memcpy(dst, col->v, (size_t)col->len * sizeof(i64));
+    }
+}
+
+void ms_interp_free(void *handle)
+{
+    interp_free(handle);
+}
+
 /* ----------------------------------------------------------- lowering */
 
 /* lparams[] layout (int64), mirrored by native.py. */
@@ -1441,6 +1943,73 @@ done:
     free(last_writer);
     free(counters);
     return status;
+}
+
+/* ------------------------------------------------------- release flags */
+
+/* rparams[] layout (int64), mirrored by native.py. */
+enum { RP_N, RP_N_ROWS, RP_N_MASKS, N_RPARAMS };
+
+/* rbufs[] layout, mirrored by native.py. */
+enum {
+    RB_TABLE,                     /* i64[n_rows * T_COLS]: the task table */
+    RB_PC, RB_BLOCK_START,        /* the lowering's B_PC and B_BLOCK_START */
+    RB_ABSORBED,                  /* u8[n]: inside an absorbed callee    */
+    RB_MASK_ROOT, RB_MASK_PC,     /* i64[n_masks]: task root pc, block pc */
+    RB_MASK_OFF,                  /* i64[n_masks + 1]: offsets in masks  */
+    RB_MASKS,                     /* u8: each block's release mask       */
+    RB_FLAGS,                     /* u8[n], zeroed: out                  */
+    N_RBUFS
+};
+
+/* The SCHEDULE flags of one stream: each non-absorbed instruction takes
+ * its position's bit of the mask its (task root pc, block pc) pair was
+ * analysed into, and an entry whose pair has no mask keeps zeros.
+ * Returns 0, or 1 when out of memory. */
+int ms_release(const i64 *rparams, void *const *rbufs)
+{
+    i64 n_rows = rparams[RP_N_ROWS], n_masks = rparams[RP_N_MASKS];
+    const i64 *table = rbufs[RB_TABLE], *pc = rbufs[RB_PC];
+    const u8 *block_start = rbufs[RB_BLOCK_START];
+    const u8 *absorbed = rbufs[RB_ABSORBED];
+    const i64 *mask_root = rbufs[RB_MASK_ROOT], *mask_pc = rbufs[RB_MASK_PC];
+    const i64 *mask_off = rbufs[RB_MASK_OFF];
+    const u8 *masks = rbufs[RB_MASKS];
+    u8 *flags = rbufs[RB_FLAGS];
+
+    uint64_t n_slots = 16;
+    while (n_slots < 2 * (uint64_t)n_masks)
+        n_slots *= 2;
+    uint64_t hmask = n_slots - 1;
+    i64 *slots = malloc(n_slots * sizeof(i64));  /* mask index, -1 empty */
+    if (!slots)
+        return 1;
+    memset(slots, 0xff, n_slots * sizeof(i64));
+    for (i64 k = 0; k < n_masks; k++) {
+        uint64_t s = pair_hash(mask_root[k], mask_pc[k]) & hmask;
+        while (slots[s] >= 0)
+            s = (s + 1) & hmask;
+        slots[s] = k;
+    }
+    for (i64 row = 0; row < n_rows; row++) {
+        const i64 *t = table + row * T_COLS;
+        const u8 *mask = NULL;
+        i64 base = 0;
+        for (i64 i = t[T_START]; i < t[T_END]; i++) {
+            if (block_start[i]) {
+                uint64_t s = pair_hash(t[T_PC], pc[i]) & hmask;
+                while (slots[s] >= 0 && (mask_root[slots[s]] != t[T_PC]
+                                         || mask_pc[slots[s]] != pc[i]))
+                    s = (s + 1) & hmask;
+                mask = slots[s] >= 0 ? masks + mask_off[slots[s]] : NULL;
+                base = i;
+            }
+            if (mask && !absorbed[i])
+                flags[i] = mask[i - base];
+        }
+    }
+    free(slots);
+    return 0;
 }
 
 /* ---------------------------------------------------------------- run */

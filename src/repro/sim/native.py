@@ -1,48 +1,68 @@
-"""Loader and driver of the native cycle loop (``native.c``).
+"""Loader and driver of the native kernel (``native.c``).
 
-``engine="fast"`` runs :func:`run`, a C port of
-:meth:`~repro.sim.machine.MultiscalarMachine._tick`, unless a monitor
-or a fault plan is attached (both read or mutate live machine state,
-so those runs take ``_tick``).  The kernel is built with the system C
-compiler on first use into ``<artifact cache root>/native/<digest>.so``
-(the digest covers the source and the compiler command) and loaded
-through :mod:`ctypes`, once per process.  When the build or the load
-fails, one ``RuntimeWarning`` names the error and ``fast`` runs
-``_tick`` instead.
+The kernel does three jobs:
 
-The kernel lowers each trace itself: :func:`lowering` hands
-``ms_lower`` the trace's flat columns (block-entry starts and pcs,
-memory addresses, branch outcomes) and per-pc tables of the program's
-static instructions, and ``ms_lower`` fills every per-instruction
-buffer the cycle loop reads (a :class:`Lowering`).  That runs once per
-trace, and the lowering lives in a weak-keyed side table, so it dies
-with its trace and is never pickled with a compiled artifact.  The
-per-task table is the stream's own
-(:attr:`~repro.sim.taskstream.TaskStream.table`, emitted by
-:func:`~repro.sim.taskstream.build_task_stream`).  So a kernel run
-builds no per-instruction or per-task Python object: neither the
-Python packing (:mod:`repro.sim.packed`), the reference loop's input,
-nor the trace's ``DynInst`` view nor the stream's ``DynTask`` view.
-After the run, the machine's counters and cache / predictor
-statistics are written back, the run state's ``complete`` and
-``forward`` become the kernel's own arrays, and an attached tracer
-receives the run's lifecycle events in order.
+* **Functional interpretation.**  :func:`interpret` runs a program in
+  ``ms_interp`` and builds its :class:`~repro.ir.interp.Trace` from
+  the recorded columns (the instruction count, the block entries with
+  their start pcs, the memory addresses, the branch outcomes), with
+  the column types the Python :class:`~repro.ir.interp.Interpreter`
+  records.  :func:`~repro.ir.interp.run_program` uses it whenever the
+  kernel loads.  It returns None (and ``run_program`` runs the
+  reference ``Interpreter``) when the program needs a value the
+  kernel cannot reproduce exactly, such as an int64 overflow, int()
+  of a NaN, infinite or out-of-range float or an int-versus-float
+  compare beyond 2^53, or when the reference raises; past the
+  instruction limit it raises
+  :class:`~repro.ir.interp.ExecutionLimitExceeded` itself.
+* **Lowering.**  :func:`lowering` hands ``ms_lower`` the trace's flat
+  columns and fills every per-instruction buffer the cycle loop reads
+  (a :class:`Lowering`), once per trace, kept in a weak-keyed side
+  table so it dies with its trace and is never pickled with a
+  compiled artifact.  Both jobs read one static :class:`Encoding` of
+  the program (per-pc, per-block and per-register tables); a trace
+  the kernel recorded keeps its encoding until it is lowered.
+  :func:`release_flags` copies a stream's SCHEDULE release masks into
+  every block entry in ``ms_release``.
+* **The cycle loop.**  ``engine="fast"`` runs :func:`run`, a C port of
+  :meth:`~repro.sim.machine.MultiscalarMachine._tick`, unless a
+  monitor or a fault plan is attached (both read or mutate live
+  machine state, so those runs take ``_tick``).  The per-task table is
+  the stream's own (:attr:`~repro.sim.taskstream.TaskStream.table`).
+  So a kernel run builds no per-instruction or per-task Python object:
+  neither the Python packing (:mod:`repro.sim.packed`), the reference
+  loop's input, nor the trace's ``DynInst`` view nor the stream's
+  ``DynTask`` view.  After the run, the machine's counters and cache /
+  predictor statistics are written back, the run state's ``complete``
+  and ``forward`` become the kernel's own arrays, and an attached
+  tracer receives the run's lifecycle events in order.
+
+The kernel is built with the system C compiler on first use into
+``<artifact cache root>/native/<digest>.so`` (the digest covers the
+source and the compiler command) and loaded through :mod:`ctypes`,
+once per process.  When the build or the load fails, one
+``RuntimeWarning`` names the error; programs are then interpreted in
+Python and ``fast`` runs ``_tick``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import struct
 import subprocess
 import uuid
 import warnings
 import weakref
 from array import array
 from collections import OrderedDict
+from itertools import accumulate
+from operator import sub
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir.instructions import Opcode
+from repro.ir.interp import ExecutionLimitExceeded, Trace
 from repro.predict import GshareTaskPredictor, HybridTaskPredictor
 from repro.sim.breakdown import REASONS
 from repro.sim.config import ForwardPolicy
@@ -54,9 +74,16 @@ SOURCE = Path(__file__).with_name("native.c")
 COMMAND: Tuple[str, ...] = ("cc", "-O2", "-std=c99", "-shared", "-fPIC")
 
 # Layouts shared with native.c (its P_*, B_*, L_*, LI_*, LO_*, T_*,
-# O_* enums).
+# O_*, IP_*, IB_*, IO_*, IC_*, RP_* and RB_* enums).
 _N_BUFS, _N_TRACE_BUFS = 24, 15
 _N_LIN = 10
+_N_IBUFS = 14
+_IO_STATUS, _IO_N, _IO_N_ENTRIES, _IO_N_MEM, _IO_N_BRANCHES, _N_IOUT = (
+    range(6))
+_INTERP_OK, _INTERP_LIMIT = 0, 1
+_IC_ENTRY_START, _IC_ENTRY_BLOCK, _IC_ENTRY_PC, _IC_MEM_ADDR, _IC_TAKEN = (
+    range(5))
+_N_RBUFS = 9
 _LO_N_PROD, _LO_GSHARE_MISPREDICTIONS, _N_LOUT = range(3)
 _LOWER_NO_MEMORY = 1
 _KIND_LOAD, _KIND_STORE, _KIND_COND = 1, 2, 4
@@ -131,8 +158,17 @@ def kernel():
             if not path.exists():
                 _build(path)
             lib = ctypes.CDLL(str(path))
+            lib.ms_interp.restype = ctypes.c_void_p
+            lib.ms_interp.argtypes = [ctypes.c_void_p] * 3
+            lib.ms_interp_copy.restype = None
+            lib.ms_interp_copy.argtypes = [ctypes.c_void_p, ctypes.c_int,
+                                           ctypes.c_void_p]
+            lib.ms_interp_free.restype = None
+            lib.ms_interp_free.argtypes = [ctypes.c_void_p]
             lib.ms_lower.restype = ctypes.c_int
             lib.ms_lower.argtypes = [ctypes.c_void_p] * 4
+            lib.ms_release.restype = ctypes.c_int
+            lib.ms_release.argtypes = [ctypes.c_void_p] * 2
             lib.ms_run.restype = ctypes.c_void_p
             lib.ms_run.argtypes = [ctypes.c_void_p] * 4
             lib.ms_copy.restype = None
@@ -144,8 +180,9 @@ def kernel():
         except OSError as exc:
             _kernel = False
             warnings.warn(
-                f"native cycle loop unavailable ({exc}); "
-                f"engine='fast' runs the Python loop",
+                f"native kernel unavailable ({exc}); programs are "
+                f"interpreted in Python and engine='fast' runs the "
+                f"Python loop",
                 RuntimeWarning, stacklevel=2,
             )
     return _kernel or None
@@ -160,6 +197,9 @@ def loop_name() -> str:
 
 #: Trace -> its Lowering
 _lowerings: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: Trace recorded by the kernel -> its program's Encoding, until the
+#: trace is lowered
+_encodings: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 #: the lowering's one-byte-per-instruction buffers
@@ -208,61 +248,307 @@ class Lowering:
 
 
 def _address(buf, views: List) -> Optional[int]:
-    """``buf``'s data address (None when absent or empty); a
-    bytearray's ctypes view is kept in ``views`` while the caller
-    needs the address."""
+    """``buf``'s data address (None when absent or empty); ``buf`` (or,
+    for a bytearray, its ctypes view) is kept in ``views`` while the
+    caller needs the address."""
     import ctypes
 
     if buf is None or not len(buf):
         return None
     if isinstance(buf, array):
+        views.append(buf)
         return buf.buffer_info()[0]
-    view = (ctypes.c_char * len(buf)).from_buffer(buf)
+    view = ctypes.c_char.from_buffer(buf)
     views.append(view)
     return ctypes.addressof(view)
 
 
-def _static_tables(program) -> Tuple:
-    """Per-pc columns of ``program``'s static instructions: opcode
-    class, kind bits, latency, written register (-1: none), the
-    registers read as CSR, the register count and the most registers
-    one instruction reads.  Register names are interned to dense ids.
+#: native.c's OP_* codes
+(_OP_BAD, _OP_ADD, _OP_SUB, _OP_MUL, _OP_DIV, _OP_REM, _OP_AND, _OP_OR,
+ _OP_XOR, _OP_SHL, _OP_SHR, _OP_SLT, _OP_SLE, _OP_SEQ, _OP_SNE, _OP_FADD,
+ _OP_FSUB, _OP_FMUL, _OP_FDIV, _OP_LI, _OP_MOV, _OP_CVTFI, _OP_LOAD,
+ _OP_STORE, _OP_BEQZ, _OP_BNEZ, _OP_JUMP, _OP_CALL, _OP_RET,
+ _OP_HALT) = range(30)
+_IMM_NONE, _IMM_INT, _IMM_FLOAT = range(3)
+#: Opcode -> (OP_* code, the operands its encoding reads: "ab" two
+#: sources or a source and an immediate, "a" one source, "i" an
+#: immediate, "m" a memory operand, "t" a target block, "c" a callee,
+#: "" none).  LI covers FLI, and MOV covers FMOV and CVTIF: the
+#: conversion is the destination register's.
+_INTERP = {
+    Opcode.ADD: (_OP_ADD, "ab"), Opcode.SUB: (_OP_SUB, "ab"),
+    Opcode.MUL: (_OP_MUL, "ab"), Opcode.DIV: (_OP_DIV, "ab"),
+    Opcode.REM: (_OP_REM, "ab"), Opcode.AND: (_OP_AND, "ab"),
+    Opcode.OR: (_OP_OR, "ab"), Opcode.XOR: (_OP_XOR, "ab"),
+    Opcode.SHL: (_OP_SHL, "ab"), Opcode.SHR: (_OP_SHR, "ab"),
+    Opcode.SLT: (_OP_SLT, "ab"), Opcode.SLE: (_OP_SLE, "ab"),
+    Opcode.SEQ: (_OP_SEQ, "ab"), Opcode.SNE: (_OP_SNE, "ab"),
+    Opcode.FADD: (_OP_FADD, "ab"), Opcode.FSUB: (_OP_FSUB, "ab"),
+    Opcode.FMUL: (_OP_FMUL, "ab"), Opcode.FDIV: (_OP_FDIV, "ab"),
+    Opcode.LI: (_OP_LI, "i"), Opcode.FLI: (_OP_LI, "i"),
+    Opcode.MOV: (_OP_MOV, "a"), Opcode.FMOV: (_OP_MOV, "a"),
+    Opcode.CVTIF: (_OP_MOV, "a"), Opcode.CVTFI: (_OP_CVTFI, "a"),
+    Opcode.LOAD: (_OP_LOAD, "m"), Opcode.STORE: (_OP_STORE, "m"),
+    Opcode.BEQZ: (_OP_BEQZ, "at"), Opcode.BNEZ: (_OP_BNEZ, "at"),
+    Opcode.JUMP: (_OP_JUMP, "t"), Opcode.CALL: (_OP_CALL, "c"),
+    Opcode.RET: (_OP_RET, ""), Opcode.HALT: (_OP_HALT, ""),
+}
+#: mnemonic -> (OP_* code, operand shape, opcode class id, kind bits,
+#: latency).  Keyed by ``Opcode._value_``: a str key hashes in C, where
+#: an Opcode key pays a Python-level ``Enum.__hash__`` and
+#: ``Opcode.value`` a Python-level property, a quarter of a
+#: microsecond each per static instruction.
+_OP_INFO = {
+    op._value_: (*_INTERP[op], OPCLASS_ID[op.op_class],
+                 _KIND_LOAD if op is Opcode.LOAD
+                 else _KIND_STORE if op is Opcode.STORE
+                 else _KIND_COND if op.is_branch else 0,
+                 op.latency)
+    for op in Opcode
+}
+_INT64 = range(-(1 << 63), 1 << 63)
+_DOUBLE = struct.Struct("d")
+_BITS = struct.Struct("q")
+_BAD = (_OP_BAD, -1, -1, _IMM_NONE, 0, -1)
+
+
+def _immediate(value) -> Optional[Tuple[int, int]]:
+    """``(kind, bits)`` of an ALU or LI immediate; None when it is not
+    an int64 or a float (the kernel cannot compute with it)."""
+    if type(value) is float:
+        return _IMM_FLOAT, _BITS.unpack(_DOUBLE.pack(value))[0]
+    if type(value) in (int, bool) and value in _INT64:
+        return _IMM_INT, int(value)
+    return None
+
+
+def _memory_image(image) -> Optional[Tuple[array, array, array]]:
+    """The memory image as addresses, value bits and float flags; None
+    when an address is not an int64 or a value neither an int64 nor a
+    float."""
+    values = list(image.values())
+    types = set(map(type, values))
+    try:
+        addrs = array("q", list(image))
+        if types <= {int, bool}:
+            return addrs, array("q", values), array("B", bytes(len(values)))
+    except (TypeError, OverflowError):
+        return None
+    bits = array("q")
+    if types == {float}:
+        bits.frombytes(array("d", values).tobytes())
+        return addrs, bits, array("B", b"\x01" * len(values))
+    fp = array("B")
+    for value in values:
+        imm = _immediate(value)
+        if imm is None:
+            return None
+        fp.append(imm[0] == _IMM_FLOAT)
+        bits.append(imm[1])
+    return addrs, bits, fp
+
+
+class Encoding:
+    """One program's static encoding, read by ``ms_interp`` and
+    ``ms_lower``.
+
+    Per pc (one per instruction and one per empty block, in layout
+    order, as ``Program._assign_pcs``): the lowering's opcode class,
+    kind bits, latency, written register (-1: none) and registers read
+    (CSR, ``r0`` left out), and the interpreter's opcode, sources (-1:
+    none; ``r0`` is a register nothing writes), immediate kind and bits
+    and target block.  Per block, in layout order (:attr:`blocks` holds
+    their ids): the first pc, the length and the fallthrough block (-1:
+    none).  Per register: 1 for an fp register.  Register names are
+    interned to dense ids.  :attr:`memory` is the initial memory image
+    (addresses, value bits, float flags), or None when the kernel
+    cannot hold one of its words.
+
+    An instruction the kernel cannot run as the reference does (an
+    operand missing or not a register name, an immediate that is not
+    an int64 or a float, a CALL without a continuation) is encoded as
+    ``OP_BAD``, and executing it hands the program to the reference.
     """
-    regs: Dict[str, int] = {}
-    opcls, kind = bytearray(), bytearray()
-    latency, write = array("i"), array("i")
-    read_off, reads = array("i", [0]), array("i")
-    max_reads = 0
-    # Pcs run in layout order, one per instruction and one for an
-    # empty block (Program._assign_pcs).
-    for func in program.functions():
-        for blk in func.blocks():
-            for ins in blk.instructions or (None,):
-                if ins is None:
-                    opcls.append(0)
-                    kind.append(0)
-                    latency.append(0)
-                    write.append(-1)
-                    read_off.append(len(reads))
+
+    def __init__(self, program) -> None:
+        regs: Dict[str, int] = {}
+        self.reg_fp = reg_fp = array("B")
+
+        def reg(name) -> int:
+            rid = regs.get(name)
+            if rid is None:
+                rid = regs[name] = len(regs)
+                reg_fp.append(isinstance(name, str) and name[:1] == "f")
+            return rid
+
+        def source(name) -> int:
+            # The reference reads ``name[0]``: a name must be a str.
+            if type(name) is not str or not name:
+                raise TypeError(name)
+            return reg(name)
+
+        self.blocks: List = []
+        block_ids: Dict = {}
+        for func in program.functions():
+            for blk in func.blocks():
+                block_ids[(func.name, blk.label)] = len(self.blocks)
+                self.blocks.append((func.name, blk.label))
+        self.block_pc, self.block_len = array("q"), array("i")
+        self.block_fall = array("i")
+        self.read_off, self.reads = array("i", [0]), array("i")
+        rows: List[Tuple] = []
+        empty = (0, 0, 0, -1) + _BAD
+        for func in program.functions():
+            for blk in func.blocks():
+                instructions = blk.instructions
+                self.block_pc.append(len(rows))
+                self.block_len.append(len(instructions))
+                self.block_fall.append(block_ids.get(
+                    (func.name, blk.fallthrough), -1
+                ))
+                if not instructions:
+                    rows.append(empty)
+                    self.read_off.append(len(self.reads))
                     continue
-                op = ins.opcode
-                opcls.append(OPCLASS_ID[op.op_class])
-                kind.append(
-                    _KIND_LOAD if op is Opcode.LOAD
-                    else _KIND_STORE if op is Opcode.STORE
-                    else _KIND_COND if op.is_branch
-                    else 0
-                )
-                latency.append(op.latency)
-                write.append(
-                    -1 if ins.writes is None
-                    else regs.setdefault(ins.writes, len(regs))
-                )
-                for name in ins.reads:
-                    reads.append(regs.setdefault(name, len(regs)))
-                read_off.append(len(reads))
-                max_reads = max(max_reads, len(ins.reads))
-    return opcls, kind, latency, write, read_off, reads, len(regs), max_reads
+                for ins in instructions:
+                    code, shape, *lowered = _OP_INFO[ins.opcode._value_]
+                    writes = ins.writes
+                    try:
+                        interp = _interp_columns(
+                            ins, code, shape, source, program, func.name,
+                            blk, block_ids,
+                        )
+                    except (TypeError, IndexError, KeyError, ValueError,
+                            OverflowError):
+                        interp = _BAD
+                    rows.append((*lowered,
+                                 -1 if writes is None else reg(writes),
+                                 *interp))
+                    self.reads.extend(map(reg, ins.reads))
+                    self.read_off.append(len(self.reads))
+        columns = list(zip(*rows))
+        self.opcls, self.kind = array("B", columns[0]), array("B", columns[1])
+        self.latency = array("i", columns[2])
+        self.write = array("i", columns[3])
+        self.op = array("B", columns[4])
+        self.src0, self.src1 = array("i", columns[5]), array("i", columns[6])
+        self.imm_kind = array("B", columns[7])
+        self.imm = array("q", columns[8])
+        self.target = array("i", columns[9])
+        self.max_reads = max(map(sub, self.read_off[1:], self.read_off),
+                             default=0)
+        self.n_regs = len(regs)
+        main = program.main
+        self.entry = block_ids[(main.name, main.entry_label)]
+        self.memory = _memory_image(program.memory_image)
+
+
+def _interp_columns(ins, code: int, shape: str, source, program, func: str,
+                    blk, block_ids) -> Tuple:
+    """``(op, src0, src1, immediate kind, immediate bits, target
+    block)`` of ``ins`` for ``ms_interp``; a load's or store's base
+    register is src0 and a store's value src1.  Raises where the
+    reference would fail on the operands' shape."""
+    srcs = ins.srcs
+    if shape == "ab" or shape == "a" or shape == "i" or code == _OP_LOAD:
+        source(ins.dst)  # a writer: the reference raises on no name
+    if shape == "ab":
+        if len(srcs) > 1:
+            return code, source(srcs[0]), source(srcs[1]), _IMM_NONE, 0, -1
+        imm = _immediate(ins.imm)
+        return _BAD if imm is None else (code, source(srcs[0]), -1, *imm, -1)
+    if shape == "a":
+        return code, source(srcs[0]), -1, _IMM_NONE, 0, -1
+    if shape == "i":
+        imm = _immediate(ins.imm)
+        return _BAD if imm is None else (code, -1, -1, *imm, -1)
+    if shape == "m":
+        # address = int(base) + int(imm or 0): the offset is static.
+        offset = int(ins.imm or 0)
+        if offset not in _INT64:
+            return _BAD
+        if code == _OP_LOAD:
+            return code, source(srcs[0]), -1, _IMM_INT, offset, -1
+        return code, source(srcs[1]), source(srcs[0]), _IMM_INT, offset, -1
+    if shape == "at":
+        return (code, source(srcs[0]), -1, _IMM_NONE, 0,
+                block_ids[(func, ins.target)])
+    if shape == "t":
+        return code, -1, -1, _IMM_NONE, 0, block_ids[(func, ins.target)]
+    if shape == "c":
+        callee = program.function(ins.target)
+        if blk.fallthrough is None:
+            return _BAD
+        return (code, -1, -1, _IMM_NONE, 0,
+                block_ids[(callee.name, callee.entry_label)])
+    return code, -1, -1, _IMM_NONE, 0, -1
+
+
+def interpret(program, max_instructions: int) -> Optional[Trace]:
+    """``program``'s trace, recorded by ``ms_interp``.
+
+    None when the kernel is unavailable, or when the run needs a value
+    or raises an error the kernel does not reproduce: the caller then
+    runs the reference :class:`~repro.ir.interp.Interpreter`.  Past
+    ``max_instructions`` it raises
+    :class:`~repro.ir.interp.ExecutionLimitExceeded`, as the reference
+    does.
+    """
+    lib = kernel()
+    if lib is None or type(max_instructions) is not int:
+        return None
+    enc = Encoding(program)
+    if enc.memory is None:
+        return None
+    iparams = array("q", [len(enc.blocks), enc.n_regs, len(enc.memory[0]),
+                          enc.entry, min(max_instructions, 1 << 62)])
+    views: List = []
+    ibufs = _pointers(views, (
+        enc.op, enc.imm_kind, enc.write, enc.src0, enc.src1, enc.target,
+        enc.imm, enc.block_pc, enc.block_len, enc.block_fall, enc.reg_fp,
+        *enc.memory,
+    ), _N_IBUFS)
+    iout = array("q", bytes(8 * _N_IOUT))
+    handle = lib.ms_interp(iparams.buffer_info()[0], ibufs,
+                           iout.buffer_info()[0])
+    del views
+    if not handle:
+        raise MemoryError("native interpreter: out of memory")
+    try:
+        status = iout[_IO_STATUS]
+        if status == _INTERP_LIMIT:
+            raise ExecutionLimitExceeded(
+                f"exceeded {max_instructions} dynamic instructions"
+            )
+        if status != _INTERP_OK:
+            return None
+        n_entries = iout[_IO_N_ENTRIES]
+
+        def column(what: int, length: int) -> array:
+            dst = array("q", bytes(8 * length))
+            if length:
+                lib.ms_interp_copy(handle, what, dst.buffer_info()[0])
+            return dst
+
+        starts = column(_IC_ENTRY_START, n_entries)
+        ids = column(_IC_ENTRY_BLOCK, n_entries)
+        pcs = column(_IC_ENTRY_PC, n_entries)
+        addrs = column(_IC_MEM_ADDR, iout[_IO_N_MEM])
+        taken = bytearray(iout[_IO_N_BRANCHES])
+        if taken:
+            views = []
+            lib.ms_interp_copy(handle, _IC_TAKEN, _address(taken, views))
+            del views
+    finally:
+        lib.ms_interp_free(handle)
+    trace = Trace(program)
+    trace.n = iout[_IO_N]
+    trace.block_entries = list(zip(starts, map(enc.blocks.__getitem__, ids)))
+    trace.entry_pcs = pcs.tolist()
+    trace.mem_addrs = addrs.tolist()
+    trace.taken = taken
+    _encodings[trace] = enc
+    return trace
 
 
 def lowering(trace) -> Optional[Lowering]:
@@ -278,7 +564,9 @@ def lowering(trace) -> Optional[Lowering]:
 
 
 def _lower(lib, trace) -> Lowering:
-    *tables, n_regs, max_reads = _static_tables(trace.program)
+    enc = _encodings.pop(trace, None) or Encoding(trace.program)
+    tables = (enc.opcls, enc.kind, enc.latency, enc.write, enc.read_off,
+              enc.reads)
     n = len(trace)
     columns = (
         array("q", [start for start, _ in trace.block_entries]),
@@ -286,8 +574,8 @@ def _lower(lib, trace) -> Lowering:
         array("q", trace.mem_addrs),
         trace.taken,
     )
-    low = Lowering(n, n * max_reads)
-    lparams = array("q", [n, len(columns[0]), len(tables[0]), n_regs,
+    low = Lowering(n, n * enc.max_reads)
+    lparams = array("q", [n, len(columns[0]), len(tables[0]), enc.n_regs,
                           len(columns[2]), len(columns[3]), len(low.prod)])
     views: List = []
     lin = _pointers(views, (*columns, *tables), _N_LIN)
@@ -307,6 +595,33 @@ def _lower(lib, trace) -> Lowering:
     low.gshare_predictions = len(trace.taken)
     low.gshare_mispredictions = lout[_LO_GSHARE_MISPREDICTIONS]
     return low
+
+
+def release_flags(stream, masks: Dict[Tuple[int, int], bytearray]
+                  ) -> Optional[bytearray]:
+    """``stream``'s SCHEDULE release flags, copied by ``ms_release``
+    from ``masks`` (keyed by task root pc and block pc); None when the
+    kernel is unavailable."""
+    lib = kernel()
+    if lib is None:
+        return None
+    low = lowering(stream.trace)
+    keys = list(masks)
+    offsets = array("q", accumulate(map(len, masks.values()), initial=0))
+    flags = bytearray(low.n)
+    rparams = array("q", [low.n, len(stream.table) // T_COLS, len(keys)])
+    views: List = []
+    rbufs = _pointers(views, (
+        stream.table, low.pc, low.block_start, stream.absorbed_flags,
+        array("q", [root for root, _ in keys]),
+        array("q", [pc for _, pc in keys]),
+        offsets, bytearray().join(masks.values()), flags,
+    ), _N_RBUFS)
+    status = lib.ms_release(rparams.buffer_info()[0], rbufs)
+    del views
+    if status:
+        raise MemoryError("native release flags: out of memory")
+    return flags
 
 
 def _pointers(views: List, bufs, count: int):
@@ -514,5 +829,6 @@ def _replay(tracer, events: array) -> None:
         hooks[event[0]](event)
 
 
-__all__ = ["COMMAND", "SOURCE", "Lowering", "digest", "kernel",
-           "library_path", "loop_name", "lowering", "run"]
+__all__ = ["COMMAND", "SOURCE", "Encoding", "Lowering", "digest",
+           "interpret", "kernel", "library_path", "loop_name", "lowering",
+           "release_flags", "run"]

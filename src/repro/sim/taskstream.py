@@ -229,49 +229,46 @@ def _row_tasks(stream: TaskStream) -> Iterator[Tuple[Task, int, int]]:
 
 
 def _release_flags(stream: TaskStream, release: ReleaseAnalysis) -> bytearray:
-    """SCHEDULE flags, one write per block entry.
+    """SCHEDULE flags, copied from one mask per (task, block).
 
     A write may forward at completion when no later instruction the
     task can still run redefines its register.  The answer depends only
     on the static position, and every block entry runs its whole
     block, so each (task, block) pair is analysed once into a mask of
-    the block's instructions that is copied into every entry of that
-    block in that task.  Absorbed callees' instructions never release.
+    the block's instructions, keyed by the task root's pc and the
+    block's pc.  The kernel copies a mask into every entry of that
+    block in that task; absorbed callees' instructions never release.
     """
+    program = stream.partition.program
+    block_pc = program.block_pc
+    masks: Dict[Tuple[int, int], bytearray] = {}
+    for task in stream.partition.tasks():
+        root_pc = block_pc(task.root)
+        for block in task.blocks:
+            mask = release.release_mask(task, block)
+            if any(mask):
+                masks[(root_pc, block_pc(block))] = mask
+    # Imported here: the kernel's module imports this one.
+    from repro.sim import native
+
+    flags = native.release_flags(stream, masks)
+    if flags is not None:
+        return flags
     trace = stream.trace
-    entries = trace.block_entries
-    n_entries = len(entries)
-    n = len(trace)
+    entries, pcs = trace.block_entries, trace.entry_pcs
+    n_entries, n = len(entries), len(trace)
     flags = bytearray(n)
     absorbed = stream.absorbed_flags
-    program = trace.program
-    is_release = release.is_release
-    masks: Dict[Tuple[int, BlockId], Optional[bytes]] = {}
+    table = stream.table
     k = 0
-    for task, _start, task_end in _row_tasks(stream):
+    for row in range(0, len(table), T_COLS):
+        root_pc, task_end = table[row + T_PC], table[row + T_END]
         while k < n_entries and entries[k][0] < task_end:
-            start, block = entries[k]
+            start, pc = entries[k][0], pcs[k]
             k += 1
             end = entries[k][0] if k < n_entries else n
-            if start == end or absorbed[start]:
-                continue
-            key = (task.task_id, block)
-            if key in masks:
-                mask = masks[key]
-            else:
-                mask = None
-                if block in task.blocks:
-                    mask = bytes(
-                        ins.writes is not None
-                        and is_release(task, block, iidx, ins.writes)
-                        for iidx, ins in enumerate(
-                            program.block(block).instructions
-                        )
-                    )
-                    if not any(mask):
-                        mask = None
-                masks[key] = mask
-            if mask is not None:
+            mask = masks.get((root_pc, pc))
+            if mask is not None and start < end and not absorbed[start]:
                 flags[start:end] = mask
     return flags
 

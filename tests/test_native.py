@@ -54,20 +54,25 @@ def test_code_version_covers_c_sources(tmp_path, monkeypatch):
 
 
 def test_failed_build_warns_once_and_runs_tick(tmp_path, monkeypatch):
-    """A missing compiler: one warning naming the error, then the
-    reference loop, whose record the fast run reproduces exactly."""
+    """A missing compiler: one warning naming the error, at the first
+    interpretation, then the reference interpreter and the reference
+    loop, whose record the fast run reproduces exactly."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(native, "_kernel", None)
     monkeypatch.setattr(native, "COMMAND", ("no-such-cc", "-O2"))
-    reference = run_benchmark(
-        "compress", HeuristicLevel.CONTROL_FLOW, scale=SMALL,
-        sim=SimConfig(engine="reference"),
-    )
-    with pytest.warns(RuntimeWarning, match="no-such-cc") as caught:
-        fast = run_benchmark("compress", HeuristicLevel.CONTROL_FLOW,
-                             scale=SMALL)
-        again = run_benchmark("compress", HeuristicLevel.TASK_SIZE,
-                              scale=SMALL)
+    runner.clear_cache()
+    try:
+        with pytest.warns(RuntimeWarning, match="no-such-cc") as caught:
+            reference = run_benchmark(
+                "compress", HeuristicLevel.CONTROL_FLOW, scale=SMALL,
+                sim=SimConfig(engine="reference"),
+            )
+            fast = run_benchmark("compress", HeuristicLevel.CONTROL_FLOW,
+                                 scale=SMALL)
+            again = run_benchmark("compress", HeuristicLevel.TASK_SIZE,
+                                  scale=SMALL)
+    finally:
+        runner.clear_cache()
     assert len([w for w in caught if w.category is RuntimeWarning]) == 1
     assert native.loop_name() == "python"
     assert record_to_dict(fast) == record_to_dict(reference)

@@ -7,6 +7,8 @@ within the same dynamic task instance.  This pins the static analysis
 against ground truth across real benchmarks and all heuristic levels.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.compiler import (
@@ -20,9 +22,10 @@ from repro.compiler import (
 from repro.compiler.regcomm import ReleaseAnalysis
 from repro.ir.asmtext import parse_program
 from repro.ir.interp import run_program
-from repro.sim import SimConfig, build_task_stream
+from repro.sim import SimConfig, build_task_stream, native
 from repro.sim.config import ForwardPolicy
 from repro.sim.runstate import RunState
+from repro.sim.taskstream import _release_flags
 from repro.workloads import get_benchmark
 
 BENCHES = ["compress", "li", "m88ksim", "tomcatv", "fpppp"]
@@ -134,3 +137,66 @@ def test_release_flags_depend_on_the_task_as_well_as_the_position():
                         flags[i]
                     )
     assert by_task == {entry: {1}, a: {0}}
+
+
+#: ``f`` absorbs its own recursive call, so its ``back`` block, a
+#: member of the task rooted at ``top`` whose write releases there,
+#: also runs inside the absorbed region
+_RECURSIVE_ABSORBED = """
+.func main
+entry:
+    li      r4, #2
+    call    @f, @done
+done:
+    halt
+.func f
+top:
+    beqz    r4, @out, @rec
+rec:
+    sub     r4, r4, #1
+    call    @f, @back
+back:
+    li      r6, #1
+    ret
+out:
+    ret
+"""
+
+
+def test_absorbed_callee_instructions_never_release():
+    """A block of the task that also runs inside one of its absorbed
+    calls takes the task's mask at the task's own level only, in the
+    kernel's copy and in the Python one."""
+    program = parse_program(_RECURSIVE_ABSORBED)
+    entry, done = ("main", "entry"), ("main", "done")
+    top, rec, back, out = (("f", x) for x in ("top", "rec", "back", "out"))
+    part = TaskPartition(program)
+    part.new_task("main", entry, {entry}, set(),
+                  [Target(TargetKind.CALL, top)])
+    part.new_task("f", top, {top, rec, back}, {(top, rec), (rec, back)},
+                  [Target(TargetKind.BLOCK, out),
+                   Target(TargetKind.RETURN)],
+                  absorbed_calls={rec})
+    part.new_task("f", out, {out}, set(), [Target(TargetKind.RETURN)])
+    part.new_task("main", done, {done}, set(), [Target(TargetKind.HALT)])
+    trace = run_program(program)
+    stream = build_task_stream(trace, part)
+    release = ReleaseAnalysis(part)
+    flags = stream.schedule_release(release)
+    with mock.patch.object(native, "_kernel", False):
+        assert _release_flags(stream, release) == flags
+
+    for dyn_task in stream:
+        for i in range(dyn_task.start, dyn_task.end):
+            dyn = trace[i]
+            assert flags[i] == (
+                dyn.write is not None
+                and not stream.absorbed_flags[i]
+                and dyn.block in dyn_task.task.blocks
+                and release.is_release(dyn_task.task, dyn.block, dyn.iidx,
+                                       dyn.write)
+            ), i
+    writes = [i for i in range(len(trace))
+              if trace[i].block == back and trace[i].write == "r6"]
+    assert [stream.absorbed_flags[i] for i in writes] == [1, 0]
+    assert [flags[i] for i in writes] == [0, 1]

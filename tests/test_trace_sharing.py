@@ -3,12 +3,14 @@
 Compiles whose transforms yield the same program take their trace,
 profile and trace-only packed arrays from one
 :class:`~repro.compiler.partition.TraceMemo` entry (DESIGN.md §7).
-These tests pin that the shared products equal what a fresh
-interpretation of ``compiled.partition.program`` produces, that
-sharing happens exactly where the transformed programs coincide, and
-that ``clear_cache`` drops it.  On every one of these streams, the
-release flags, which analyse each (task, block) once and are written
-once per block entry, are also checked against one analysis call per
+These tests pin that the shared products equal what a fresh run of
+the reference ``Interpreter`` on ``compiled.partition.program``
+produces (the compiled trace is the native interpreter's whenever the
+kernel loads), that sharing happens exactly where the transformed
+programs coincide, and that ``clear_cache`` drops it.  On every one of
+these streams, the release flags, which analyse each (task, block)
+once and are copied into every block entry by the kernel (or, without
+it, by a Python walk), are also checked against one analysis call per
 dynamic write, and the kernel's lowering of the trace against the
 Python packing; the profile, the task stream and the kernel's task
 table are checked against the per-instruction references of
@@ -16,14 +18,19 @@ table are checked against the per-instruction references of
 re-execution.
 """
 
+from unittest import mock
+
 import pytest
 
-from repro.compiler import HeuristicLevel, SelectionConfig
+from repro.compiler import HeuristicLevel, SelectionConfig, partition
+from repro.compiler.partition import TraceMemo
+from repro.compiler.transforms import clone_program
 from repro.experiments import runner
-from repro.ir.interp import run_program
-from repro.sim import build_task_stream
+from repro.ir.interp import Interpreter
+from repro.sim import build_task_stream, native
 from repro.sim.config import ForwardPolicy
-from repro.workloads import all_benchmarks
+from repro.sim.taskstream import _release_flags
+from repro.workloads import all_benchmarks, get_benchmark
 from tests.test_columnar import (
     assert_columns_match_reference,
     assert_replays_cleanly,
@@ -82,7 +89,7 @@ def _reference_release(stream, release):
 
 def _assert_matches_fresh_run(compiled):
     fresh = build_task_stream(
-        run_program(compiled.partition.program), compiled.partition
+        Interpreter(compiled.partition.program).run(), compiled.partition
     )
     assert _dyn_fields(compiled.trace) == _dyn_fields(fresh.trace)
     got, want = compiled.stream.packed, fresh.packed
@@ -94,9 +101,10 @@ def _assert_matches_fresh_run(compiled):
         assert got.release_now(policy, compiled.release) == want.release_now(
             policy, compiled.release
         ), policy
-    assert compiled.stream.schedule_release(
-        compiled.release
-    ) == _reference_release(compiled.stream, compiled.release)
+    reference = _reference_release(compiled.stream, compiled.release)
+    assert compiled.stream.schedule_release(compiled.release) == reference
+    with mock.patch.object(native, "_kernel", False):
+        assert _release_flags(compiled.stream, compiled.release) == reference
     assert_lowering_matches_packing(compiled.stream)
     assert_columns_match_reference(
         compiled.trace, compiled.partition, compiled.stream
@@ -173,7 +181,7 @@ def test_train_profile_never_aliases_the_measured_input():
     # compile, and the partition carries the program that recorded it.
     assert profiled.trace is ref.trace
     assert _dyn_fields(profiled.trace) == _dyn_fields(
-        run_program(profiled.partition.program)
+        Interpreter(profiled.partition.program).run()
     )
     # Measuring rewrote no memoized program: the train run, memoized
     # while selecting for ``profiled``, still records the train data.
@@ -183,3 +191,26 @@ def test_train_profile_never_aliases_the_measured_input():
     assert train.trace.program.memory_image != (
         ref.partition.program.memory_image
     )
+
+
+def test_memo_renders_each_program_object_once(monkeypatch):
+    """A second request for the same program object takes its digest
+    from the memo; a distinct object with equal text is rendered, and
+    shares the trace."""
+    rendered = []
+    real = partition.program_to_text
+
+    def counting(program):
+        rendered.append(program)
+        return real(program)
+
+    monkeypatch.setattr(partition, "program_to_text", counting)
+    memo = TraceMemo()
+    program = get_benchmark("compress").build(SCALE)
+    trace = memo.trace(program)
+    memo.profile(program)
+    assert memo.trace(program) is trace
+    assert rendered == [program]
+    twin = clone_program(program)
+    assert memo.trace(twin) is trace
+    assert rendered == [program, twin]
