@@ -886,42 +886,57 @@ def _cmd_profile_sim(args: argparse.Namespace) -> str:
     import io
     import pstats
 
-    from repro.experiments.runner import compile_benchmark
+    from repro.experiments.runner import cell_machine, compile_benchmark
+    from repro.sim.native import loop_name
 
     level = _LEVELS[args.level]
-    profile = cProfile.Profile()
-    if args.include_compile:
-        profile.enable()
-        record = run_benchmark(
-            args.benchmark, level, n_pus=args.pus,
-            out_of_order=not args.in_order, scale=args.scale,
-            sim=_sim_for_engine(args.engine),
-        )
-        profile.disable()
-    else:
+    if not args.include_compile:
         # Compile outside the profile so the report shows the
         # simulation itself, not the one-off trace build.
         compile_benchmark(args.benchmark, level, scale=args.scale)
-        profile.enable()
-        record = run_benchmark(
-            args.benchmark, level, n_pus=args.pus,
-            out_of_order=not args.in_order, scale=args.scale,
-            sim=_sim_for_engine(args.engine),
-        )
-        profile.disable()
+    profile = cProfile.Profile()
+    profile.enable()
+    _, machine = cell_machine(
+        args.benchmark, level, n_pus=args.pus,
+        out_of_order=not args.in_order, scale=args.scale,
+        sim=_sim_for_engine(args.engine),
+    )
+    result = machine.run()
+    profile.disable()
     buf = io.StringIO()
     stats = pstats.Stats(profile, stream=buf)
     stats.sort_stats(args.sort).print_stats(args.top)
-    from repro.sim.native import loop_name
 
-    mode = "ooo" if not args.in_order else "ino"
     loop = loop_name() if args.engine == "fast" else "python"
-    header = (
-        f"{args.benchmark}/{level.value}/{args.pus}{mode} "
-        f"engine={args.engine} ({loop} loop): {record.cycles} cycles, "
-        f"{record.instructions} instructions, IPC {record.ipc:.3f}"
+    lines = [
+        f"{machine.label} engine={args.engine} ({loop} loop): "
+        f"{result.cycles} cycles, {result.committed_instructions} "
+        f"instructions, IPC {result.ipc:.3f}"
+    ]
+    if machine.kernel_counters is not None:
+        lines.append(_kernel_counter_lines(machine.kernel_counters))
+    return "\n".join(lines) + "\n" + buf.getvalue().rstrip()
+
+
+def _kernel_counter_lines(counters: Dict[str, int]) -> str:
+    """The native loop's scan counters (``native.KERNEL_COUNTERS``) of
+    a run, which visits every PU at least once."""
+    states = ("wrong_path", "idle", "retiring", "done", "active")
+    visits = sum(counters[name] for name in states)
+    scans = counters["scans"]
+    share = ", ".join(
+        f"{name.replace('_', '-')} {counters[name] / visits:.1%}"
+        for name in states
     )
-    return header + "\n" + buf.getvalue().rstrip()
+    per_scan = counters["entries_examined"] / scans if scans else 0.0
+    return (
+        f"kernel PU-cycles: {visits:,} ({share})\n"
+        f"kernel issue scans: {scans:,} run, "
+        f"{counters['fruitless_scans']:,} issued nothing, "
+        f"{counters['skipped_asleep']:,} skipped asleep; "
+        f"{counters['entries_examined']:,} window entries examined "
+        f"({per_scan:.2f} per scan)"
+    )
 
 
 def _cmd_cache(args: argparse.Namespace) -> str:

@@ -276,6 +276,38 @@ def cell_config(
     return replace(config, out_of_order=out_of_order)
 
 
+def cell_machine(
+    name: str,
+    level: HeuristicLevel,
+    n_pus: int = 4,
+    out_of_order: bool = True,
+    scale: float = 1.0,
+    selection: Optional[SelectionConfig] = None,
+    sim: Optional[SimConfig] = None,
+    input_set: str = "ref",
+    profile_input: Optional[str] = None,
+    monitor=None,
+    fault_plan=None,
+    tracer=None,
+) -> Tuple[Compiled, MultiscalarMachine]:
+    """Compile one cell (through the memo) and build the machine that
+    simulates it, not yet run; :func:`run_benchmark` documents the
+    arguments."""
+    compiled = compile_benchmark(
+        name, level, scale, selection, input_set, profile_input
+    )
+    machine = MultiscalarMachine(
+        compiled.stream,
+        cell_config(sim, n_pus, out_of_order),
+        compiled.release,
+        monitor,
+        fault_plan,
+        label=f"{name}/{level.value}/{n_pus}{'ooo' if out_of_order else 'ino'}",
+        tracer=tracer,
+    )
+    return compiled, machine
+
+
 def run_benchmark(
     name: str,
     level: HeuristicLevel,
@@ -300,17 +332,9 @@ def run_benchmark(
     task-lifecycle event stream for export.
     """
     benchmark = get_benchmark(name)
-    compiled = compile_benchmark(
-        name, level, scale, selection, input_set, profile_input
-    )
-    machine = MultiscalarMachine(
-        compiled.stream,
-        cell_config(sim, n_pus, out_of_order),
-        compiled.release,
-        monitor,
-        fault_plan,
-        label=f"{name}/{level.value}/{n_pus}{'ooo' if out_of_order else 'ino'}",
-        tracer=tracer,
+    compiled, machine = cell_machine(
+        name, level, n_pus, out_of_order, scale, selection, sim, input_set,
+        profile_input, monitor, fault_plan, tracer,
     )
     result = machine.run()
     return _assemble_record(

@@ -29,9 +29,13 @@ Two engines run these phases:
   original, obviously correct loop kept as the equivalence oracle.
 * ``engine="fast"`` (default) runs :mod:`repro.sim.native`, a C port
   of ``_tick`` and everything it calls, over buffers the kernel lowers
-  from the trace once per trace; the machine's counters and arrays are
-  written back after the run, and an attached tracer gets the run's
-  events replayed in order.  Only ``_tick`` reads the Python packing
+  from the trace once per trace.  It skips an issue scan that could
+  only issue nothing again (a PU whose scan issued nothing sleeps
+  until a known cycle or an event can change the outcome), and leaves
+  its scan counters in :attr:`MultiscalarMachine.kernel_counters`.
+  The machine's counters and arrays are written back after the run,
+  and an attached tracer gets the run's events replayed in order.
+  Only ``_tick`` reads the Python packing
   (:mod:`repro.sim.packed`) and the trace's and stream's object views
   it is built from, so a native run builds none of them.
   A run with a monitor or a fault plan attached takes ``_tick`` (both
@@ -205,6 +209,10 @@ class MultiscalarMachine:
         self.faults = faults
         #: tasks thrown away per squash event (len(victims) each time)
         self.squash_depths: List[int] = []
+        #: the native loop's scan counters after a kernel run (keys:
+        #: ``native.KERNEL_COUNTERS``); None after a ``_tick`` run.
+        #: Host-side work, not a result: kept out of ``SimResult``.
+        self.kernel_counters: Optional[Dict[str, int]] = None
         # Optional telemetry collector (duck-typed; see repro.telemetry).
         # Same contract as the monitor: the simulator never imports the
         # telemetry package and every hook site costs one None test.

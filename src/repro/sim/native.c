@@ -21,8 +21,12 @@
  * the path / gshare / hybrid task predictors and the return address
  * stack, the set-associative LRU caches, the LRU synchronisation table
  * and the per-PU ring egress schedule.  Every PU is visited every
- * cycle and issue is re-run every cycle: the Python loop's issue memo
- * only saved work, so results are bit-identical without it.
+ * cycle.  The one departure from _tick is that an issue scan that
+ * issued nothing puts its PU to sleep (see issue): until its wake
+ * cycle, or an event that can change the scan's outcome, phase D
+ * charges the scan's stall reason without re-running it.  Results are
+ * bit-identical, because a sleeping scan would have issued nothing and
+ * charged the same reason.
  *
  * The static per-instruction buffers are built once per trace by
  * ms_lower, from flat trace columns (block-entry starts and pcs, the
@@ -118,8 +122,19 @@ enum {
                                         history; then the path and
                                         gshare components of hybrid */
     O_RAS_OVERFLOWS = O_PRED + 9,
-    O_N_EVENTS, O_N_DEPTHS, O_N_SYNC, O_N_RAS, O_N_LEARNS, N_OUT
+    O_N_EVENTS, O_N_DEPTHS, O_N_SYNC, O_N_RAS, O_N_LEARNS,
+    O_COUNTERS, /* N_COUNTERS slots */
 };
+
+/* Scan counters, from out[O_COUNTERS] on, mirrored by native.py: PU
+ * visits by state (wrong-path, idle, retiring, done, active), then the
+ * issue scans run, those that issued nothing, the visits that skipped
+ * a scan asleep and the window entries the scans examined. */
+enum {
+    C_WRONG_PATH, C_IDLE, C_RETIRING, C_DONE, C_ACTIVE,
+    C_SCANS, C_FRUITLESS, C_SKIPPED, C_EXAMINED, N_COUNTERS
+};
+#define N_OUT (O_COUNTERS + N_COUNTERS)
 
 /* Tracer event kinds; each event is EV_WORDS int64 words. */
 enum {
@@ -509,6 +524,10 @@ typedef struct {
     int n_win;
     Completion *heap;  /* in-flight completions, min-heap on (c, idx) */
     int n_heap;
+    /* asleep while cycle < wake: the last scan issued nothing and
+     * charged sleep_reason (see issue) */
+    i64 wake;
+    int sleep_reason;
     i64 counts[N_REASONS];
     /* ring egress: reservations per cycle from egress_base on */
     i32 *egress;
@@ -538,6 +557,7 @@ typedef struct {
     i64 *complete, *forward, *generation, *pu_of_seq;
     i64 *pu_useful, *pu_occupied;
     i32 *task_seq;
+    i32 *rev_off, *rev;  /* CSR: per producer, the later tasks reading it */
 
     PU *pus;
     i64 retire_seq, next_seq, resume_cycle, pending;
@@ -546,6 +566,7 @@ typedef struct {
     i64 reason_accum[N_REASONS];
     i64 predictions, mispredictions, control_squashes, memory_squashes;
     i64 control_misspec, memory_misspec;
+    i64 counters[N_COUNTERS];
 
     Cache l1d, l1i, l2;
     SyncTable sync;
@@ -599,6 +620,7 @@ static void reset_idle(PU *pu)
     pu->rob_count = pu->remaining = pu->arb_used = 0;
     pu->n_win = pu->n_heap = 0;
     pu->done_cycle = pu->first_issue = -1;
+    pu->wake = 0;
     memset(pu->counts, 0, sizeof(pu->counts));
 }
 
@@ -693,6 +715,16 @@ static void schedule_forward(Machine *m, PU *pu, i64 idx, i64 earliest,
     if (m->has_remote[idx]) {
         i64 keep_from = cycle + (m->release_lag < 0 ? m->release_lag : 0);
         m->forward[idx] = ring_slot(m, pu, earliest, keep_from);
+        /* Wake the in-flight readers: a scan may sleep on a forward
+         * it has not seen scheduled.  Tasks from next_seq on are not
+         * in flight. */
+        for (i32 k = m->rev_off[idx]; k < m->rev_off[idx + 1]; k++) {
+            if (m->rev[k] >= m->next_seq)
+                break;
+            PU *reader = in_flight(m, m->rev[k]);
+            if (reader)
+                reader->wake = 0;
+        }
     } else {
         m->forward[idx] = earliest;
     }
@@ -989,6 +1021,11 @@ static void retire(Machine *m, i64 cycle)
         reset_idle(pu);
         m->retire_seq++;
         m->retiring = -1;
+        /* The new head issues what a speculative task may not. */
+        PU *head = m->retire_seq < m->n_tasks
+                       ? in_flight(m, m->retire_seq) : NULL;
+        if (head)
+            head->wake = 0;
     }
     if (m->retire_seq >= m->n_tasks)
         return;
@@ -1007,7 +1044,20 @@ static void retire(Machine *m, i64 cycle)
 
 /* ProcessingUnit.issue: issue ready window entries; returns the count
  * issued and, when none, the stall slot of the oldest blocked entry
- * (-1: nothing to report). */
+ * (-1: nothing to report).
+ *
+ * A scan that issues nothing changes no state, unless it touched the
+ * sync table (each touch re-stamps the pair's LRU entry), and its
+ * outcome is a function of the window, the ARB count, whether the task
+ * is the head, and the complete / forward cycles of the producers it
+ * reads.  So the PU sleeps: until `wake` the scan would issue nothing
+ * and charge the same reason.  `wake` is the earliest cycle a blocked
+ * entry it examined can pass: a decode-stalled entry's fetch cycle + 1,
+ * a known forward's arrival, and the top of the completion heap (an
+ * own-task producer or store completes there, or later).  What no cycle
+ * bounds wakes the PU through a hook: a forward being scheduled
+ * (schedule_forward), the task becoming the head (retire), a fetch and
+ * reset_idle. */
 static int issue(Machine *m, PU *pu, i64 cycle, int *reason_out)
 {
     int budget[4] = {pu->fu[0], pu->fu[1], pu->fu[2], pu->fu[3]};
@@ -1017,11 +1067,13 @@ static int issue(Machine *m, PU *pu, i64 cycle, int *reason_out)
         limit = m->issue_list_size;
     i64 seq = pu->seq;
     int at_head = seq == m->retire_seq;
-    int issued = 0, seen_mem = 0;
+    int issued = 0, seen_mem = 0, touched_sync = 0;
+    i64 wake = NEVER;
     const i32 *task_seq = m->task_seq;
     const i64 *complete = m->complete;
 
-    for (int pos = 0; pos < limit; pos++) {
+    int pos;
+    for (pos = 0; pos < limit; pos++) {
         if (issued >= pu->issue_width)
             break;
         i32 idx = pu->win_idx[pos];
@@ -1029,6 +1081,8 @@ static int issue(Machine *m, PU *pu, i64 cycle, int *reason_out)
             /* Decode: fetch stamps never decrease along the window. */
             if (first_block < 0)
                 first_block = R_FETCH;
+            if (pu->win_cycle[pos] + 1 < wake)
+                wake = pu->win_cycle[pos] + 1;
             break;
         }
         int cls = m->opcls[idx];
@@ -1069,6 +1123,8 @@ static int issue(Machine *m, PU *pu, i64 cycle, int *reason_out)
                     fwd += (hops - 1) * m->hop_latency;
                 if (fwd > cycle) {
                     reason = R_INTER_COMM;
+                    if (fwd < wake)
+                        wake = fwd;
                     break;
                 }
             }
@@ -1092,6 +1148,7 @@ static int issue(Machine *m, PU *pu, i64 cycle, int *reason_out)
                         if (done < 0 || done > cycle)
                             reason = R_MEMORY;
                     } else if (complete[p] < 0 || complete[p] > cycle) {
+                        touched_sync = 1;
                         if (sync_touch(&m->sync, m->pc[p], m->pc[idx])
                             && !at_head)
                             reason = R_SYNC_WAIT;
@@ -1136,6 +1193,10 @@ static int issue(Machine *m, PU *pu, i64 cycle, int *reason_out)
         if (m->is_mem[idx] && !at_head)
             pu->arb_used++;
     }
+    /* The entry a break stopped at was examined; a width break's not. */
+    m->counters[C_SCANS]++;
+    m->counters[C_EXAMINED] +=
+        pos + (pos < limit && issued < pu->issue_width);
     if (issued) {
         if (pu->first_issue < 0)
             pu->first_issue = cycle;
@@ -1152,6 +1213,13 @@ static int issue(Machine *m, PU *pu, i64 cycle, int *reason_out)
         pu->n_win = keep;
         *reason_out = -1;
         return issued;
+    }
+    m->counters[C_FRUITLESS]++;
+    if (!touched_sync) {
+        if (pu->n_heap && pu->heap[0].c < wake)
+            wake = pu->heap[0].c;
+        pu->wake = wake;
+        pu->sleep_reason = first_block;
     }
     *reason_out = first_block;
     return 0;
@@ -1189,6 +1257,7 @@ static void fetch(Machine *m, PU *pu, i64 cycle)
         if (pu->fetch_resume > cycle)
             break;
     }
+    pu->wake = 0;  /* a sleeping scan has not seen the new entries */
 }
 
 /* --------------------------------------------------------------- tick */
@@ -1239,24 +1308,35 @@ static void tick(Machine *m, i64 cycle)
             assign(m, cycle);
     }
     /* Phase D: execute + accounting. */
-    i64 idle = 0;
+    i64 idle = 0, wrong = 0, retiring = 0, done = 0, skipped = 0;
     for (int i = 0; i < n_pus; i++) {
         PU *pu = &pus[i];
-        if (pu->wrong)
+        if (pu->wrong) {
+            wrong++;
             continue; /* charged as penalty at resolution */
+        }
         if (pu->seq < 0) {
             idle++;
             continue;
         }
-        if (pu->retiring)
+        if (pu->retiring) {
+            retiring++;
             continue; /* TASK_END charged up front */
+        }
         if (pu->done) {
+            done++;
             pu->counts[R_LOAD_IMBALANCE]++;
             continue;
         }
         int reason = -1, issued = 0;
-        if (pu->n_win)
-            issued = issue(m, pu, cycle, &reason);
+        if (pu->n_win) {
+            if (cycle < pu->wake) {
+                reason = pu->sleep_reason;
+                skipped++;
+            } else {
+                issued = issue(m, pu, cycle, &reason);
+            }
+        }
         if (pu->pending_branch < 0 && cycle >= pu->fetch_resume
             && pu->fetch_ptr < pu->fetch_end && pu->rob_count < m->rob_size)
             fetch(m, pu, cycle);
@@ -1271,6 +1351,12 @@ static void tick(Machine *m, i64 cycle)
     }
     m->idle_accum += idle;
     m->span_accum += m->active_span;
+    m->counters[C_WRONG_PATH] += wrong;
+    m->counters[C_IDLE] += idle;
+    m->counters[C_RETIRING] += retiring;
+    m->counters[C_DONE] += done;
+    m->counters[C_ACTIVE] += n_pus - wrong - idle - retiring - done;
+    m->counters[C_SKIPPED] += skipped;
 }
 
 /* ------------------------------------------------------ interpretation */
@@ -2028,6 +2114,8 @@ static void machine_free(Machine *m)
         free(m->pus);
     }
     free(m->task_seq);
+    free(m->rev_off);
+    free(m->rev);
     Cache *caches[3] = {&m->l1d, &m->l1i, &m->l2};
     for (int k = 0; k < 3; k++) {
         free(caches[k]->keys);
@@ -2117,12 +2205,47 @@ static int machine_init(Machine *m, const i64 *params, const i64 *pu_params,
         for (i64 i = TASK(m, seq, T_START); i < TASK(m, seq, T_END); i++)
             m->task_seq[i] = (i32)seq;
     /* A register value some later task reads is forwarded on the ring;
-     * one read only inside its own task completes locally. */
+     * one read only inside its own task completes locally.  rev lists
+     * each producer's reading tasks, ascending and once each (tasks
+     * tile the trace in order, so a producer's readers come in task
+     * order): the tasks schedule_forward wakes.  The first pass counts
+     * them into rev_off, tracking the last task counted in `last`; the
+     * second reuses `last` as each producer's fill cursor. */
     memset(m->has_remote, 0, (size_t)m->n);
+    m->rev_off = calloc(n + 1, sizeof(i32));
+    i32 *last = malloc(n * sizeof(i32));
+    if (!m->rev_off || !last) {
+        free(last);
+        return 0;
+    }
+    memset(last, 0xff, n * sizeof(i32));
     for (i64 i = 0; i < m->n; i++)
-        for (i32 k = m->prod_off[i]; k < m->prod_off[i + 1]; k++)
-            if (m->task_seq[m->prod[k]] != m->task_seq[i])
-                m->has_remote[m->prod[k]] = 1;
+        for (i32 k = m->prod_off[i]; k < m->prod_off[i + 1]; k++) {
+            i32 p = m->prod[k], seq = m->task_seq[i];
+            if (m->task_seq[p] != seq && last[p] != seq) {
+                m->has_remote[p] = 1;
+                last[p] = seq;
+                m->rev_off[p + 1]++;
+            }
+        }
+    for (i64 i = 0; i < m->n; i++) {
+        m->rev_off[i + 1] += m->rev_off[i];
+        last[i] = m->rev_off[i];
+    }
+    m->rev = malloc((size_t)(m->rev_off[m->n] ? m->rev_off[m->n] : 1)
+                    * sizeof(i32));
+    if (!m->rev) {
+        free(last);
+        return 0;
+    }
+    for (i64 i = 0; i < m->n; i++)
+        for (i32 k = m->prod_off[i]; k < m->prod_off[i + 1]; k++) {
+            i32 p = m->prod[k], seq = m->task_seq[i];
+            if (m->task_seq[p] != seq
+                && (last[p] == m->rev_off[p] || m->rev[last[p] - 1] != seq))
+                m->rev[last[p]++] = seq;
+        }
+    free(last);
     m->viol_free = -1;
     for (i64 i = 0; i < m->n; i++)
         m->complete[i] = m->forward[i] = -1;
@@ -2245,6 +2368,7 @@ void *ms_run(const i64 *params, const i64 *pu_params, void *const *bufs,
     out[O_N_SYNC] = m->sync.n_present;
     out[O_N_RAS] = m->ras_len;
     out[O_N_LEARNS] = m->learns.len / 2;
+    memcpy(out + O_COUNTERS, m->counters, sizeof(m->counters));
     return m;
 }
 

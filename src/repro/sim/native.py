@@ -27,15 +27,20 @@ The kernel does three jobs:
 * **The cycle loop.**  ``engine="fast"`` runs :func:`run`, a C port of
   :meth:`~repro.sim.machine.MultiscalarMachine._tick`, unless a
   monitor or a fault plan is attached (both read or mutate live
-  machine state, so those runs take ``_tick``).  The per-task table is
+  machine state, so those runs take ``_tick``).  Unlike ``_tick`` it
+  does not re-run an issue scan that can only issue nothing again: a
+  PU whose scan issued nothing sleeps until a known cycle or an event
+  can change the outcome.  The per-task table is
   the stream's own (:attr:`~repro.sim.taskstream.TaskStream.table`).
   So a kernel run builds no per-instruction or per-task Python object:
   neither the Python packing (:mod:`repro.sim.packed`), the reference
   loop's input, nor the trace's ``DynInst`` view nor the stream's
   ``DynTask`` view.  After the run, the machine's counters and cache /
   predictor statistics are written back, the run state's ``complete``
-  and ``forward`` become the kernel's own arrays, and an attached
-  tracer receives the run's lifecycle events in order.
+  and ``forward`` become the kernel's own arrays, an attached tracer
+  receives the run's lifecycle events in order, and
+  ``machine.kernel_counters`` holds the kernel's scan counters
+  (:data:`KERNEL_COUNTERS`).
 
 The kernel is built with the system C compiler on first use into
 ``<artifact cache root>/native/<digest>.so`` (the digest covers the
@@ -96,7 +101,16 @@ _O_RAS_OVERFLOWS = _O_PRED + 9
 _O_N_EVENTS, _O_N_DEPTHS, _O_N_SYNC, _O_N_RAS, _O_N_LEARNS = range(
     _O_RAS_OVERFLOWS + 1, _O_RAS_OVERFLOWS + 6
 )
-_N_OUT = _O_N_LEARNS + 1
+_O_COUNTERS = _O_N_LEARNS + 1
+#: the kernel's scan counters (its C_* slots), the keys of a machine's
+#: ``kernel_counters``: PU-cycles by state, then the issue scans run,
+#: those that issued nothing, the visits that skipped a scan asleep and
+#: the window entries the scans examined
+KERNEL_COUNTERS = (
+    "wrong_path", "idle", "retiring", "done", "active",
+    "scans", "fruitless_scans", "skipped_asleep", "entries_examined",
+)
+_N_OUT = _O_COUNTERS + len(KERNEL_COUNTERS)
 _EV_WORDS = 7
 _COPY_EVENTS, _COPY_DEPTHS, _COPY_SYNC, _COPY_RAS, _COPY_LEARNS = range(5)
 #: breakdown.REASONS order the kernel's R_* slots assume
@@ -744,6 +758,8 @@ def run(machine) -> Optional[int]:
         lib.ms_free(handle)
 
     _write_back(machine, out, depths, sync, learns, ras, roots)
+    machine.kernel_counters = dict(zip(KERNEL_COUNTERS,
+                                       out[_O_COUNTERS:_N_OUT]))
     # The kernel's arrays themselves: copying them into the run
     # state's lists would allocate 2n Python ints nothing reads.
     state.complete = complete
@@ -829,6 +845,6 @@ def _replay(tracer, events: array) -> None:
         hooks[event[0]](event)
 
 
-__all__ = ["COMMAND", "SOURCE", "Encoding", "Lowering", "digest",
-           "interpret", "kernel", "library_path", "loop_name", "lowering",
-           "release_flags", "run"]
+__all__ = ["COMMAND", "KERNEL_COUNTERS", "SOURCE", "Encoding", "Lowering",
+           "digest", "interpret", "kernel", "library_path", "loop_name",
+           "lowering", "release_flags", "run"]

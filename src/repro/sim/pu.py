@@ -25,7 +25,9 @@ function by function: ``drain_completions`` is its ``drain``,
 ``issue`` its ``issue`` and ``fetch`` its ``fetch``.  Nothing is
 memoized; the reference loop
 (:meth:`~repro.sim.machine.MultiscalarMachine._tick`) re-runs every
-non-empty window's issue scan every cycle, as the kernel does.
+non-empty window's issue scan every cycle.  The kernel instead sleeps
+a PU whose scan issued nothing until a known cycle or an event can
+change the outcome, which changes no result (DESIGN.md §9).
 """
 
 from __future__ import annotations

@@ -171,6 +171,22 @@ class TestCommands:
         assert main(["run", "compress", "--scale", "0.1"]) == 0
         assert reference == capsys.readouterr().out
 
+    def test_profile_sim_prints_the_kernel_counters(self, capsys):
+        """On the native loop the header is followed by the scan
+        counters; the Python loop has none to print."""
+        assert main(["profile-sim", "compress", "--scale", "0.1",
+                     "--top", "1"]) == 0
+        header, states, scans = capsys.readouterr().out.splitlines()[:3]
+        assert "engine=fast (native loop)" in header
+        assert states.startswith("kernel PU-cycles: ")
+        assert "wrong-path" in states and "active" in states
+        assert scans.startswith("kernel issue scans: ")
+        assert "skipped asleep" in scans
+        assert main(["profile-sim", "compress", "--scale", "0.1",
+                     "--top", "1", "--engine", "reference"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert not any(line.startswith("kernel ") for line in lines)
+
     def test_figure5(self, capsys):
         assert main(
             ["figure5", "--benchmarks", "compress", "--pus", "4",

@@ -6,8 +6,9 @@ these tests cover what is particular to the kernel: how it is built
 and salted, what happens when it cannot be, that its lowering of a
 trace equals the Python packing (``tests/test_trace_sharing.py`` runs
 that check on every benchmark and level), that a kernel run builds no
-Python packing, and that a machine reads the same after a kernel run
-as after a ``_tick`` run.
+Python packing, that a machine reads the same after a kernel run as
+after a ``_tick`` run, the scan counters, and hand-built cells in which
+a sleeping issue scan must be woken by each of its wake events.
 """
 
 import os
@@ -29,7 +30,9 @@ from repro.ir.asmtext import parse_program
 from repro.ir.interp import run_program
 from repro.reliability import verify_workload
 from repro.sim import SimConfig, build_task_stream, native, simulate
+from repro.sim.config import ForwardPolicy
 from repro.sim.machine import MultiscalarMachine, SimulationStuck
+from repro.sim.pu import ProcessingUnit
 
 SMALL = 0.1
 SRC = Path(repro.__file__).resolve().parent.parent
@@ -160,6 +163,41 @@ def test_post_run_state_matches_tick(machine, sim):
     for key in reference:
         assert fast[key] == reference[key], key
     assert results["fast"].breakdown == results["reference"].breakdown
+
+
+@pytest.mark.parametrize("machine,sim", [
+    (None, {}),
+    ("manycore-32", {}),
+    (None, {"out_of_order": False}),
+], ids=["paper-4", "manycore-32", "paper-4-in-order"])
+def test_scan_counters_add_up(machine, sim, monkeypatch):
+    """The kernel's PU states cover every PU every cycle, and its issue
+    scans plus the visits it skipped asleep are exactly the issue calls
+    of a ``_tick`` run, of which it skipped none that issued."""
+    machines = _machine_pair(machine, **sim)
+    calls = {"scans": 0, "issued": 0}
+    real_issue = ProcessingUnit.issue
+
+    def counting_issue(pu, cycle, owner):
+        issued, reason = real_issue(pu, cycle, owner)
+        calls["scans"] += 1
+        calls["issued"] += issued > 0
+        return issued, reason
+
+    result = machines["fast"].run()
+    monkeypatch.setattr(ProcessingUnit, "issue", counting_issue)
+    assert machines["reference"].run() == result
+    assert machines["reference"].kernel_counters is None
+    counters = machines["fast"].kernel_counters
+    assert list(counters) == list(native.KERNEL_COUNTERS)
+    states = ("wrong_path", "idle", "retiring", "done", "active")
+    assert sum(counters[name] for name in states) == (
+        machines["fast"].config.n_pus * result.cycles
+    )
+    assert counters["scans"] + counters["skipped_asleep"] == calls["scans"]
+    assert counters["scans"] - counters["fruitless_scans"] == calls["issued"]
+    assert counters["skipped_asleep"] > 0
+    assert counters["entries_examined"] >= counters["scans"]
 
 
 def test_max_cycles_stuck_carries_the_same_fields():
@@ -304,3 +342,155 @@ def test_fast_run_builds_no_python_packing():
         assert record_to_dict(fast) == record_to_dict(reference)
     finally:
         runner.clear_cache()
+
+
+# ------------------------------------------------- sleeping issue scans
+
+
+def _wake_cell(text, level=HeuristicLevel.BASIC_BLOCK, **sim):
+    """Run a hand-built cell on both loops, check that the kernel slept
+    and reads as ``_tick`` afterwards, and return the kernel's machine.
+    A missed wake either delays an issue, which shows in the result, or
+    sleeps through the cell, which ``max_cycles`` turns into a
+    ``SimulationStuck``."""
+    partition = select_tasks(parse_program(text),
+                             SelectionConfig(level=level))
+    stream = build_task_stream(run_program(partition.program), partition)
+    machines = {
+        engine: MultiscalarMachine(
+            stream, SimConfig(engine=engine, max_cycles=20_000, **sim)
+        )
+        for engine in ("fast", "reference")
+    }
+    results = {engine: m.run() for engine, m in machines.items()}
+    assert results["fast"] == results["reference"]
+    fast = _post_run_state(machines["fast"])
+    reference = _post_run_state(machines["reference"])
+    for key in reference:
+        assert fast[key] == reference[key], key
+    assert machines["fast"].kernel_counters["skipped_asleep"] > 0
+    return machines["fast"]
+
+
+#: Each iteration (one task at the control-flow level) first reads r1,
+#: which the previous iteration's DIV writes: its scans sleep on a
+#: forward not yet scheduled, with nothing in flight.  On odd
+#: iterations no release point covers that write (the `even` block may
+#: redefine r1), so SCHEDULE forwards it release_lag cycles late.
+_FORWARD = """
+.func main
+entry:
+    li      r1, #1000000
+    li      r2, #3
+    li      r4, #0
+    li      r8, #24
+    li      r10, #100
+body:
+    div     r1, r1, r2
+    and     r9, r4, #1
+    beqz    r9, @even, @odd
+even:
+    add     r1, r1, #1
+odd:
+    add     r4, r4, #1
+    slt     r9, r4, r8
+    bnez    r9, @body, @done
+done:
+    store   r1, [r10 + 0]
+    halt
+"""
+
+
+@pytest.mark.parametrize("policy", list(ForwardPolicy),
+                         ids=lambda policy: policy.value)
+def test_forward_wakes_its_readers(policy):
+    machine = _wake_cell(_FORWARD, HeuristicLevel.CONTROL_FLOW,
+                         forward_policy=policy, release_lag=5)
+    if policy is ForwardPolicy.SCHEDULE:
+        state = machine.state
+        release = machine.stream.schedule_release(state.release_analysis)
+        remote = state.has_remote_consumer
+        assert any(remote[i] and not release[i] for i in range(len(remote)))
+
+
+#: `spill` issues its first store, and with one ARB entry per PU its
+#: second waits until `work`'s DIV chain retires and `spill` is the head.
+_FULL_ARB = """
+.func main
+entry:
+    li      r1, #1000000
+    li      r2, #3
+    li      r10, #200
+    jump    @work
+work:
+    div     r1, r1, r2
+    div     r1, r1, r2
+    div     r1, r1, r2
+    div     r1, r1, r2
+    jump    @spill
+spill:
+    store   r2, [r10 + 0]
+    store   r2, [r10 + 1]
+    jump    @last
+last:
+    store   r1, [r10 + 2]
+    halt
+"""
+
+
+def test_becoming_the_head_wakes_a_full_arb():
+    _wake_cell(_FULL_ARB, arb_entries_per_pu=1)
+
+
+#: Each iteration's ADD chain waits on its own DIV, with nothing left
+#: to fetch: only the completion heap bounds the sleep.
+_OWN_COMPLETION = """
+.func main
+entry:
+    li      r1, #1000000
+    li      r2, #3
+    li      r4, #0
+    li      r8, #24
+body:
+    div     r3, r1, r2
+    add     r5, r3, #1
+    add     r5, r5, #1
+    add     r4, r4, #1
+    slt     r9, r4, r8
+    bnez    r9, @body, @done
+done:
+    halt
+"""
+
+
+def test_own_completion_ends_an_intra_task_wait():
+    _wake_cell(_OWN_COMPLETION)
+
+
+#: Two fetches after the DIV the window holds only its dependent ADDs,
+#: so the scan sleeps until the DIV completes; the fetch of that cycle
+#: brings in two independent LIs, which issue the next cycle.
+_FETCH_INTO_SLEEP = """
+.func main
+entry:
+    li      r1, #1000000
+    li      r2, #3
+    li      r4, #0
+    li      r8, #24
+body:
+    div     r3, r1, r2
+    add     r5, r3, #1
+    add     r6, r5, #1
+    add     r7, r6, #1
+    li      r11, #1
+    li      r12, #2
+    add     r4, r4, #1
+    slt     r9, r4, r8
+    bnez    r9, @body, @done
+done:
+    halt
+"""
+
+
+def test_fetch_wakes_an_out_of_order_window():
+    _wake_cell(_FETCH_INTO_SLEEP)
