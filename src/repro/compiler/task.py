@@ -79,11 +79,6 @@ class Task:
         """Number of member basic blocks."""
         return len(self.blocks)
 
-    @property
-    def target_count(self) -> int:
-        """Number of distinct successors."""
-        return len(self.targets)
-
     def is_internal(self, src: BlockId, dst: BlockId) -> bool:
         """True if the dynamic transition ``src -> dst`` stays in-task."""
         return (src, dst) in self.internal_edges

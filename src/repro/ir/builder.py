@@ -95,10 +95,6 @@ class IRBuilder:
         if self._pending_fallthrough is self._block:
             self._pending_fallthrough = None
 
-    def current_label(self) -> str:
-        """Label of the current block."""
-        return self._require_block().label
-
     def _require_function(self) -> Function:
         if self._func is None:
             raise ValueError("no function scope is open")

@@ -191,25 +191,6 @@ class Trace:
     def __getitem__(self, index: int) -> DynInst:
         return self.insts[index]
 
-    @property
-    def dynamic_instruction_count(self) -> int:
-        """Total dynamic instructions executed."""
-        return self.n
-
-    def pc_at(self, index: int) -> int:
-        """Static pc of the instruction at trace position ``index``."""
-        entries = self.block_entries
-        # The last entry starting at or before ``index``: an empty
-        # block's entry shares its start with the entry after it.
-        lo, hi = 0, len(entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if entries[mid][0] <= index:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.entry_pcs[lo - 1] + index - entries[lo - 1][0]
-
     def control_transfer_count(self) -> int:
         """Number of dynamic control transfer instructions."""
         if self._control_transfers is None:

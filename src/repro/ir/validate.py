@@ -149,10 +149,6 @@ def _join(a: _State, b: _State) -> _State:
     return a & b
 
 
-def _contains(state: _State, reg: str) -> bool:
-    return state is None or reg in state
-
-
 def _undefined_reads(program: Program) -> List[str]:
     """Reads of registers not must-defined on every path from entry.
 

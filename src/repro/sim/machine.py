@@ -101,13 +101,6 @@ class SimResult:
     #: + task overheads; excludes idle and squashed occupancy)
     pu_occupied: List[int] = field(default_factory=list)
 
-    def pu_utilization(self) -> List[float]:
-        """Per-PU useful / occupied ratio (0.0 where never occupied)."""
-        return [
-            useful / occupied if occupied else 0.0
-            for useful, occupied in zip(self.pu_useful, self.pu_occupied)
-        ]
-
     @property
     def ipc(self) -> float:
         """Committed instructions per cycle."""
@@ -243,8 +236,7 @@ class MultiscalarMachine:
     def _learn_sync(self, store_idx: int, load_idx: int) -> None:
         if self.config.sync_table_size <= 0:
             return
-        trace = self.stream.trace
-        key = (trace.pc_at(store_idx), trace.pc_at(load_idx))
+        key = (self.state.pc[store_idx], self.state.pc[load_idx])
         self.sync_pairs[key] = None
         self.sync_pairs.move_to_end(key)
         while len(self.sync_pairs) > self.config.sync_table_size:
@@ -516,6 +508,8 @@ class MultiscalarMachine:
                 counts[_R_LOAD_IMBALANCE] += 1
                 continue
             issued, reason = 0, None
+            # Issue before fetch: an instruction fetched this cycle
+            # issues the next cycle at the earliest.
             if pu.unissued:
                 issued, reason = pu.issue(cycle, self)
             if (

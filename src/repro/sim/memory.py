@@ -34,9 +34,6 @@ class Cache:
         self.hits = 0
         self.misses = 0
 
-    def _locate(self, line_addr: int) -> int:
-        return line_addr % self._n_sets
-
     def access(self, line_addr: int) -> bool:
         """Touch ``line_addr``; return True on hit (LRU updated)."""
         index = line_addr % self._n_sets

@@ -85,8 +85,7 @@ enum {
  * the trace's buffers, filled by ms_lower; the rest are per run. */
 enum {
     B_OPCLS, B_IS_LOAD, B_IS_STORE, B_IS_MEM, B_IS_COND_BRANCH,
-    B_BLOCK_START, B_HAS_WRITE, B_GSHARE_MISPRED,
-    B_ISSUE_SIMPLE,                                 /* u8[n]          */
+    B_BLOCK_START, B_HAS_WRITE, B_GSHARE_MISPRED,   /* u8[n]          */
     B_PC, B_ADDR,                                   /* i64[n]         */
     B_LATENCY, B_MEM_PRODUCER,                      /* i32[n]         */
     B_PROD_OFF, B_PROD,                             /* i32, CSR       */
@@ -122,7 +121,7 @@ enum {
                                         history; then the path and
                                         gshare components of hybrid */
     O_RAS_OVERFLOWS = O_PRED + 9,
-    O_N_EVENTS, O_N_DEPTHS, O_N_SYNC, O_N_RAS, O_N_LEARNS,
+    O_N_EVENTS, O_N_DEPTHS, O_N_SYNC, O_N_RAS,
     O_COUNTERS, /* N_COUNTERS slots */
 };
 
@@ -143,7 +142,7 @@ enum {
 };
 #define EV_WORDS 7
 
-enum { COPY_EVENTS, COPY_DEPTHS, COPY_SYNC, COPY_RAS, COPY_LEARNS };
+enum { COPY_EVENTS, COPY_DEPTHS, COPY_SYNC, COPY_RAS };
 
 /* ------------------------------------------------------------ helpers */
 
@@ -519,8 +518,7 @@ typedef struct {
     i64 fetch_ptr, fetch_end;
     i64 pending_branch;
     int rob_count, remaining, arb_used;
-    i32 *win_idx;  /* unissued window, program order */
-    i64 *win_cycle;
+    i32 *win_idx;  /* unissued window: trace indices, program order */
     int n_win;
     Completion *heap;  /* in-flight completions, min-heap on (c, idx) */
     int n_heap;
@@ -548,7 +546,7 @@ typedef struct {
     int trace;
 
     const u8 *opcls, *is_load, *is_store, *is_mem, *is_cond_branch,
-        *block_start, *has_write, *gshare_mispred, *issue_simple,
+        *block_start, *has_write, *gshare_mispred,
         *release_now;  /* release_now: SCHEDULE policy only */
     u8 *has_remote;
     const i64 *pc, *addr;
@@ -586,7 +584,6 @@ typedef struct {
     int *issued_pos;  /* scratch: window positions issued this scan */
 
     Vec events, depths;
-    Vec learns;  /* (store, load) trace indices of every _learn_sync */
     int failed;  /* an allocation failed: the run is void */
 } Machine;
 
@@ -925,8 +922,6 @@ static void check_store_violation(Machine *m, i64 store_idx, i64 cycle)
     m->memory_squashes++;
     if (m->trace)
         event(m, EV_ARB_VIOLATION, victim_seq, cycle, 0, 0, 0, 0);
-    vec_push(&m->learns, store_idx, &m->failed);
-    vec_push(&m->learns, victim_load, &m->failed);
     sync_learn(&m->sync, m->pc[store_idx], m->pc[victim_load], &m->failed);
     squash_from(m, victim_seq, cycle, 1);
 }
@@ -1052,12 +1047,11 @@ static void retire(Machine *m, i64 cycle)
  * is the head, and the complete / forward cycles of the producers it
  * reads.  So the PU sleeps: until `wake` the scan would issue nothing
  * and charge the same reason.  `wake` is the earliest cycle a blocked
- * entry it examined can pass: a decode-stalled entry's fetch cycle + 1,
- * a known forward's arrival, and the top of the completion heap (an
- * own-task producer or store completes there, or later).  What no cycle
- * bounds wakes the PU through a hook: a forward being scheduled
- * (schedule_forward), the task becoming the head (retire), a fetch and
- * reset_idle. */
+ * entry it examined can pass: a known forward's arrival, and the top of
+ * the completion heap (an own-task producer or store completes there,
+ * or later).  What no cycle bounds wakes the PU through a hook: a
+ * forward being scheduled (schedule_forward), the task becoming the
+ * head (retire), a fetch and reset_idle. */
 static int issue(Machine *m, PU *pu, i64 cycle, int *reason_out)
 {
     int budget[4] = {pu->fu[0], pu->fu[1], pu->fu[2], pu->fu[3]};
@@ -1077,28 +1071,6 @@ static int issue(Machine *m, PU *pu, i64 cycle, int *reason_out)
         if (issued >= pu->issue_width)
             break;
         i32 idx = pu->win_idx[pos];
-        if (pu->win_cycle[pos] >= cycle) {
-            /* Decode: fetch stamps never decrease along the window. */
-            if (first_block < 0)
-                first_block = R_FETCH;
-            if (pu->win_cycle[pos] + 1 < wake)
-                wake = pu->win_cycle[pos] + 1;
-            break;
-        }
-        int cls = m->opcls[idx];
-        if (m->issue_simple[idx]) {
-            if (budget[cls] <= 0) {
-                if (first_block < 0)
-                    first_block = R_USEFUL;
-                if (!m->ooo)
-                    break;
-                continue;
-            }
-            budget[cls]--;
-            heap_push(pu, cycle + m->latency[idx] + pu->lat_extra[cls], idx);
-            m->issued_pos[issued++] = pos;
-            continue;
-        }
         int reason = -1;
         for (i32 k = m->prod_off[idx]; k < m->prod_off[idx + 1]; k++) {
             i32 p = m->prod[k];
@@ -1163,6 +1135,7 @@ static int issue(Machine *m, PU *pu, i64 cycle, int *reason_out)
                 break;
             continue;
         }
+        int cls = m->opcls[idx];
         if (budget[cls] <= 0) {
             if (first_block < 0)
                 first_block = R_USEFUL;
@@ -1206,9 +1179,7 @@ static int issue(Machine *m, PU *pu, i64 cycle, int *reason_out)
                 next++;
                 continue;
             }
-            pu->win_idx[keep] = pu->win_idx[pos];
-            pu->win_cycle[keep] = pu->win_cycle[pos];
-            keep++;
+            pu->win_idx[keep++] = pu->win_idx[pos];
         }
         pu->n_win = keep;
         *reason_out = -1;
@@ -1240,9 +1211,7 @@ static void fetch(Machine *m, PU *pu, i64 cycle)
                 pu->fetch_resume = cycle + (latency - m->l1i_hit);
         }
         pu->rob_count++;
-        pu->win_idx[pu->n_win] = (i32)idx;
-        pu->win_cycle[pu->n_win] = cycle;
-        pu->n_win++;
+        pu->win_idx[pu->n_win++] = (i32)idx;
         pu->fetch_ptr = idx + 1;
         fetched++;
         if (m->is_cond_branch[idx] && m->gshare_mispred[idx]) {
@@ -1328,6 +1297,8 @@ static void tick(Machine *m, i64 cycle)
             pu->counts[R_LOAD_IMBALANCE]++;
             continue;
         }
+        /* Issue before fetch: an instruction fetched this cycle issues
+         * the next cycle at the earliest. */
         int reason = -1, issued = 0;
         if (pu->n_win) {
             if (cycle < pu->wake) {
@@ -1904,7 +1875,6 @@ int ms_lower(const i64 *lparams, void *const *lin, void *const *bufs,
     u8 *is_cond_branch = bufs[B_IS_COND_BRANCH];
     u8 *block_start = bufs[B_BLOCK_START], *has_write = bufs[B_HAS_WRITE];
     u8 *gshare_mispred = bufs[B_GSHARE_MISPRED];
-    u8 *issue_simple = bufs[B_ISSUE_SIMPLE];
     i64 *pc = bufs[B_PC], *addr = bufs[B_ADDR];
     i32 *latency = bufs[B_LATENCY], *mem_producer = bufs[B_MEM_PRODUCER];
     i32 *prod_off = bufs[B_PROD_OFF], *prod = bufs[B_PROD];
@@ -2014,7 +1984,6 @@ int ms_lower(const i64 *lparams, void *const *lin, void *const *bufs,
                 mispredictions++;
             }
         }
-        issue_simple[i] = n_prod == first && !is_mem[i];
     }
     if (mem_at != n_mem || branch_at != n_branches) {
         status = LOWER_BAD_COLUMNS;
@@ -2107,7 +2076,6 @@ static void machine_free(Machine *m)
     if (m->pus) {
         for (int i = 0; i < m->n_pus; i++) {
             free(m->pus[i].win_idx);
-            free(m->pus[i].win_cycle);
             free(m->pus[i].heap);
             free(m->pus[i].egress);
         }
@@ -2138,7 +2106,6 @@ static void machine_free(Machine *m)
     free(m->issued_pos);
     free(m->events.v);
     free(m->depths.v);
-    free(m->learns.v);
     free(m);
 }
 
@@ -2178,7 +2145,6 @@ static int machine_init(Machine *m, const i64 *params, const i64 *pu_params,
     m->block_start = bufs[B_BLOCK_START];
     m->has_write = bufs[B_HAS_WRITE];
     m->gshare_mispred = bufs[B_GSHARE_MISPRED];
-    m->issue_simple = bufs[B_ISSUE_SIMPLE];
     m->has_remote = bufs[B_HAS_REMOTE];
     m->release_now = bufs[B_RELEASE_NOW];
     m->pc = bufs[B_PC];
@@ -2266,9 +2232,8 @@ static int machine_init(Machine *m, const i64 *params, const i64 *pu_params,
             pu->lat_extra[k] = (int)pp[6 + k];
         }
         pu->win_idx = malloc((size_t)m->rob_size * sizeof(i32));
-        pu->win_cycle = malloc((size_t)m->rob_size * sizeof(i64));
         pu->heap = malloc((size_t)m->rob_size * sizeof(Completion));
-        if (!pu->win_idx || !pu->win_cycle || !pu->heap)
+        if (!pu->win_idx || !pu->heap)
             return 0;
         reset_idle(pu);
     }
@@ -2367,7 +2332,6 @@ void *ms_run(const i64 *params, const i64 *pu_params, void *const *bufs,
     out[O_N_DEPTHS] = m->depths.len;
     out[O_N_SYNC] = m->sync.n_present;
     out[O_N_RAS] = m->ras_len;
-    out[O_N_LEARNS] = m->learns.len / 2;
     memcpy(out + O_COUNTERS, m->counters, sizeof(m->counters));
     return m;
 }
@@ -2398,8 +2362,6 @@ void ms_copy(void *handle, int what, i64 *dst)
         }
     } else if (what == COPY_RAS) {
         memcpy(dst, m->ras, (size_t)m->ras_len * sizeof(i64));
-    } else if (what == COPY_LEARNS) {
-        memcpy(dst, m->learns.v, (size_t)m->learns.len * sizeof(i64));
     }
 }
 

@@ -36,9 +36,11 @@ The kernel does three jobs:
   neither the Python packing (:mod:`repro.sim.packed`), the reference
   loop's input, nor the trace's ``DynInst`` view nor the stream's
   ``DynTask`` view.  After the run, the machine's counters and cache /
-  predictor statistics are written back, the run state's ``complete``
-  and ``forward`` become the kernel's own arrays, an attached tracer
-  receives the run's lifecycle events in order, and
+  predictor statistics are written back, the sync table takes the
+  kernel's final LRU order (the kernel fills its own table in C, so
+  ``_learn_sync`` runs only under ``_tick``), the run state's
+  ``complete`` and ``forward`` become the kernel's own arrays, an
+  attached tracer receives the run's lifecycle events in order, and
   ``machine.kernel_counters`` holds the kernel's scan counters
   (:data:`KERNEL_COUNTERS`).
 
@@ -79,8 +81,9 @@ SOURCE = Path(__file__).with_name("native.c")
 COMMAND: Tuple[str, ...] = ("cc", "-O2", "-std=c99", "-shared", "-fPIC")
 
 # Layouts shared with native.c (its P_*, B_*, L_*, LI_*, LO_*, T_*,
-# O_*, IP_*, IB_*, IO_*, IC_*, RP_* and RB_* enums).
-_N_BUFS, _N_TRACE_BUFS = 24, 15
+# O_*, IP_*, IB_*, IO_*, IC_*, RP_* and RB_* enums); tests/test_native.py
+# checks each mirror against the C source.
+_N_BUFS, _N_TRACE_BUFS = 23, 14
 _N_LIN = 10
 _N_IBUFS = 14
 _IO_STATUS, _IO_N, _IO_N_ENTRIES, _IO_N_MEM, _IO_N_BRANCHES, _N_IOUT = (
@@ -93,15 +96,16 @@ _LO_N_PROD, _LO_GSHARE_MISPREDICTIONS, _N_LOUT = range(3)
 _LOWER_NO_MEMORY = 1
 _KIND_LOAD, _KIND_STORE, _KIND_COND = 1, 2, 4
 _POLICY = {"schedule": 0, "eager": 1, "lazy": 2}
-_O_STATUS, _O_CYCLE = 0, 1  # then machine scalars, as in _write_back
+# out[_O_RETIRE_SEQ:_O_REASONS] are the machine scalars _write_back reads
+_O_STATUS, _O_CYCLE, _O_RETIRE_SEQ = 0, 1, 2
 _O_REASONS = 17
 _O_CACHE = _O_REASONS + len(REASONS)
 _O_PRED = _O_CACHE + 6
 _O_RAS_OVERFLOWS = _O_PRED + 9
-_O_N_EVENTS, _O_N_DEPTHS, _O_N_SYNC, _O_N_RAS, _O_N_LEARNS = range(
-    _O_RAS_OVERFLOWS + 1, _O_RAS_OVERFLOWS + 6
+_O_N_EVENTS, _O_N_DEPTHS, _O_N_SYNC, _O_N_RAS = range(
+    _O_RAS_OVERFLOWS + 1, _O_RAS_OVERFLOWS + 5
 )
-_O_COUNTERS = _O_N_LEARNS + 1
+_O_COUNTERS = _O_N_RAS + 1
 #: the kernel's scan counters (its C_* slots), the keys of a machine's
 #: ``kernel_counters``: PU-cycles by state, then the issue scans run,
 #: those that issued nothing, the visits that skipped a scan asleep and
@@ -112,7 +116,7 @@ KERNEL_COUNTERS = (
 )
 _N_OUT = _O_COUNTERS + len(KERNEL_COUNTERS)
 _EV_WORDS = 7
-_COPY_EVENTS, _COPY_DEPTHS, _COPY_SYNC, _COPY_RAS, _COPY_LEARNS = range(5)
+_COPY_EVENTS, _COPY_DEPTHS, _COPY_SYNC, _COPY_RAS = range(4)
 #: breakdown.REASONS order the kernel's R_* slots assume
 _SLOTS = ("USEFUL", "TASK_START", "TASK_END", "INTRA_DEP", "INTER_COMM",
           "MEMORY", "SYNC_WAIT", "FETCH", "LOAD_IMBALANCE", "IDLE")
@@ -219,7 +223,7 @@ _encodings: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 #: the lowering's one-byte-per-instruction buffers
 _BYTE_FIELDS = (
     "opcls", "is_load", "is_store", "is_mem", "is_cond_branch",
-    "block_start", "has_write", "gshare_mispred", "issue_simple",
+    "block_start", "has_write", "gshare_mispred",
 )
 
 
@@ -753,11 +757,10 @@ def run(machine) -> Optional[int]:
         depths = copy(_COPY_DEPTHS, out[_O_N_DEPTHS])
         sync = copy(_COPY_SYNC, 2 * out[_O_N_SYNC])
         ras = copy(_COPY_RAS, out[_O_N_RAS])
-        learns = copy(_COPY_LEARNS, 2 * out[_O_N_LEARNS])
     finally:
         lib.ms_free(handle)
 
-    _write_back(machine, out, depths, sync, learns, ras, roots)
+    _write_back(machine, out, depths, sync, ras, roots)
     machine.kernel_counters = dict(zip(KERNEL_COUNTERS,
                                        out[_O_COUNTERS:_N_OUT]))
     # The kernel's arrays themselves: copying them into the run
@@ -780,20 +783,20 @@ def run(machine) -> Optional[int]:
     return cycle
 
 
-def _write_back(machine, out, depths, sync, learns, ras, roots) -> None:
+def _write_back(machine, out, depths, sync, ras, roots) -> None:
     """Leave ``machine`` reading as it would after a ``_tick`` run."""
     (machine.retire_seq, machine.next_seq, machine.next_assign_pu,
      machine.resume_cycle, pending, machine.task_predictions,
      machine.task_mispredictions, machine.control_squashes,
-     machine.memory_squashes) = out[2:11]
+     machine.memory_squashes, control_misspec, memory_misspec, idle, span,
+     machine._active_span,
+     machine._retire_finish) = out[_O_RETIRE_SEQ:_O_REASONS]
     machine.pending_mispredict = None if pending < 0 else pending
     breakdown = machine.breakdown
-    breakdown.control_misspeculation += out[11]
-    breakdown.memory_misspeculation += out[12]
-    machine._idle_accum += out[13]
-    machine._span_accum += out[14]
-    machine._active_span = out[15]
-    machine._retire_finish = out[16]
+    breakdown.control_misspeculation += control_misspec
+    breakdown.memory_misspeculation += memory_misspec
+    machine._idle_accum += idle
+    machine._span_accum += span
     accum = machine._reason_accum
     for slot in range(len(accum)):
         accum[slot] += out[_O_REASONS + slot]
@@ -816,11 +819,7 @@ def _write_back(machine, out, depths, sync, learns, ras, roots) -> None:
     machine.ras.overflows = out[_O_RAS_OVERFLOWS]
     machine.ras._stack = [roots[i] for i in ras]
     machine.squash_depths.extend(depths)
-    # Every learned pair goes through _learn_sync, in order, as in a
-    # _tick run (subclasses hook it); the table then takes the kernel's
-    # final LRU state, which also reflects the issue scans' touches.
-    for k in range(0, len(learns), 2):
-        machine._learn_sync(learns[k], learns[k + 1])
+    # The sync table takes the kernel's final LRU order.
     machine.sync_pairs = OrderedDict(
         ((sync[k], sync[k + 1]), None) for k in range(0, len(sync), 2)
     )

@@ -32,7 +32,7 @@ columns the kernel reads.
 
 Layout choices: single-byte fields (flags, opcode classes) are
 ``bytearray``; rarely-read wide fields (pc, addresses) are
-``array('q')``; fields read on the issue fast path (latencies, task
+``array('q')``; fields every issue scan reads (latencies, task
 sequence numbers, memory producers) stay plain ``list``s of ints
 because CPython list indexing is faster than unboxing from ``array``.
 Register names are interned to dense integer ids while resolving
@@ -158,17 +158,6 @@ class TraceArrays:
                 if r is None:
                     r = reg_ids[write] = len(reg_ids)
                 last_writer[r] = i
-
-        # Issue fast path: an instruction with no register producers
-        # and no memory semantics can never block on operands, memory
-        # order, the ARB, or the sync table — the issue scan's only
-        # questions for it are decode timing and FU budget.  Roughly
-        # half of a typical trace qualifies, so the scan checks this
-        # one flag before walking the dependence machinery.
-        self.issue_simple = simple = bytearray(n)
-        for i in range(n):
-            if not producers[i] and not is_mem[i]:
-                simple[i] = 1
 
         # Gshare outcomes are a pure function of the trace, so the
         # predictor's end-of-run statistics are frozen here.  Its

@@ -5,6 +5,9 @@ instructions in (dynamic) program order at ``fetch_width`` per cycle,
 holds them in a ``rob_size`` window, and issues up to ``issue_width``
 ready instructions per cycle subject to the issue-list depth, the
 functional unit mix, and — in in-order mode — strict program order.
+An instruction issues at the earliest the cycle after its fetch: the
+machine runs ``issue`` before ``fetch`` in each cycle, so a scan only
+meets entries fetched in earlier cycles.
 Memory operations issue in program order within the task (the paper's
 single memory unit), which keeps intra-task memory semantics exact.
 
@@ -104,7 +107,6 @@ class ProcessingUnit:
             state.opcls,
             state.is_load,
             state.is_mem,
-            state.issue_simple,
             state.producers,
             state.task_seq,
             state.complete,
@@ -166,9 +168,9 @@ class ProcessingUnit:
         self.pending_branch = -1
         #: occupancy of the reorder buffer (fetched, not yet completed)
         self.rob_count = 0
-        #: window entries awaiting issue, in program order:
-        #: (trace_idx, fetch_cycle)
-        self.unissued: List[Tuple[int, int]] = []
+        #: trace indices of the window entries awaiting issue, in
+        #: program order
+        self.unissued: List[int] = []
         self.in_flight: List[Tuple[int, int]] = []  # (complete_cycle, idx)
         self.remaining = 0
         self.done = False
@@ -323,7 +325,7 @@ class ProcessingUnit:
                     # then this (already-fetched) line streams in.
                     self.fetch_resume = cycle + (latency - l1i_hit_latency)
             self.rob_count += 1
-            unissued.append((idx, cycle))
+            unissued.append(idx)
             self.fetch_ptr = idx + 1
             fetched += 1
             if is_cond_branch[idx] and gshare_mispred[idx]:
@@ -362,7 +364,6 @@ class ProcessingUnit:
             opcls,
             is_load,
             is_mem,
-            issue_simple,
             producers,
             task_seq,
             complete,
@@ -400,33 +401,7 @@ class ProcessingUnit:
         for pos in range(limit):
             if issued >= issue_width:
                 break
-            idx, fetch_cycle = unissued[pos]
-            if fetch_cycle >= cycle:
-                # Decode: not issuable the cycle it was fetched.  Fetch
-                # stamps never decrease along the window, so every
-                # later candidate is decode-stalled too — stop scanning.
-                if first_block is None:
-                    first_block = StallReason.FETCH
-                break
-            if issue_simple[idx]:
-                # No register operands and no memory semantics: after
-                # the decode gate above, only the FU budget can stop
-                # it.  Skips the whole dependence analysis below.
-                cls = opcls[idx]
-                if budget[cls] <= 0:
-                    if first_block is None:
-                        first_block = StallReason.USEFUL
-                    if not out_of_order:
-                        break
-                    continue
-                budget[cls] -= 1
-                heappush(
-                    in_flight,
-                    (cycle + latency_of[idx] + lat_extra[cls], idx),
-                )
-                issued_pos.append(pos)
-                issued += 1
-                continue
+            idx = unissued[pos]
             reason: Optional[StallReason] = None
             # Register operands.
             for p in producers[idx]:

@@ -28,8 +28,8 @@ from repro.sim.taskstream import TaskStream
 #: static aliases into the trace's TraceArrays
 _TRACE_FIELDS = (
     "opcls", "latency", "is_load", "is_store", "is_mem", "is_cond_branch",
-    "pc", "addr", "block_start", "producers", "issue_simple",
-    "mem_producer", "gshare_mispred", "has_write", "gshare_accuracy",
+    "pc", "addr", "block_start", "producers", "mem_producer",
+    "gshare_mispred", "has_write", "gshare_accuracy",
 )
 #: static aliases into the stream's PackedTrace
 _STREAM_FIELDS = ("task_seq", "has_remote_consumer")

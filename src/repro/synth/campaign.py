@@ -37,6 +37,7 @@ fuzz-smoke job asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel, SelectionConfig
@@ -236,9 +237,7 @@ def execute_fuzz_spec(spec: RunSpec) -> RunRecord:
     if spec.source_hash is not None:
         # The worker rebuilt the program from its name; a hash mismatch
         # means generation is not deterministic across processes.
-        rebuilt = program_source_hash(
-            _pristine_program(spec.benchmark, spec.scale)
-        )
+        rebuilt = _rebuilt_source_hash(spec.benchmark, spec.scale)
         if rebuilt != spec.source_hash:
             divergences.append(
                 f"source hash mismatch: spec says {spec.source_hash[:12]}, "
@@ -282,6 +281,14 @@ def _pristine_program(name: str, scale: float) -> Program:
     from repro.workloads import get_benchmark
 
     return get_benchmark(name).build(scale)
+
+
+@lru_cache(maxsize=None)
+def _rebuilt_source_hash(name: str, scale: float) -> str:
+    """The source hash of ``name`` as this process builds it, once per
+    process: every cell of a program checks the same rebuild, and one
+    string per program is all the cache keeps."""
+    return program_source_hash(_pristine_program(name, scale))
 
 
 def _stub_record(spec: RunSpec, compiled) -> RunRecord:

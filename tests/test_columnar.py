@@ -472,11 +472,9 @@ def test_trace_columns_answer_counts_without_the_view():
     trace = run_program(program)
     n = len(trace)
     transfers = trace.control_transfer_count()
-    pcs = [trace.pc_at(i) for i in range(n)]
     assert trace._insts is None
     assert n == len(trace.insts)
     assert transfers == sum(d.op.is_control for d in trace)
-    assert pcs == [d.pc for d in trace]
 
 
 def test_task_view_is_lazy_and_sized_by_the_table():

@@ -60,14 +60,14 @@ def drive_tick(machine):
     cycle = 0
     while machine.retire_seq < n_tasks:
         before = [
-            (pu.seq, [idx for idx, _ in pu.unissued if is_mem[idx]])
+            (pu.seq, [idx for idx in pu.unissued if is_mem[idx]])
             for pu in machine.pus
         ]
         machine._tick(cycle)
         for pu, (seq, window) in zip(machine.pus, before):
             if seq < 0 or pu.seq != seq:
                 continue
-            still = {idx for idx, _ in pu.unissued}
+            still = set(pu.unissued)
             left = [idx for idx in window if idx not in still]
             if left:
                 departures.append((cycle, pu.index, window, left))

@@ -3,7 +3,8 @@
 Bit-identity of results and event streams is swept in
 ``test_fastpath.py``, ``test_machines.py`` and ``test_telemetry.py``;
 these tests cover what is particular to the kernel: how it is built
-and salted, what happens when it cannot be, that its lowering of a
+and salted, what happens when it cannot be, that the Python copies of
+its layout constants equal the C source's, that its lowering of a
 trace equals the Python packing (``tests/test_trace_sharing.py`` runs
 that check on every benchmark and level), that a kernel run builds no
 Python packing, that a machine reads the same after a kernel run as
@@ -11,10 +12,14 @@ after a ``_tick`` run, the scan counters, and hand-built cells in which
 a sleeping issue scan must be woken by each of its wake events.
 """
 
+import ast
+import operator
 import os
+import re
 import subprocess
 import sys
 import warnings
+from array import array
 from itertools import accumulate
 from pathlib import Path
 
@@ -28,8 +33,10 @@ from repro.harness import cache as cache_module
 from repro.harness.serialize import record_to_dict
 from repro.ir.asmtext import parse_program
 from repro.ir.interp import run_program
+from repro.predict import GshareTaskPredictor, HybridTaskPredictor
 from repro.reliability import verify_workload
-from repro.sim import SimConfig, build_task_stream, native, simulate
+from repro.sim import (SimConfig, build_task_stream, native, simulate,
+                       taskstream)
 from repro.sim.config import ForwardPolicy
 from repro.sim.machine import MultiscalarMachine, SimulationStuck
 from repro.sim.pu import ProcessingUnit
@@ -101,6 +108,114 @@ def test_concurrent_builds_share_one_library(tmp_path):
     assert [p.wait(timeout=120) for p in procs] == [0, 0]
     left = sorted(p.name for p in (tmp_path / "native").iterdir())
     assert len(left) == 1 and left[0].endswith(".so"), left
+
+
+# ------------------------------------------------------- the ABI mirror
+
+_C_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+          ast.LShift: operator.lshift}
+
+
+def _c_value(node, consts):
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    if isinstance(node, ast.Name):
+        return consts[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _C_OPS:
+        return _C_OPS[type(node.op)](_c_value(node.left, consts),
+                                     _c_value(node.right, consts))
+    raise KeyError(ast.dump(node))
+
+
+def _c_constants():
+    """native.c's enum constants and integer ``#define``s, by name.
+
+    Enumerators count up from 0, or from the value of an explicit
+    ``NAME = expression`` (names, integers, ``+``, ``-``, ``<<``;
+    integer casts and ``u`` suffixes are dropped)."""
+    text = re.sub(r"/\*.*?\*/", " ", native.SOURCE.read_text(), flags=re.S)
+    consts = {}
+
+    def value(expr):
+        expr = re.sub(r"\((?:i64|i32|u8)\)|(?<=\d)u\b", "", expr.strip())
+        return _c_value(ast.parse(expr, mode="eval").body, consts)
+
+    for body in re.findall(r"\benum\s*\{(.*?)\}", text, flags=re.S):
+        following = 0
+        for item in filter(None, map(str.strip, body.split(","))):
+            name, _, expr = item.partition("=")
+            if expr:
+                following = value(expr)
+            consts[name.strip()] = following
+            following += 1
+    for name, expr in re.findall(r"^#define (\w+) (.+)$", text, flags=re.M):
+        try:
+            consts[name] = value(expr)
+        except (KeyError, SyntaxError):
+            pass  # not an integer constant
+    return consts
+
+
+def test_python_mirrors_equal_the_kernel_layouts():
+    """Every layout constant native.py and taskstream.py copy from
+    native.c equals its C value: each ``_NAME`` int of native.py whose
+    NAME the C source defines, taskstream's ``T_*`` / ``K_*``, the
+    REASONS slots, the number of scan counters, the trace buffers, the
+    predictor and policy codes, the tracer hooks and the parameter
+    counts.  The buffers and parameters the wrappers pass by position
+    are checked by the runs of every other test."""
+    c = _c_constants()
+    mirrors = {name[1:]: value for name, value in vars(native).items()
+               if name[:1] == "_" and name[1:] in c and type(value) is int}
+    mirrors.update((name, value) for name, value in vars(taskstream).items()
+                   if re.fullmatch(r"[TK]_[A-Z_]+", name))
+    assert {name: c[name] for name in mirrors} == mirrors
+    assert {"N_BUFS", "N_TRACE_BUFS", "N_LIN", "N_IBUFS", "N_RBUFS",
+            "N_IOUT", "N_LOUT", "N_OUT", "O_RETIRE_SEQ", "O_REASONS",
+            "O_COUNTERS", "COPY_RAS", "EV_WORDS", "OP_HALT", "IMM_FLOAT",
+            "KIND_COND", "IC_TAKEN", "LO_GSHARE_MISPREDICTIONS",
+            "T_COLS", "K_OTHER"} <= set(mirrors)
+
+    assert [c["R_" + slot] for slot in native._SLOTS] == list(
+        range(c["N_REASONS"]))
+    assert len(native.KERNEL_COUNTERS) == c["N_COUNTERS"]
+    assert [c["B_" + name.upper()] for name in native.Lowering.FIELDS] == (
+        list(range(c["N_TRACE_BUFS"])))
+    assert native._POLICY == {
+        policy: c["POLICY_" + policy.upper()] for policy in native._POLICY
+    }
+    assert native._predictor_kind(GshareTaskPredictor()) == c["PRED_GSHARE"]
+    assert native._predictor_kind(HybridTaskPredictor()) == c["PRED_HYBRID"]
+
+    hooks = {"EV_ASSIGN": "on_assign", "EV_WRONG_ASSIGN": "on_wrong_assign",
+             "EV_TASK_MISPREDICT": "on_task_mispredict",
+             "EV_BRANCH_MISPREDICT": "on_branch_mispredict",
+             "EV_ARB_VIOLATION": "on_arb_violation",
+             "EV_SQUASH": "on_squash", "EV_WRONG_SQUASH": "on_wrong_squash",
+             "EV_COMMIT": "on_commit_start", "EV_RETIRE": "on_retire"}
+    called = []
+
+    class Recorder:
+        def __getattr__(self, hook):
+            return lambda *args: called.append(hook)
+
+    native._replay(Recorder(), array("q", [
+        word for kind in range(len(hooks))
+        for word in [kind] + [0] * (c["EV_WORDS"] - 1)
+    ]))
+    assert called == [hooks[name] for name in sorted(hooks, key=c.get)]
+
+    partition = select_tasks(parse_program(_FORWARD),
+                             SelectionConfig(level=HeuristicLevel.BASIC_BLOCK))
+    stream = build_task_stream(run_program(partition.program), partition)
+    m = MultiscalarMachine(stream, SimConfig(max_cycles=20_000))
+    params = native._params(m)
+    assert len(params) == c["N_PARAMS"]
+    assert params[c["P_N"]] == len(stream.trace)
+    assert params[c["P_N_TASKS"]] == len(stream.tasks)
+    assert params[c["P_MAX_CYCLES"]] == 20_000
+    assert native._predictor_kind(m.predictor) == c["PRED_PATH"]
+    assert len(native._pu_params(m)) == c["PU_PARAMS"] * m.config.n_pus
 
 
 def _machine_pair(machine=None, **sim):
@@ -265,7 +380,7 @@ def assert_lowering_matches_packing(stream):
     arrays = stream.packed.arrays
     for name in ("opcls", "is_load", "is_store", "is_mem",
                  "is_cond_branch", "block_start", "has_write",
-                 "gshare_mispred", "issue_simple", "pc", "addr"):
+                 "gshare_mispred", "pc", "addr"):
         assert getattr(low, name) == getattr(arrays, name), name
     assert low.latency.tolist() == arrays.latency
     assert low.mem_producer.tolist() == arrays.mem_producer

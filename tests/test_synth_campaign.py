@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.synth import check_program, fuzz_specs, generate_program, run_campaig
 from repro.synth.campaign import (
     FUZZ_STRATEGY_LEVEL,
     CampaignLedger,
+    execute_fuzz_spec,
     program_seed,
 )
 
@@ -96,6 +98,21 @@ def test_fuzz_specs_share_compile_groups():
     hashes = [s.source_hash for s in specs]
     assert all(hashes)
     assert hashes[0] == hashes[1] != hashes[2] == hashes[3]
+
+
+def test_forged_source_hash_is_a_divergence():
+    """A cell whose spec names another program than the worker
+    rebuilds reports the mismatch, also once the rebuilt hash is
+    memoized by an earlier cell of the program."""
+    specs, _ = fuzz_specs(1, seed=1, levels=(HeuristicLevel.BASIC_BLOCK,))
+    assert execute_fuzz_spec(specs[0]).metrics["fuzz"]["divergences"] == []
+    forged = replace(specs[0], source_hash="ab" * 32)
+    divergences = execute_fuzz_spec(forged).metrics["fuzz"]["divergences"]
+    assert len(divergences) == 1
+    assert divergences[0].startswith(
+        "source hash mismatch: spec says abababababab, worker generated "
+        + specs[0].source_hash[:12]
+    )
 
 
 def test_source_hash_salts_compile_signature():
