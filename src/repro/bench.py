@@ -12,12 +12,13 @@ serialises to ``BENCH_sim.json``.
 
 The committed ``BENCH_sim.json`` at the repo root is the baseline the
 CI perf-smoke job compares against: ``check_regression`` fails a run
-whose wall time exceeds the baseline by more than the tolerance
-(default 25%), so an accidental slowdown of the simulation core is
-caught at review time rather than discovered months later.  A
-partial ``--update`` replaces only the pairs it measured, so each
-entry keeps its own commit, and a fast-vs-reference speedup is only
-annotated for a grid whose two entries were measured at one commit.
+whose wall time exceeds the baseline by more than
+``DEFAULT_TOLERANCE`` (25%), so an accidental slowdown of the
+simulation core is caught at review time rather than discovered
+months later.  A partial ``--update`` replaces only the pairs it
+measured, so each entry keeps its own commit, and a fast-vs-reference
+speedup is only annotated for a grid whose two entries were measured
+at one commit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 SCHEMA_VERSION = 1
 
-#: regression tolerance: fail when wall time exceeds baseline by more
+#: the perf gate: ``check_regression`` fails a wall time more than
+#: this fraction above the baseline's
 DEFAULT_TOLERANCE = 0.25
 
 
@@ -214,17 +216,13 @@ def merge_into_baseline(path: str, record: dict) -> dict:
     return baseline
 
 
-def check_regression(
-    record: dict,
-    baseline: dict,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> List[str]:
+def check_regression(record: dict, baseline: dict) -> List[str]:
     """Wall-time regressions of ``record`` against ``baseline``.
 
     Returns one message per (grid, engine) pair measured in both whose
-    current wall time exceeds baseline * (1 + tolerance); an empty
-    list means no regression.  Pairs present in only one record are
-    ignored — a new grid has nothing to regress against.  Simulated
+    current wall time exceeds baseline * (1 + ``DEFAULT_TOLERANCE``);
+    an empty list means no regression.  Pairs present in only one
+    record are ignored — a new grid has nothing to regress against.  Simulated
     cycle counts are also cross-checked: the engines are deterministic,
     so a cycle-count mismatch on the same commit history means the
     simulation changed behaviour, which a wall-clock gate must flag
@@ -236,12 +234,12 @@ def check_regression(
         base = base_grids.get(key)
         if base is None:
             continue
-        limit = base["wall_s"] * (1.0 + tolerance)
+        limit = base["wall_s"] * (1.0 + DEFAULT_TOLERANCE)
         if entry["wall_s"] > limit:
             problems.append(
                 f"{key}: wall time {entry['wall_s']:.2f}s exceeds "
                 f"baseline {base['wall_s']:.2f}s by more than "
-                f"{tolerance:.0%} (limit {limit:.2f}s)"
+                f"{DEFAULT_TOLERANCE:.0%} (limit {limit:.2f}s)"
             )
         if base.get("sim_cycles") and entry["sim_cycles"] != base["sim_cycles"]:
             problems.append(

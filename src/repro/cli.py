@@ -55,13 +55,14 @@ replays the run ledger to skip cells a previous (interrupted)
 invocation already finished, and ``--json PATH`` writes the
 machine-readable record grid.
 
-Every argument that names something — a benchmark, heuristic level,
+Every argument that names something (a benchmark, heuristic level,
 engine, machine preset, predictor, selection strategy, synth preset
-or bench grid — and every scale and count (PUs, ``--jobs``,
-``--budget``, ``--faults``, ``--max-bytes``) is validated by its
-argparse ``type=``, and ``--resume`` excludes ``--no-cache`` wherever
-both exist.  Bad input exits 2 with one line naming the value and
-the valid choices, before any cell is scheduled.
+or bench grid), every scale and count (PUs, ``--jobs``,
+``--budget``, ``--faults``, ``--max-bytes``) and the ``report``
+tolerance is validated by its argparse ``type=``, and ``--resume``
+excludes ``--no-cache`` wherever both exist.  Bad input exits 2 with
+one line naming the value and the valid choices, before any cell is
+scheduled.
 """
 
 from __future__ import annotations
@@ -169,17 +170,29 @@ _predictor = _named("predictor", lambda: PREDICTOR_KINDS)
 _synth_preset = _named("synth preset", _synth_presets)
 
 
-def _scale(value: str) -> float:
-    """argparse type: a finite workload scale factor > 0."""
-    try:
-        scale = float(value)
-    except ValueError:
-        scale = math.nan
-    if not (scale > 0 and math.isfinite(scale)):
-        raise argparse.ArgumentTypeError(
-            f"scale must be a number > 0, got {value!r}"
-        )
-    return scale
+def _finite(what: str, minimum: float,
+            inclusive: bool) -> Callable[[str], float]:
+    """argparse type: a finite number ``what`` >= ``minimum`` (> when
+    not ``inclusive``); nan and inf never pass."""
+    bound = f"{'>=' if inclusive else '>'} {minimum:g}"
+
+    def parse(value: str) -> float:
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        above = number >= minimum if inclusive else number > minimum
+        if not (above and math.isfinite(number)):
+            raise argparse.ArgumentTypeError(
+                f"{what} must be a finite number {bound}, got {value!r}"
+            )
+        return number
+
+    return parse
+
+
+_scale = _finite("scale", 0, inclusive=False)
+_tolerance = _finite("tolerance", 0, inclusive=True)
 
 
 def _count(what: str, minimum: int) -> Callable[[str], int]:
@@ -450,11 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_p.add_argument(
         "--check", action="store_true",
-        help="fail if wall time regresses past the baseline tolerance",
-    )
-    bench_p.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="allowed wall-time regression for --check (default 0.25)",
+        help="fail if wall time regresses more than "
+             f"{bench.DEFAULT_TOLERANCE:.0%} past the baseline",
     )
     bench_p.add_argument(
         "--update", action="store_true",
@@ -493,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep_p.add_argument("b", help="comparison input (same formats)")
     rep_p.add_argument(
-        "--tolerance", type=float, default=0.0,
+        "--tolerance", type=_tolerance, default=0.0,
         help="allowed relative cycle difference (default 0 = exact)",
     )
 
@@ -819,16 +829,14 @@ def _cmd_bench(args: argparse.Namespace) -> str:
             raise SystemExit(
                 f"repro bench: no readable baseline at {args.baseline}"
             )
-        problems = bench.check_regression(
-            record, baseline, tolerance=args.tolerance
-        )
+        problems = bench.check_regression(record, baseline)
         if problems:
             raise SystemExit("\n".join(
                 lines + [f"REGRESSION: {p}" for p in problems]
             ))
         lines.append(
             f"no regression vs {args.baseline} "
-            f"(tolerance {args.tolerance:.0%})"
+            f"(tolerance {bench.DEFAULT_TOLERANCE:.0%})"
         )
     if args.update:
         bench.merge_into_baseline(args.baseline, record)
@@ -950,7 +958,6 @@ def _cmd_cache(args: argparse.Namespace) -> str:
             f"cache root : {cache.root}",
             f"checked    : {report['checked']}",
             f"ok         : {report['ok']}",
-            f"upgraded   : {report['upgraded']}",
             f"stale      : {report['stale']}",
             f"quarantined: {report['quarantined']}",
         ])

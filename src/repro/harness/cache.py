@@ -15,12 +15,11 @@ are atomic (temp file in the same directory + ``os.replace``) so
 concurrent workers and interrupted runs never leave torn pickles.
 
 Entries are framed with a SHA-256 payload checksum (``RPC1`` magic +
-32-byte digest + pickle payload).  A checksum mismatch or an
-unreadable legacy entry is **never** silently swallowed: the file is
-moved to ``quarantine/`` (one warning per cache instance), counted in
-``repro cache stats``, and ``repro cache doctor`` audits the whole
-store — verifying every entry, upgrading readable legacy entries to
-the framed format, and quarantining the rest.
+32-byte digest + pickle payload).  A file without the frame or with a
+checksum mismatch is corruption, **never** silently swallowed or
+unpickled unverified: it is moved to ``quarantine/`` (one warning per
+cache instance) and counted in ``repro cache stats``, and ``repro
+cache doctor`` audits the whole store the same way.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ _code_version_cache: Optional[str] = None
 #: framed-entry magic; bump the suffix if the framing itself changes
 _MAGIC = b"RPC1"
 _DIGEST_BYTES = 32
+_HEADER_BYTES = len(_MAGIC) + _DIGEST_BYTES
 
 #: exception set meaning "this payload does not unpickle in this
 #: process" — stale class shapes as well as outright corruption
@@ -115,11 +115,15 @@ class ArtifactCache:
         return _MAGIC + hashlib.sha256(payload).digest() + payload
 
     @staticmethod
-    def _checksum_ok(raw: bytes) -> bool:
-        """True when ``raw`` is a framed entry with a valid digest."""
-        head = len(_MAGIC) + _DIGEST_BYTES
-        digest = raw[len(_MAGIC):head]
-        return hashlib.sha256(raw[head:]).digest() == digest
+    def _defect(raw: bytes) -> Optional[str]:
+        """Why ``raw`` is not a framed entry with a valid digest, or
+        None when it is."""
+        if not raw.startswith(_MAGIC):
+            return "no RPC1 frame"
+        digest = raw[len(_MAGIC):_HEADER_BYTES]
+        if hashlib.sha256(raw[_HEADER_BYTES:]).digest() != digest:
+            return "checksum mismatch"
+        return None
 
     def _quarantine(self, path: Path, reason: str) -> None:
         """Move a corrupted entry aside instead of deleting evidence."""
@@ -145,24 +149,14 @@ class ArtifactCache:
             raw = path.read_bytes()
         except (FileNotFoundError, OSError):
             return None
-        if raw.startswith(_MAGIC):
-            if not self._checksum_ok(raw):
-                self._quarantine(path, "checksum mismatch")
-                return None
-            payload = raw[len(_MAGIC) + _DIGEST_BYTES:]
-            try:
-                obj = pickle.loads(payload)
-            except _UNPICKLE_ERRORS:
-                # Checksum fine but classes moved on: stale, not torn.
-                return None
-            self._touch(path)
-            return obj
-        # Legacy (pre-checksum) entry: readable -> miss-free load;
-        # unreadable -> corruption, quarantined.
+        defect = self._defect(raw)
+        if defect:
+            self._quarantine(path, defect)
+            return None
         try:
-            obj = pickle.loads(raw)
+            obj = pickle.loads(raw[_HEADER_BYTES:])
         except _UNPICKLE_ERRORS:
-            self._quarantine(path, "unreadable legacy entry")
+            # Checksum fine but classes moved on: stale, not torn.
             return None
         self._touch(path)
         return obj
@@ -240,16 +234,15 @@ class ArtifactCache:
         return out
 
     def doctor(self) -> Dict[str, int]:
-        """Audit every entry: verify, upgrade legacy, quarantine bad.
+        """Audit every entry: verify it, quarantine it if corrupt.
 
         Returns counts: ``checked`` entries scanned, ``ok`` verified
-        framed entries, ``upgraded`` legacy entries rewritten with
-        checksums, ``quarantined`` corrupted entries moved aside,
-        ``stale`` checksum-valid entries that no longer unpickle
-        (left in place; the code-version salt already keys them away).
+        framed entries, ``quarantined`` unframed or corrupted entries
+        moved aside, ``stale`` checksum-valid entries that no longer
+        unpickle (left in place; the code-version salt already keys
+        them away).
         """
-        out = {"checked": 0, "ok": 0, "upgraded": 0, "quarantined": 0,
-               "stale": 0}
+        out = {"checked": 0, "ok": 0, "quarantined": 0, "stale": 0}
         for directory in (self.records_dir, self.compiled_dir):
             if not directory.is_dir():
                 continue
@@ -259,27 +252,17 @@ class ArtifactCache:
                     raw = path.read_bytes()
                 except OSError:
                     continue
-                if raw.startswith(_MAGIC):
-                    if not self._checksum_ok(raw):
-                        self._quarantine(path, "checksum mismatch")
-                        out["quarantined"] += 1
-                        continue
-                    payload = raw[len(_MAGIC) + _DIGEST_BYTES:]
-                    try:
-                        pickle.loads(payload)
-                    except _UNPICKLE_ERRORS:
-                        out["stale"] += 1
-                        continue
-                    out["ok"] += 1
-                    continue
-                try:
-                    obj = pickle.loads(raw)
-                except _UNPICKLE_ERRORS:
-                    self._quarantine(path, "unreadable legacy entry")
+                defect = self._defect(raw)
+                if defect:
+                    self._quarantine(path, defect)
                     out["quarantined"] += 1
                     continue
-                self._store(path, obj)
-                out["upgraded"] += 1
+                try:
+                    pickle.loads(raw[_HEADER_BYTES:])
+                except _UNPICKLE_ERRORS:
+                    out["stale"] += 1
+                    continue
+                out["ok"] += 1
         return out
 
     def prune(self, max_bytes: int) -> Dict[str, int]:

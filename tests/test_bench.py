@@ -2,14 +2,19 @@
 
 ``repro bench --check`` fails CI through ``check_regression`` and
 ``repro bench --update`` re-times ``BENCH_sim.json`` through
-``merge_into_baseline``; both are pinned here on hand-made records,
-so no grid is timed.
+``merge_into_baseline``; both are pinned here on hand-made records.
+The one grid timed is ``micro``, on both engines.
 """
 
 import json
 import subprocess
 
-from repro.bench import check_regression, git_commit, merge_into_baseline
+from repro.bench import (
+    check_regression,
+    git_commit,
+    merge_into_baseline,
+    run_bench,
+)
 
 
 def entry(grid, engine, wall_s, sim_cycles=1000, commit="aaaaaaa"):
@@ -32,8 +37,8 @@ class TestCheckRegression:
         base = record(entry("smoke", "fast", 4.0))
         within = record(entry("smoke", "fast", 4.9))
         over = record(entry("smoke", "fast", 5.1))
-        assert check_regression(within, base, tolerance=0.25) == []
-        problems = check_regression(over, base, tolerance=0.25)
+        assert check_regression(within, base) == []
+        problems = check_regression(over, base)
         assert len(problems) == 1
         assert problems[0].startswith("smoke@fast: wall time 5.10s")
         assert "limit 5.00s" in problems[0]
@@ -53,6 +58,16 @@ class TestCheckRegression:
         current = record(entry("smoke", "fast", 1.0),
                          entry("micro", "fast", 99.0, sim_cycles=7))
         assert check_regression(current, base) == []
+
+
+def test_micro_grid_engines_agree():
+    """Both engines time the micro grid cold and, being bit-identical,
+    simulate the same cycles over the same cells."""
+    record = run_bench(grids=("micro",), engines=("fast", "reference"))
+    fast = record["grids"]["micro@fast"]
+    reference = record["grids"]["micro@reference"]
+    assert fast["sim_cycles"] == reference["sim_cycles"] > 0
+    assert fast["cells"] == reference["cells"] > 0
 
 
 class TestMergeIntoBaseline:

@@ -42,11 +42,22 @@ class TestCentralizedConfig:
         assert "compress" in text and "break-even" in text
 
     def test_distributed_wins_on_loop_code(self):
-        """Task speculation sees past branches a single window cannot."""
-        result = CentralizedResult(8, run_keyed(*centralized_specs(
-            ["tomcatv"], n_pus=8, scale=0.3,
-        )))
-        assert result.break_even_clock_factor("tomcatv") < 1.0
+        """Task speculation sees past branches a single window cannot:
+        the distributed machine wins outright (break-even below 1.0) on
+        tomcatv at a small scale, and at scale 1.0 on at least half of
+        a mixed subset.  The paper's premise is that it also clocks
+        faster."""
+        for names, scale in (
+            (["tomcatv"], 0.3),
+            (["compress", "m88ksim", "go", "tomcatv", "mgrid", "wave5"],
+             1.0),
+        ):
+            result = CentralizedResult(8, run_keyed(*centralized_specs(
+                names, n_pus=8, scale=scale,
+            )))
+            factors = [result.break_even_clock_factor(n) for n in names]
+            wins = sum(1 for factor in factors if factor < 1.0)
+            assert wins >= len(factors) / 2, (scale, factors)
 
 
 class TestArbCapacity:
@@ -102,10 +113,16 @@ class TestArbCapacity:
 
 class TestArbAblationSweep:
     def test_sweep_ordering(self):
+        """A 4-entry ARB never beats an unbounded one, on a small grid
+        and on the ablations' paper-scale subset."""
         from repro.experiments.ablations import arb_size_specs
 
-        records = run_keyed(*arb_size_specs(["wave5"], values=(4, 0),
-                                            scale=0.2))
-        constrained = records[("wave5", 4)]
-        unbounded = records[("wave5", 0)]
-        assert constrained.cycles >= unbounded.cycles
+        for records in (
+            run_keyed(*arb_size_specs(["wave5"], values=(4, 0), scale=0.2)),
+            run_keyed(*arb_size_specs(["compress", "m88ksim", "hydro2d"],
+                                      values=(4, 32, 0), scale=1.0)),
+        ):
+            for name in {name for name, _ in records}:
+                constrained = records[(name, 4)]
+                unbounded = records[(name, 0)]
+                assert constrained.cycles >= unbounded.cycles, name

@@ -136,6 +136,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["report", "only-one"])
 
+    def test_bench_has_no_tolerance_flag(self, capsys):
+        """The perf gate's 25% is bench.DEFAULT_TOLERANCE, not a flag."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench", "--tolerance", "0.25"])
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -439,6 +446,8 @@ _BAD_INPUT = [
     (["fuzz", "--budget", "1", "--preset", "bogus"], "bogus", "loops"),
     (["tune", "--synth", "bogus"], "bogus", "loops"),
     (["bench", "--grids", "smoke,bogus"], "bogus", "figure5"),
+    (["report", "a.json", "b.json", "--tolerance", "nan"], "'nan'", ">= 0"),
+    (["report", "a.json", "b.json", "--tolerance", "-1"], "'-1'", ">= 0"),
     (["figure5", "--jobs", "-2"], "'-2'", ">= 0"),
     (["fuzz", "--budget", "0"], "'0'", ">= 1"),
     (["fuzz", "--budget", "-2"], "'-2'", ">= 1"),

@@ -6,6 +6,7 @@ import pytest
 
 from repro.compiler import HeuristicLevel, SelectionConfig
 from repro.experiments import clear_cache
+from repro.experiments.runner import _compile_cache
 from repro.harness import (
     ArtifactCache,
     HarnessError,
@@ -91,6 +92,7 @@ class TestArtifactCache:
         clear_cache()  # drop in-memory compilations: only the disk cache left
         second = run_specs(specs, jobs=1, cache=cache, ledger=ledger)
         assert first == second
+        assert not _compile_cache.compiled  # the warm pass recompiled nothing
         entries = read_ledger(tmp_path / "ledger.jsonl")
         assert [e["cache"] for e in entries] == ["miss", "miss", "hit", "hit"]
         assert all(e["outcome"] == "ok" for e in entries)

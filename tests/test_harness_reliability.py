@@ -155,34 +155,35 @@ class TestQuarantine:
                     if issubclass(w.category, RuntimeWarning)]
         assert fresh.stats()["quarantined"] == 2
 
-    def test_legacy_entry_still_loads(self, tmp_path):
+    def test_unframed_entry_is_quarantined(self, tmp_path):
+        """Every writer frames its entries, so a bare pickle is
+        corruption: it is moved aside, never unpickled unverified."""
         cache, spec = self._seed_cache(tmp_path)
         record = cache.get_record(spec)
         path = cache.records_dir / f"{spec.spec_hash('s')}.pkl"
-        path.write_bytes(pickle.dumps(record))  # pre-checksum format
-        assert cache.get_record(spec) == record
+        path.write_bytes(pickle.dumps(record))
+        with pytest.warns(RuntimeWarning, match="no RPC1 frame"):
+            assert cache.get_record(spec) is None
+        assert not path.exists()
+        assert cache.stats()["quarantined"] == 1
 
-    def test_doctor_upgrades_and_quarantines(self, tmp_path):
+    def test_doctor_quarantines_unframed_and_corrupt(self, tmp_path):
         cache, spec = self._seed_cache(tmp_path)
-        legacy = cache.records_dir / "legacy.pkl"
-        legacy.write_bytes(pickle.dumps({"x": 1}))
+        unframed = cache.records_dir / "unframed.pkl"
+        unframed.write_bytes(pickle.dumps({"x": 1}))
         corrupt = cache.compiled_dir / "corrupt.pkl"
         corrupt.write_bytes(b"\x80garbage")
 
         with pytest.warns(RuntimeWarning):
             report = cache.doctor()
-        assert report["upgraded"] == 1
-        assert report["quarantined"] == 1
+        assert report["quarantined"] == 2
         assert report["ok"] >= 1
         assert report["checked"] == (
-            report["ok"] + report["upgraded"] + report["quarantined"]
-            + report["stale"]
+            report["ok"] + report["quarantined"] + report["stale"]
         )
-        assert legacy.read_bytes().startswith(b"RPC1")
-        assert not corrupt.exists()
+        assert not unframed.exists() and not corrupt.exists()
         # A second pass finds a fully healthy store.
-        second = cache.doctor()
-        assert second["quarantined"] == 0 and second["upgraded"] == 0
+        assert cache.doctor()["quarantined"] == 0
 
     def test_clear_also_empties_quarantine(self, tmp_path):
         cache, spec = self._seed_cache(tmp_path)
