@@ -50,19 +50,18 @@ default and any extra flags.  :func:`_cmd_grid` runs every row
 through :func:`repro.harness.run_keyed`: ``--jobs N`` fans the grid
 out over N worker processes (0 = one per CPU), the artifact cache
 under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``) makes repeat
-sweeps near-instant (disable with ``--no-cache``), ``--resume``
-replays the run ledger to skip cells a previous (interrupted)
-invocation already finished, and ``--json PATH`` writes the
-machine-readable record grid.
+sweeps near-instant and lets an interrupted grid pick up where it
+stopped, since every finished cell is a cache hit (disable with
+``--no-cache``), and ``--json PATH`` writes the machine-readable
+record grid.
 
 Every argument that names something (a benchmark, heuristic level,
 engine, machine preset, predictor, selection strategy, synth preset
 or bench grid), every scale and count (PUs, ``--jobs``,
 ``--budget``, ``--faults``, ``--max-bytes``) and the ``report``
-tolerance is validated by its argparse ``type=``, and ``--resume``
-excludes ``--no-cache`` wherever both exist.  Bad input exits 2 with
-one line naming the value and the valid choices, before any cell is
-scheduled.
+tolerance is validated by its argparse ``type=``.  Bad input exits 2
+with one line naming the value and the valid choices, before any cell
+is scheduled.
 """
 
 from __future__ import annotations
@@ -246,20 +245,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--jobs", type=_jobs, default=0,
         help="worker processes for the grid (default 0 = one per CPU)",
     )
-    _add_cache_flags(parser)
+    _add_no_cache(parser)
 
 
-def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
-    """``--no-cache`` or ``--resume``: resumed records come from the cache."""
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent artifact cache",
-    )
-    group.add_argument(
-        "--resume", action="store_true",
-        help="skip cells the run ledger records as already finished",
-    )
+def _add_no_cache(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--no-cache", action="store_true",
+                        help="bypass the persistent artifact cache")
 
 
 def _add_engine(parser: argparse.ArgumentParser) -> None:
@@ -599,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default 1 = serial in-process; "
              "0 = one per CPU)",
     )
-    _add_cache_flags(fuzz_p)
+    _add_no_cache(fuzz_p)
     fuzz_p.add_argument(
         "--ledger", default="",
         help="write the campaign ledger to this path (default: the "
@@ -684,10 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune_p.add_argument("--scale", type=_scale, default=1.0,
                         help="workload scale factor (default 1.0)")
-    tune_p.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent artifact cache",
-    )
+    _add_no_cache(tune_p)
     tune_p.add_argument(
         "--ledger", default="",
         help="tune ledger path (default: <cache root>/tune/"
@@ -780,7 +768,7 @@ def _cmd_grid(args: argparse.Namespace) -> str:
     if not args.no_cache:
         cache = ArtifactCache()
         ledger = RunLedger(cache.ledger_path, progress=default_progress())
-        harness = {"cache": cache, "ledger": ledger, "resume": args.resume}
+        harness = {"cache": cache, "ledger": ledger}
     records = run_keyed(keys, specs, jobs=args.jobs, **harness)
     if args.json:
         write_records_json(args.json, args.command, grid_records(records),
@@ -894,21 +882,26 @@ def _cmd_profile_sim(args: argparse.Namespace) -> str:
     import io
     import pstats
 
-    from repro.experiments.runner import cell_machine, compile_benchmark
+    from repro.experiments.runner import (
+        cell_config,
+        cell_machine,
+        compile_benchmark,
+    )
+    from repro.harness import RunSpec
     from repro.sim.native import loop_name
 
-    level = _LEVELS[args.level]
+    spec = RunSpec(
+        args.benchmark, _LEVELS[args.level], scale=args.scale,
+        sim=cell_config(_sim_for_engine(args.engine), args.pus,
+                        not args.in_order),
+    )
     if not args.include_compile:
         # Compile outside the profile so the report shows the
         # simulation itself, not the one-off trace build.
-        compile_benchmark(args.benchmark, level, scale=args.scale)
+        compile_benchmark(spec.benchmark, spec.level, scale=spec.scale)
     profile = cProfile.Profile()
     profile.enable()
-    _, machine = cell_machine(
-        args.benchmark, level, n_pus=args.pus,
-        out_of_order=not args.in_order, scale=args.scale,
-        sim=_sim_for_engine(args.engine),
-    )
+    _, machine = cell_machine(spec)
     result = machine.run()
     profile.disable()
     buf = io.StringIO()
@@ -1020,8 +1013,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> str:
         ledger = None
     result = run_campaign(
         budget=args.budget, seed=args.seed, preset=args.preset,
-        jobs=args.jobs, cache=cache, ledger=ledger,
-        resume=args.resume, minimize=args.minimize,
+        jobs=args.jobs, cache=cache, ledger=ledger, minimize=args.minimize,
         strategies=_fuzz_sweep(args.strategies, "cost_model"),
         machines=_fuzz_sweep(args.machines, "big-little-8"),
     )

@@ -90,22 +90,21 @@ class SelectionConfig:
     def cache_key(self) -> Tuple:
         """Explicit, collision-free compile-cache identity.
 
-        Covers **every** dataclass field by name (so a newly added
+        Covers **every** dataclass field by name, so a newly added
         genome field can never silently alias cache entries the way a
-        hand-picked tuple once did) plus the *resolved* strategy name
-        (the paper levels and an explicitly named reference strategy
-        are the same code path and must share cached artifacts).
+        hand-picked tuple once did.  ``strategy=""`` and the
+        spelled-out reference strategy name run the same code but are
+        distinct identities: they never share cached artifacts.
         Field values are reduced to primitives: enums by value —
         nothing here may depend on ``hash()`` or object identity.
         """
-        resolved = self.strategy or self.level.value
         items = []
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, enum.Enum):
                 value = value.value
             items.append((f.name, value))
-        return (type(self).__name__, resolved) + tuple(items)
+        return (type(self).__name__,) + tuple(items)
 
     @property
     def multi_block(self) -> bool:

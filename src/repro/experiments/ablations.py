@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel, SelectionConfig
+from repro.experiments.runner import cell_config
 from repro.harness.spec import RunSpec
 from repro.sim import SimConfig
 from repro.sim.config import ForwardPolicy
@@ -41,6 +42,7 @@ def max_targets_specs(
     scale: float = 1.0,
 ) -> Tuple[List, List[RunSpec]]:
     """(keys, specs) of the successor-limit sweep."""
+    sim = cell_config(n_pus=n_pus)
     keys, specs = [], []
     for name in benchmarks:
         for n in values:
@@ -48,11 +50,11 @@ def max_targets_specs(
             specs.append(RunSpec(
                 benchmark=name,
                 level=HeuristicLevel.DATA_DEPENDENCE,
-                n_pus=n_pus,
                 scale=scale,
                 selection=SelectionConfig(
                     level=HeuristicLevel.DATA_DEPENDENCE, max_targets=n
                 ),
+                sim=sim,
             ))
     return keys, specs
 
@@ -64,6 +66,7 @@ def thresholds_specs(
     scale: float = 1.0,
 ) -> Tuple[List, List[RunSpec]]:
     """(keys, specs) of the CALL_THRESH/LOOP_THRESH sweep."""
+    sim = cell_config(n_pus=n_pus)
     keys, specs = [], []
     for name in benchmarks:
         for thresh in values:
@@ -71,13 +74,13 @@ def thresholds_specs(
             specs.append(RunSpec(
                 benchmark=name,
                 level=HeuristicLevel.TASK_SIZE,
-                n_pus=n_pus,
                 scale=scale,
                 selection=SelectionConfig(
                     level=HeuristicLevel.TASK_SIZE,
                     call_thresh=thresh,
                     loop_thresh=thresh,
                 ),
+                sim=sim,
             ))
     return keys, specs
 
@@ -95,9 +98,10 @@ def sync_table_specs(
             specs.append(RunSpec(
                 benchmark=name,
                 level=HeuristicLevel.DATA_DEPENDENCE,
-                n_pus=n_pus,
                 scale=scale,
-                sim=SimConfig(sync_table_size=256 if enabled else 0),
+                sim=cell_config(
+                    SimConfig(sync_table_size=256 if enabled else 0), n_pus
+                ),
             ))
     return keys, specs
 
@@ -116,9 +120,8 @@ def arb_size_specs(
             specs.append(RunSpec(
                 benchmark=name,
                 level=HeuristicLevel.TASK_SIZE,
-                n_pus=n_pus,
                 scale=scale,
-                sim=SimConfig(arb_entries_per_pu=entries),
+                sim=cell_config(SimConfig(arb_entries_per_pu=entries), n_pus),
             ))
     return keys, specs
 
@@ -136,9 +139,8 @@ def forward_policy_specs(
             specs.append(RunSpec(
                 benchmark=name,
                 level=HeuristicLevel.DATA_DEPENDENCE,
-                n_pus=n_pus,
                 scale=scale,
-                sim=SimConfig(forward_policy=policy),
+                sim=cell_config(SimConfig(forward_policy=policy), n_pus),
             ))
     return keys, specs
 
@@ -149,21 +151,22 @@ def profile_input_specs(
     scale: float = 1.0,
 ) -> Tuple[List, List[RunSpec]]:
     """(keys, specs) of the profile-input-sensitivity sweep."""
+    sim = cell_config(n_pus=n_pus)
     keys, specs = [], []
     for name in benchmarks:
         keys.append((name, "same-input"))
         specs.append(RunSpec(
             benchmark=name,
             level=HeuristicLevel.DATA_DEPENDENCE,
-            n_pus=n_pus,
             scale=scale,
+            sim=sim,
         ))
         keys.append((name, "train-profiled"))
         specs.append(RunSpec(
             benchmark=name,
             level=HeuristicLevel.DATA_DEPENDENCE,
-            n_pus=n_pus,
             scale=scale,
+            sim=sim,
             profile_input="train",
         ))
     return keys, specs

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel
-from repro.experiments.runner import RunRecord
+from repro.experiments.runner import RunRecord, cell_config
 from repro.harness.spec import RunSpec
 from repro.sim import StallReason
 
@@ -65,13 +65,14 @@ def breakdown_specs(
     scale: float = 1.0,
 ) -> Tuple[List[Tuple[str, HeuristicLevel]], List[RunSpec]]:
     """The grid's (keys, specs), in the canonical submission order."""
+    sim = cell_config(n_pus=n_pus)
     keys: List[Tuple[str, HeuristicLevel]] = []
     specs: List[RunSpec] = []
     for name in list(benchmarks) or DEFAULT_BENCHMARKS:
         for level in levels:
             keys.append((name, level))
             specs.append(RunSpec(
-                benchmark=name, level=level, n_pus=n_pus, scale=scale,
+                benchmark=name, level=level, scale=scale, sim=sim,
             ))
     return keys, specs
 

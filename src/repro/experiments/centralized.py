@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel
-from repro.experiments.runner import RunRecord
+from repro.experiments.runner import RunRecord, cell_config
 from repro.harness.spec import RunSpec
 from repro.sim import SimConfig
 
@@ -82,21 +82,22 @@ def centralized_specs(
     scale: float = 1.0,
 ) -> Tuple[List[Tuple[str, str]], List[RunSpec]]:
     """The grid's (keys, specs), in the canonical submission order."""
+    distributed = cell_config(n_pus=n_pus)
+    centralized = centralized_config(n_pus)
     keys: List[Tuple[str, str]] = []
     specs: List[RunSpec] = []
     for name in list(benchmarks) or DEFAULT_BENCHMARKS:
         keys.append((name, "distributed"))
         specs.append(RunSpec(
             benchmark=name, level=HeuristicLevel.DATA_DEPENDENCE,
-            n_pus=n_pus, scale=scale,
+            scale=scale, sim=distributed,
         ))
         keys.append((name, "centralized"))
         specs.append(RunSpec(
             benchmark=name,
             level=HeuristicLevel.BASIC_BLOCK,  # sequential, no selection
-            n_pus=1,
             scale=scale,
-            sim=centralized_config(n_pus),
+            sim=centralized,
         ))
     return keys, specs
 

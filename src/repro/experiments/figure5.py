@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel
-from repro.experiments.runner import RunRecord
+from repro.experiments.runner import RunRecord, cell_config
 from repro.harness.spec import RunSpec
 from repro.metrics import geometric_mean, improvement_percent
 from repro.workloads import all_benchmarks
@@ -112,17 +112,18 @@ def figure5_specs(
     """
     from repro.sim import SimConfig
 
-    sim = None if engine == "fast" else SimConfig(engine=engine)
+    base = SimConfig(engine=engine)
+    machines = {config: cell_config(base, *config) for config in configs}
     names = list(benchmarks) or [bm.name for bm in all_benchmarks()]
     keys: List[Tuple[str, HeuristicLevel, ConfigKey]] = []
     specs: List[RunSpec] = []
     for name in names:
         for level in levels:
-            for n_pus, ooo in configs:
-                keys.append((name, level, (n_pus, ooo)))
+            for config in configs:
+                keys.append((name, level, config))
                 specs.append(RunSpec(
-                    benchmark=name, level=level, n_pus=n_pus,
-                    out_of_order=ooo, scale=scale, sim=sim,
+                    benchmark=name, level=level, scale=scale,
+                    sim=machines[config],
                 ))
     return keys, specs
 

@@ -1,9 +1,12 @@
 """The canonical experiment pipeline with compilation caching.
 
-``run_benchmark`` executes the full flow of Section 4: build the
-workload, apply the task selection heuristics, execute functionally,
-split the trace into dynamic tasks, and replay it on the timing model.
-The in-memory compile cache keeps two things under two keys:
+``run_cell`` executes the full flow of Section 4 for one
+:class:`~repro.harness.spec.RunSpec`: build the workload, apply the
+task selection heuristics, execute functionally, split the trace into
+dynamic tasks, and replay it on the spec's machine.  ``run_benchmark``
+is the one-cell convenience over it, and ``cell_config`` resolves the
+paper's machine family for the spec builders.  The in-memory compile
+cache keeps two things under two keys:
 
 * compilation products (partition / trace / stream / release) per
   :func:`compile_cache_key` — benchmark, scale, input sets and every
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.compiler import HeuristicLevel, SelectionConfig, TaskPartition, select_tasks
 from repro.compiler.partition import TraceMemo
@@ -40,12 +43,15 @@ from repro.sim import (
 )
 from repro.workloads import get_benchmark
 
+if TYPE_CHECKING:
+    from repro.harness.spec import RunSpec
+
 #: (benchmark, scale, input_set, profile_input,
-#: *SelectionConfig.cache_key()).  The tail enumerates every config
-#: field *by name* plus the resolved strategy — hand-picking fields
-#: once caused configs differing only in unlisted fields to alias a
-#: cached partition, and a positional tuple would alias across
-#: field reorderings.
+#: *SelectionConfig.cache_key()), plus ``("source", hash)`` for a
+#: generated program.  The selection part enumerates every config
+#: field *by name* — hand-picking fields once caused configs
+#: differing only in unlisted fields to alias a cached partition, and
+#: a positional tuple would alias across field reorderings.
 _CompileKey = Tuple
 
 
@@ -146,18 +152,24 @@ def compile_cache_key(
     selection: Optional[SelectionConfig] = None,
     input_set: str = "ref",
     profile_input: Optional[str] = None,
+    source_hash: Optional[str] = None,
 ) -> _CompileKey:
-    """In-memory cache key covering *every* selection field.
+    """The one compile identity: the in-memory cache key, and what
+    :meth:`~repro.harness.spec.RunSpec.compile_signature` returns.
 
     Delegates the selection identity to
-    :meth:`SelectionConfig.cache_key` — field names, resolved strategy
-    and all — so configs differing in any field (including ones added
-    later) can never alias, unlike the positional ``astuple`` form
-    this replaced.
+    :meth:`SelectionConfig.cache_key`, which names every field, so
+    configs differing in any field (including ones added later) can
+    never alias.  ``source_hash`` is the content hash of a generated
+    program's IR text (``RunSpec.source_hash``); it keeps persisted
+    artifacts of one generator version from serving another.
     """
     selection = resolve_selection(level, selection)
-    profile_input = profile_input or input_set
-    return (name, scale, input_set, profile_input) + selection.cache_key()
+    key = (name, scale, input_set, profile_input or input_set)
+    key += selection.cache_key()
+    if source_hash is not None:
+        key += (("source", source_hash),)
+    return key
 
 
 def seed_compiled(key: _CompileKey, compiled: Compiled) -> None:
@@ -177,6 +189,7 @@ def compile_benchmark(
     selection: Optional[SelectionConfig] = None,
     input_set: str = "ref",
     profile_input: Optional[str] = None,
+    source_hash: Optional[str] = None,
 ) -> Compiled:
     """Build, select tasks for, and trace one benchmark (cached).
 
@@ -184,11 +197,14 @@ def compile_benchmark(
     (task selection); ``input_set`` the data that is measured.  The
     default profiles and measures the same data, as in the paper; pass
     ``profile_input="train"`` to study profile-input sensitivity.
+    ``source_hash`` only completes the cache key, so a spec's
+    compilation is found under its ``compile_signature()``.
     """
     selection = resolve_selection(level, selection)
     profile_input = profile_input or input_set
     key = compile_cache_key(
-        name, level, scale, selection, input_set, profile_input
+        name, level, scale, selection, input_set, profile_input,
+        source_hash,
     )
     cached = _compile_cache.compiled.get(key)
     if cached is not None:
@@ -262,13 +278,17 @@ def _assemble_record(
 
 
 def cell_config(
-    sim: Optional[SimConfig], n_pus: int, out_of_order: bool
+    sim: Optional[SimConfig] = None,
+    n_pus: int = 4,
+    out_of_order: bool = True,
 ) -> SimConfig:
-    """The machine configuration one cell simulates.
+    """The machine one cell of the paper family simulates.
 
-    A machine spec already fixed n_pus, topology and L1 scaling at
-    construction and is authoritative; the legacy homogeneous path
-    scales the L1s for ``n_pus``.
+    Spec builders call this once and store the result as
+    ``RunSpec.sim``; nothing rescales a spec's machine after that.  A
+    machine spec already fixed the PU count, topology and L1 scaling
+    at construction, so only ``out_of_order`` applies to it; the
+    homogeneous family scales the L1s for ``n_pus``.
     """
     config = sim or SimConfig()
     if config.machine is None:
@@ -277,35 +297,47 @@ def cell_config(
 
 
 def cell_machine(
-    name: str,
-    level: HeuristicLevel,
-    n_pus: int = 4,
-    out_of_order: bool = True,
-    scale: float = 1.0,
-    selection: Optional[SelectionConfig] = None,
-    sim: Optional[SimConfig] = None,
-    input_set: str = "ref",
-    profile_input: Optional[str] = None,
-    monitor=None,
-    fault_plan=None,
-    tracer=None,
+    spec: RunSpec, monitor=None, fault_plan=None, tracer=None
 ) -> Tuple[Compiled, MultiscalarMachine]:
-    """Compile one cell (through the memo) and build the machine that
-    simulates it, not yet run; :func:`run_benchmark` documents the
-    arguments."""
+    """Compile ``spec``'s cell (through the memo) and build the machine
+    that simulates ``spec.sim``, not yet run; :func:`run_cell`
+    documents the hooks."""
     compiled = compile_benchmark(
-        name, level, scale, selection, input_set, profile_input
+        spec.benchmark, spec.level, spec.scale, spec.selection,
+        spec.input_set, spec.profile_input, spec.source_hash,
     )
+    mode = "ooo" if spec.out_of_order else "ino"
     machine = MultiscalarMachine(
         compiled.stream,
-        cell_config(sim, n_pus, out_of_order),
+        spec.sim,
         compiled.release,
         monitor,
         fault_plan,
-        label=f"{name}/{level.value}/{n_pus}{'ooo' if out_of_order else 'ino'}",
+        label=f"{spec.benchmark}/{spec.level.value}/{spec.n_pus}{mode}",
         tracer=tracer,
     )
     return compiled, machine
+
+
+def run_cell(
+    spec: RunSpec, monitor=None, fault_plan=None, tracer=None
+) -> RunRecord:
+    """Run the full pipeline for one cell and return its record.
+
+    ``monitor`` / ``fault_plan`` attach the reliability hooks (see
+    :mod:`repro.reliability`) to the timing run: the monitor asserts
+    the machine's architectural invariants, the fault plan injects
+    seeded mispredictions and spurious violations.  ``tracer`` attaches
+    a telemetry collector (see :mod:`repro.telemetry`) that records the
+    task-lifecycle event stream for export.
+    """
+    suite = get_benchmark(spec.benchmark).suite
+    compiled, machine = cell_machine(spec, monitor, fault_plan, tracer)
+    result = machine.run()
+    return _assemble_record(
+        spec.benchmark, suite, spec.level, spec.n_pus, spec.out_of_order,
+        compiled, result,
+    )
 
 
 def run_benchmark(
@@ -322,21 +354,14 @@ def run_benchmark(
     fault_plan=None,
     tracer=None,
 ) -> RunRecord:
-    """Run the full pipeline and return the measured record.
+    """One cell of the paper family: its spec's machine is
+    ``cell_config(sim, n_pus, out_of_order)``, and :func:`run_cell`
+    runs it as the harness does."""
+    from repro.harness.spec import RunSpec
 
-    ``monitor`` / ``fault_plan`` attach the reliability hooks (see
-    :mod:`repro.reliability`) to the timing run: the monitor asserts
-    the machine's architectural invariants, the fault plan injects
-    seeded mispredictions and spurious violations.  ``tracer`` attaches
-    a telemetry collector (see :mod:`repro.telemetry`) that records the
-    task-lifecycle event stream for export.
-    """
-    benchmark = get_benchmark(name)
-    compiled, machine = cell_machine(
-        name, level, n_pus, out_of_order, scale, selection, sim, input_set,
-        profile_input, monitor, fault_plan, tracer,
+    spec = RunSpec(
+        name, level, scale=scale, selection=selection,
+        sim=cell_config(sim, n_pus, out_of_order), input_set=input_set,
+        profile_input=profile_input,
     )
-    result = machine.run()
-    return _assemble_record(
-        name, benchmark.suite, level, n_pus, out_of_order, compiled, result
-    )
+    return run_cell(spec, monitor, fault_plan, tracer)

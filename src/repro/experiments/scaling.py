@@ -148,12 +148,7 @@ def scaling_specs(
                 for level in levels:
                     keys.append((name, machine_name, predictor, level))
                     specs.append(RunSpec(
-                        benchmark=name,
-                        level=level,
-                        n_pus=sim.n_pus,
-                        out_of_order=True,
-                        scale=scale,
-                        sim=sim,
+                        benchmark=name, level=level, scale=scale, sim=sim,
                     ))
     return keys, specs
 

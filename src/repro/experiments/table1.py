@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel
-from repro.experiments.runner import RunRecord
+from repro.experiments.runner import RunRecord, cell_config
 from repro.harness.spec import RunSpec
 from repro.workloads import all_benchmarks
 
@@ -54,14 +54,14 @@ def table1_specs(
 ) -> Tuple[List[Tuple[str, HeuristicLevel]], List[RunSpec]]:
     """The grid's (keys, specs), in the canonical submission order."""
     names = list(benchmarks) or [bm.name for bm in all_benchmarks()]
+    sim = cell_config(n_pus=n_pus)
     keys: List[Tuple[str, HeuristicLevel]] = []
     specs: List[RunSpec] = []
     for name in names:
         for level in TABLE1_LEVELS:
             keys.append((name, level))
             specs.append(RunSpec(
-                benchmark=name, level=level, n_pus=n_pus,
-                out_of_order=True, scale=scale,
+                benchmark=name, level=level, scale=scale, sim=sim,
             ))
     return keys, specs
 

@@ -23,7 +23,6 @@ from repro.harness.ledger import (
     LedgerEntry,
     RunLedger,
     append_jsonl_line,
-    completed_spec_hashes,
     read_ledger,
 )
 from repro.harness.scheduler import (
@@ -50,7 +49,6 @@ __all__ = [
     "append_jsonl_line",
     "canonical",
     "code_version",
-    "completed_spec_hashes",
     "default_cache_root",
     "digest",
     "execute_spec",

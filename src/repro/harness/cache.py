@@ -17,9 +17,10 @@ concurrent workers and interrupted runs never leave torn pickles.
 Entries are framed with a SHA-256 payload checksum (``RPC1`` magic +
 32-byte digest + pickle payload).  A file without the frame or with a
 checksum mismatch is corruption, **never** silently swallowed or
-unpickled unverified: it is moved to ``quarantine/`` (one warning per
-cache instance) and counted in ``repro cache stats``, and ``repro
-cache doctor`` audits the whole store the same way.
+unpickled unverified: a read moves it to ``quarantine/`` (one warning
+per cache instance) and it is counted in ``repro cache stats``;
+``repro cache doctor`` audits the whole store the same way and reports
+what it moved instead of warning.
 """
 
 from __future__ import annotations
@@ -125,22 +126,16 @@ class ArtifactCache:
             return "checksum mismatch"
         return None
 
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a corrupted entry aside instead of deleting evidence."""
+    def _quarantine(self, path: Path) -> bool:
+        """Move a corrupted entry aside instead of deleting evidence;
+        False when a concurrent worker already moved or removed it."""
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
         target = self.quarantine_dir / f"{path.name}.{uuid.uuid4().hex[:8]}"
         try:
             os.replace(path, target)
         except OSError:
-            return  # a concurrent worker already moved or removed it
-        if not self._corruption_warned:
-            self._corruption_warned = True
-            warnings.warn(
-                f"quarantined corrupted cache entry {path.name} ({reason}); "
-                f"inspect {self.quarantine_dir} or run 'repro cache doctor'",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+            return False
+        return True
 
     # -- pickle I/O ----------------------------------------------------
 
@@ -151,7 +146,15 @@ class ArtifactCache:
             return None
         defect = self._defect(raw)
         if defect:
-            self._quarantine(path, defect)
+            if self._quarantine(path) and not self._corruption_warned:
+                self._corruption_warned = True
+                warnings.warn(
+                    f"quarantined corrupted cache entry {path.name} "
+                    f"({defect}); inspect {self.quarantine_dir} or run "
+                    f"'repro cache doctor'",
+                    RuntimeWarning,
+                    stacklevel=3,  # the caller of get_record/get_compiled
+                )
             return None
         try:
             obj = pickle.loads(raw[_HEADER_BYTES:])
@@ -252,9 +255,8 @@ class ArtifactCache:
                     raw = path.read_bytes()
                 except OSError:
                     continue
-                defect = self._defect(raw)
-                if defect:
-                    self._quarantine(path, defect)
+                if self._defect(raw):
+                    self._quarantine(path)
                     out["quarantined"] += 1
                     continue
                 try:

@@ -8,7 +8,7 @@ file::
      "spec_hash": "ab12..",
      "job": "compress/...", "benchmark": "compress",
      "level": "control_flow", "n_pus": 4, "out_of_order": true,
-     "cache": "hit"|"miss"|"resume", "retries": 0,
+     "cache": "hit"|"miss", "retries": 0,
      "outcome": "ok"|"error", "wall_seconds": 0.42,
      "error": null, "metrics": {"counters": ..., "histograms": ...}}
 
@@ -18,7 +18,7 @@ appear only in ledgers written by older versions, which still parse.
 
 ``seq`` (schema 3) is a monotonic per-file record number: it starts
 one past the highest ``seq`` already in the file, so interleaved and
-resumed runs stay totally ordered even when wall-clock timestamps
+repeated runs stay totally ordered even when wall-clock timestamps
 collide.  ``metrics`` (schema 3) carries the run's telemetry registry
 summary (see :func:`repro.telemetry.metrics.run_metrics`); ``repro
 report`` diffs ledgers through it.
@@ -28,7 +28,7 @@ as ``{"ts": ..., "schema_version": 3, "seq": ..., "event":
 "pool_broken", ...}`` lines.  Readers are tolerant by contract:
 unknown fields and unknown line shapes are preserved
 (``read_ledger``) or ignored (``LedgerEntry.from_dict``), so
-``--resume`` survives future ledger format growth in either
+``repro report`` survives future ledger format growth in either
 direction — and schema-2 ledgers (no ``seq``, no ``metrics``) still
 parse.
 
@@ -38,13 +38,13 @@ writers (e.g. two grids run against one cache's ledger file) never
 interleave partial JSON lines.  A reader racing a writer can still
 observe a torn *tail* (the final line mid-write); ``read_ledger``
 skips unparseable lines, so torn tails degrade to "not yet visible"
-instead of crashing ``--resume``.
+instead of crashing the reader.
 
 The ledger is the audit trail for sweeps: it answers "what actually
 ran, how long did it take, and what came from the cache" without
 re-running anything; the tests use it to prove warm-cache runs never
-re-enter the interpreter, and ``--resume`` replays it to skip
-completed cells after an interrupted grid.
+re-enter the interpreter.  Skipping finished cells is the artifact
+cache's job: a re-run grid takes every cached record as a ``hit``.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class RunLedger:
         self._total = 0
         self._done = 0
         #: next record number; None until the first append scans the
-        #: existing file so resumed runs continue the sequence
+        #: existing file so later runs continue the sequence
         self._next_seq: Optional[int] = None
 
     def open_run(self, total: int) -> None:
@@ -232,22 +232,6 @@ def read_ledger(path) -> List[dict]:
             except json.JSONDecodeError:
                 continue
     return entries
-
-
-def completed_spec_hashes(path) -> set:
-    """Spec hashes the ledger records as successfully finished.
-
-    This is what ``--resume`` replays: cells whose hash appears here
-    were committed (cache hit or fresh execution) by a previous run
-    and can be skipped.  Event lines and malformed entries are
-    ignored.
-    """
-    done = set()
-    for entry in read_ledger(path):
-        spec_hash = entry.get("spec_hash")
-        if spec_hash and entry.get("outcome") == "ok":
-            done.add(spec_hash)
-    return done
 
 
 def default_progress() -> Optional[IO[str]]:

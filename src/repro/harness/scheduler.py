@@ -5,9 +5,8 @@ cells sharing a ``(benchmark, scale, selection, input)`` tuple share
 one compilation (partition / trace / task stream), and everything
 else is independent.  :func:`run_specs` exploits exactly that shape:
 
-1. resolve **record cache hits** up front (no work scheduled) —
-   with ``resume=True`` the run ledger is replayed first, so an
-   interrupted grid restarts by executing only its missing cells;
+1. resolve **record cache hits** up front (no work scheduled), so
+   an interrupted grid restarts by executing only its missing cells;
 2. group the misses by compile signature;
 3. run each group as one job — compile once (warm-started from the
    persistent compiled-artifact cache when possible), then simulate
@@ -38,17 +37,12 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import (
     RunRecord,
-    compile_cache_key,
     peek_compiled,
-    run_benchmark,
+    run_cell,
     seed_compiled,
 )
 from repro.harness.cache import ArtifactCache
-from repro.harness.ledger import (
-    LedgerEntry,
-    RunLedger,
-    completed_spec_hashes,
-)
+from repro.harness.ledger import LedgerEntry, RunLedger
 from repro.harness.spec import RunSpec
 
 #: a worker maps one spec to one record (injectable for tests)
@@ -71,17 +65,7 @@ class HarnessError(RuntimeError):
 
 def execute_spec(spec: RunSpec) -> RunRecord:
     """The default worker: the canonical pipeline for one cell."""
-    return run_benchmark(
-        spec.benchmark,
-        spec.level,
-        n_pus=spec.n_pus,
-        out_of_order=spec.out_of_order,
-        scale=spec.scale,
-        selection=spec.selection,
-        sim=spec.sim,
-        input_set=spec.input_set,
-        profile_input=spec.profile_input,
-    )
+    return run_cell(spec)
 
 
 def _run_group(
@@ -100,14 +84,7 @@ def _run_group(
     seeded = False
     if use_artifacts:
         first = specs[0]
-        key = compile_cache_key(
-            first.benchmark,
-            first.level,
-            first.scale,
-            first.selection,
-            first.input_set,
-            first.profile_input,
-        )
+        key = first.compile_signature()
         compiled = cache.get_compiled(first)
         if compiled is not None:
             seed_compiled(key, compiled)
@@ -143,14 +120,12 @@ def run_specs(
     cache: Optional[ArtifactCache] = None,
     ledger: Optional[RunLedger] = None,
     worker: Optional[Worker] = None,
-    resume: bool = False,
 ) -> List[RunRecord]:
     """Run every spec, returning records aligned with ``specs``.
 
     ``jobs`` defaults to ``os.cpu_count()``; ``jobs=1`` runs serially
-    in-process (no pool, no pickling).  ``resume`` replays the ledger
-    and skips cells it records as complete (their records come from
-    the cache; ledger label ``"resume"``).  ``worker`` replaces
+    in-process (no pool, no pickling).  A cell whose record is in the
+    cache is not run (ledger label ``"hit"``).  ``worker`` replaces
     :func:`execute_spec`; tests inject fakes through it.
 
     A group that raises is recorded once and the grid goes on; after
@@ -165,12 +140,9 @@ def run_specs(
     results: List[Optional[RunRecord]] = [None] * len(specs)
     # Only ledger lines carry spec hashes (the cache hashes its own).
     hashes: List[str] = []
-    resumed_hashes = set()
     if ledger is not None:
         salt = cache.salt if cache is not None else ""
         hashes = [spec.spec_hash(salt) for spec in specs]
-        if resume:
-            resumed_hashes = completed_spec_hashes(ledger.path)
         ledger.open_run(len(specs))
 
     pending: Group = []
@@ -179,9 +151,8 @@ def run_specs(
         if record is not None:
             results[i] = record
             if ledger is not None:
-                status = "resume" if hashes[i] in resumed_hashes else "hit"
                 ledger.record(LedgerEntry.for_spec(
-                    spec, hashes[i], cache=status, outcome="ok",
+                    spec, hashes[i], cache="hit", outcome="ok",
                     wall_seconds=0.0,
                     metrics=getattr(record, "metrics", None),
                 ))
@@ -275,7 +246,6 @@ def run_keyed(
     jobs: Optional[int] = 1,
     cache: Optional[ArtifactCache] = None,
     ledger: Optional[RunLedger] = None,
-    resume: bool = False,
 ) -> Dict:
     """Run a grid's ``(keys, specs)`` and key its records.
 
@@ -284,6 +254,5 @@ def run_keyed(
     driver.  ``jobs`` defaults to 1, the serial in-process path; the
     rest is :func:`run_specs`.
     """
-    records = run_specs(specs, jobs=jobs, cache=cache, ledger=ledger,
-                        resume=resume)
+    records = run_specs(specs, jobs=jobs, cache=cache, ledger=ledger)
     return dict(zip(keys, records))

@@ -1,22 +1,26 @@
 """Declarative job model for the execution harness.
 
-A :class:`RunSpec` names one experiment cell — everything
-:func:`repro.experiments.runner.run_benchmark` needs to produce a
-:class:`~repro.experiments.runner.RunRecord` — as plain data, so the
-scheduler can hash it, group it with cells that share compilation
-work, ship it to a worker process, and cache its products.
+A :class:`RunSpec` names one experiment cell — one program on one
+machine, everything :func:`repro.experiments.runner.run_cell` needs to
+produce a :class:`~repro.experiments.runner.RunRecord` — as plain
+data, so the scheduler can hash it, group it with cells that share
+compilation work, ship it to a worker process, and cache its products.
+Its ``sim`` is the complete machine the cell simulates, and the cell's
+PU count and issue order are read from it.
 
 Two hashes matter:
 
-* the **compile signature** covers only the fields that determine the
-  compilation products (benchmark, scale, selection config, input
-  sets) — cells sharing it reuse one ``Compiled``;
+* the **compile signature** is
+  :func:`~repro.experiments.runner.compile_cache_key`: the fields that
+  determine the compilation products (benchmark, scale, selection
+  config, input sets, generated source) — cells sharing it reuse one
+  ``Compiled``;
 * the **spec hash** additionally covers the machine configuration —
   it keys finished ``RunRecord``s in the artifact cache.
 
-Both are content hashes over a canonical encoding of the dataclass
-tree (no ``hash()``, no ``pickle``), so they are stable across
-processes and interpreter invocations.
+Both are content hashes over a canonical encoding of the value tree
+(no ``hash()``, no ``pickle``), so they are stable across processes
+and interpreter invocations.
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.compiler import HeuristicLevel, SelectionConfig
+from repro.experiments.runner import compile_cache_key
 from repro.sim import SimConfig
 
 
@@ -84,11 +89,12 @@ class RunSpec:
 
     benchmark: str
     level: HeuristicLevel
-    n_pus: int = 4
-    out_of_order: bool = True
     scale: float = 1.0
     selection: Optional[SelectionConfig] = None
-    sim: Optional[SimConfig] = None
+    #: the machine the cell simulates, unchanged (the default is the
+    #: paper's 4-PU out-of-order machine; builders of the paper family
+    #: get theirs from :func:`~repro.experiments.runner.cell_config`)
+    sim: SimConfig = SimConfig()
     input_set: str = "ref"
     profile_input: Optional[str] = None
     #: content hash of the workload's IR text, for benchmarks whose
@@ -99,45 +105,27 @@ class RunSpec:
     #: oracle results) never alias plain run records.
     source_hash: Optional[str] = None
 
-    def resolved_selection(self) -> SelectionConfig:
-        """The selection config the runner will actually use."""
-        selection = self.selection or SelectionConfig(level=self.level)
-        if selection.level is not self.level:
-            selection = replace(selection, level=self.level)
-        return selection
+    @property
+    def n_pus(self) -> int:
+        return self.sim.n_pus
 
-    def resolved_profile_input(self) -> str:
-        return self.profile_input or self.input_set
+    @property
+    def out_of_order(self) -> bool:
+        return self.sim.out_of_order
 
     def compile_signature(self) -> Tuple:
-        """Canonical identity of the compilation products."""
-        signature = (
-            "compile",
-            self.benchmark,
-            ("float", repr(self.scale)),
-            self.input_set,
-            self.resolved_profile_input(),
-            self.resolved_selection(),
+        """Identity of the compilation products (the memo's key)."""
+        return compile_cache_key(
+            self.benchmark, self.level, self.scale, self.selection,
+            self.input_set, self.profile_input, self.source_hash,
         )
-        if self.source_hash is not None:
-            signature += (("source", self.source_hash),)
-        return canonical(signature)
 
     def compile_hash(self, salt: str = "") -> str:
         return digest(self.compile_signature(), salt)
 
     def spec_hash(self, salt: str = "") -> str:
         """Content hash of the whole cell (compile + machine)."""
-        return digest(
-            (
-                "run",
-                self.compile_signature(),
-                self.n_pus,
-                self.out_of_order,
-                self.sim or SimConfig(),
-            ),
-            salt,
-        )
+        return digest(("run", self.compile_signature(), self.sim), salt)
 
     def describe(self) -> str:
         """Short human label for progress lines and errors.

@@ -10,7 +10,6 @@
   returns.
 """
 
-from repro.predict.counters import SaturatingCounter
 from repro.predict.gshare import GsharePredictor
 from repro.predict.path_predictor import PathPredictor, ReturnAddressStack
 from repro.predict.taskpred import (
@@ -26,7 +25,6 @@ __all__ = [
     "HybridTaskPredictor",
     "PathPredictor",
     "ReturnAddressStack",
-    "SaturatingCounter",
     "TASK_PREDICTOR_KINDS",
     "make_task_predictor",
 ]

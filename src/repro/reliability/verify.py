@@ -34,6 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.compiler import HeuristicLevel, SelectionConfig
 from repro.compiler.regcomm import ReleaseAnalysis
 from repro.experiments.runner import cell_config, compile_benchmark
+from repro.harness.spec import cell_label
 from repro.ir.validate import partition_issues, well_formed
 from repro.reliability.faults import FaultPlan
 from repro.reliability.monitors import InvariantMonitor, InvariantViolation
@@ -129,8 +130,9 @@ class VerifyReport:
         return self.injected_control + self.injected_memory
 
     def describe(self) -> str:
-        mode = "ooo" if self.out_of_order else "ino"
-        return f"{self.benchmark}/{self.level.value}@{self.n_pus}pu-{mode}"
+        return cell_label(
+            self.benchmark, self.level, self.n_pus, self.out_of_order
+        )
 
     def summary(self) -> str:
         head = (

@@ -17,16 +17,16 @@ runs every cell through the oracle battery,
 
 Everything executes through the existing harness
 (:func:`repro.harness.scheduler.run_specs`): cells group by compile
-signature, fan out over the process pool, resume from the run
-ledger, and cache records in the artifact cache.  Specs carry the
+signature, fan out over the process pool, log to the run ledger, and
+cache records in the artifact cache.  Specs carry the
 generated program's content hash (``RunSpec.source_hash``), so fuzz
 records can never alias cached artifacts of a same-named workload
 built by different generator code.
 
 Each per-cell oracle verdict is embedded in the record's metrics
 (``metrics["fuzz"]``), so verdicts ride the ledger and survive cache
-hits and ``--resume`` — replaying a finished campaign re-reports its
-divergences without re-running anything.
+hits — repeating a finished campaign re-reports its divergences from
+the cache without running a cell.
 
 The campaign ledger (:class:`CampaignLedger`) zeroes per-entry wall
 times, making two identical campaigns produce identical ledgers
@@ -215,7 +215,7 @@ def fuzz_specs(
 
 def _spec_machine(spec: RunSpec) -> str:
     """The machine-preset tag of a fuzz cell ("" = the legacy 4x2)."""
-    machine = spec.sim.machine if spec.sim is not None else None
+    machine = spec.sim.machine
     return machine.name if machine is not None else ""
 
 
@@ -230,9 +230,8 @@ def execute_fuzz_spec(spec: RunSpec) -> RunRecord:
     """
     divergences: List[str] = []
     compiled = compile_benchmark(
-        spec.benchmark, spec.level, scale=spec.scale,
-        selection=spec.selection, input_set=spec.input_set,
-        profile_input=spec.profile_input,
+        spec.benchmark, spec.level, spec.scale, spec.selection,
+        spec.input_set, spec.profile_input, spec.source_hash,
     )
     if spec.source_hash is not None:
         # The worker rebuilt the program from its name; a hash mismatch
@@ -245,9 +244,7 @@ def execute_fuzz_spec(spec: RunSpec) -> RunRecord:
                 f"deterministic across processes"
             )
     result, cell_divergences, checks = check_run(
-        compiled.stream, compiled.release,
-        cell_config(spec.sim, spec.n_pus, spec.out_of_order),
-        label=spec.describe(),
+        compiled.stream, compiled.release, spec.sim, label=spec.describe(),
     )
     divergences += cell_divergences
     if result is None:
@@ -313,7 +310,6 @@ def run_campaign(
     jobs: Optional[int] = 1,
     cache=None,
     ledger: Optional[RunLedger] = None,
-    resume: bool = False,
     minimize: bool = False,
     levels: Sequence[HeuristicLevel] = ALL_LEVELS,
     strategies: Sequence[str] = (),
@@ -334,7 +330,7 @@ def run_campaign(
     result.programs = names
     records = run_specs(
         specs, jobs=jobs, cache=cache, ledger=ledger,
-        worker=execute_fuzz_spec, resume=resume,
+        worker=execute_fuzz_spec,
     )
     result.cells = len(records)
 
@@ -419,14 +415,15 @@ def check_program(
     ]
     if divergences:
         return divergences
-    selections: List[Tuple[str, SelectionConfig, Optional[SimConfig]]] = [
-        (level.value, SelectionConfig(level=level), None)
+    paper = cell_config(n_pus=n_pus)
+    selections: List[Tuple[str, SelectionConfig, SimConfig]] = [
+        (level.value, SelectionConfig(level=level), paper)
         for level in levels
     ]
     selections += [
         (f"{FUZZ_STRATEGY_LEVEL.value}+{strategy}",
          SelectionConfig(level=FUZZ_STRATEGY_LEVEL, strategy=strategy),
-         None)
+         paper)
         for strategy in strategies
     ]
     selections += [
@@ -446,7 +443,7 @@ def check_program(
         )
         _, cell_divergences, _ = check_run(
             build_task_stream(trace, partition), ReleaseAnalysis(partition),
-            cell_config(sim, n_pus, True), label=f"fuzz-check/{tag}",
+            sim, label=f"fuzz-check/{tag}",
         )
         divergences += [f"{tag}: {d}" for d in cell_divergences]
     return divergences

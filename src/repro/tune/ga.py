@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel
+from repro.experiments.runner import cell_config
 from repro.harness.scheduler import run_specs
 from repro.harness.spec import RunSpec
 from repro.tune.genome import (
@@ -161,7 +162,6 @@ def _baseline_specs(evaluator: _Evaluator, sim) -> List[RunSpec]:
     """The paper heuristic_3 reference cells on machine ``sim``."""
     return [
         RunSpec(benchmark=target, level=HeuristicLevel.TASK_SIZE,
-                n_pus=evaluator.n_pus, out_of_order=evaluator.out_of_order,
                 scale=evaluator.scale, sim=sim)
         for target in evaluator.targets
     ]
@@ -192,7 +192,7 @@ def _pinner(machine: Optional[str],
 
 
 def _evaluate_baseline(evaluator: _Evaluator,
-                       sim=None) -> Tuple[int, Dict[str, int]]:
+                       sim) -> Tuple[int, Dict[str, int]]:
     """The paper's heuristic_3 (TASK_SIZE reference strategy) cycles."""
     specs = _baseline_specs(evaluator, sim)
     records = run_specs(specs, jobs=evaluator.jobs, cache=evaluator.cache)
@@ -250,7 +250,10 @@ def tune(
     if pop_size < 2:
         raise ValueError("pop_size must be >= 2")
     pin = _pinner(machine, predictor)
-    baseline_sim = machine_sim(machine or "paper-4x2", predictor or "path")
+    baseline_sim = cell_config(
+        machine_sim(machine or "paper-4x2", predictor or "path"),
+        n_pus, out_of_order,
+    )
 
     if ledger is not None:
         ledger.header(

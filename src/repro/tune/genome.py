@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional, Tuple
 
 from repro.compiler import HeuristicLevel, SelectionConfig
+from repro.experiments.runner import cell_config
 from repro.harness.spec import RunSpec
 from repro.sim import SimConfig
 
@@ -127,22 +128,19 @@ class Genome:
                 sim: Optional[SimConfig] = None) -> RunSpec:
         """The harness job evaluating this genome on ``benchmark``.
 
-        An explicit ``sim`` wins; otherwise the genome's machine /
-        predictor genes decode to one (``None`` for the default pair,
-        so paper-machine genomes keep aliasing the legacy cached
-        evaluations).
+        An explicit ``sim`` wins over the genome's machine / predictor
+        genes.  The spec's machine is ``cell_config`` of that, so
+        ``n_pus`` sizes only the paper family: a machine preset brings
+        its own PU count.
         """
         selection = self.to_selection()
-        if sim is None:
-            sim = machine_sim(self.machine, self.predictor)
+        machine = sim or machine_sim(self.machine, self.predictor)
         return RunSpec(
             benchmark=benchmark,
             level=selection.level,
-            n_pus=n_pus,
-            out_of_order=out_of_order,
             scale=scale,
             selection=selection,
-            sim=sim,
+            sim=cell_config(machine, n_pus, out_of_order),
         )
 
 
@@ -151,8 +149,8 @@ def machine_sim(machine: str,
     """The SimConfig a (machine, predictor) gene pair decodes to.
 
     ``("paper-4x2", "path")`` — the legacy machine — decodes to
-    ``None``: the historical spec shape, whose cached records and
-    ledger lines stay byte-identical to pre-machine campaigns.
+    ``None``, the paper family, which ``cell_config`` sizes for the
+    campaign's PU count and issue order.
     """
     if machine == "paper-4x2" and predictor == "path":
         return None

@@ -15,7 +15,7 @@ groups, and hold each checked cell to a lone reference run.
 import pytest
 
 from repro.compiler import HeuristicLevel
-from repro.experiments.runner import clear_cache, run_benchmark
+from repro.experiments.runner import cell_config, clear_cache, run_benchmark
 from repro.harness.cache import ArtifactCache
 from repro.harness.scheduler import run_specs
 from repro.harness.spec import RunSpec
@@ -51,8 +51,8 @@ _RESULT_FIELDS = (
 
 
 def _spec(name, level, n_pus=4, out_of_order=True, sim=None):
-    return RunSpec(benchmark=name, level=level, n_pus=n_pus,
-                   out_of_order=out_of_order, scale=SMALL, sim=sim)
+    return RunSpec(benchmark=name, level=level, scale=SMALL,
+                   sim=cell_config(sim, n_pus, out_of_order))
 
 
 @pytest.fixture(scope="module")
@@ -78,11 +78,10 @@ def batch(tmp_path_factory):
 def assert_equivalent(batch, spec):
     """Demand the batch's record for ``spec`` equal a lone reference run."""
     batched = batch[spec.spec_hash()]
-    sim = spec.sim or SimConfig()
     reference = run_benchmark(
         spec.benchmark, spec.level, n_pus=spec.n_pus,
         out_of_order=spec.out_of_order, scale=spec.scale,
-        sim=SimConfig(**{**sim.__dict__, "engine": "reference"}),
+        sim=SimConfig(**{**spec.sim.__dict__, "engine": "reference"}),
     )
     label = f"{spec.benchmark}/{spec.level.value}/{spec.n_pus}"
     for field in _RESULT_FIELDS:

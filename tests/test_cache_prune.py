@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.compiler import HeuristicLevel
+from repro.experiments.runner import cell_config
 from repro.harness.cache import ArtifactCache
 from repro.harness.scheduler import run_specs
 from repro.harness.spec import RunSpec
@@ -88,10 +89,10 @@ def test_read_touches_mtime_so_hot_entries_survive(tmp_path):
     cache = ArtifactCache(root=tmp_path)
     spec_old = RunSpec(benchmark="compress",
                        level=HeuristicLevel.BASIC_BLOCK,
-                       n_pus=4, out_of_order=True, scale=0.05)
+                       scale=0.05, sim=cell_config(n_pus=4))
     spec_new = RunSpec(benchmark="compress",
                        level=HeuristicLevel.BASIC_BLOCK,
-                       n_pus=8, out_of_order=True, scale=0.05)
+                       scale=0.05, sim=cell_config(n_pus=8))
     run_specs([spec_old, spec_new], jobs=1, cache=cache)
     old_path = cache.records_dir / f"{spec_old.spec_hash(cache.salt)}.pkl"
     new_path = cache.records_dir / f"{spec_new.spec_hash(cache.salt)}.pkl"

@@ -57,9 +57,13 @@ class TestParser:
             build_parser().parse_args(["cache", "bogus"])
 
     def test_resume_flag(self):
-        args = build_parser().parse_args(["table1", "--resume"])
-        assert args.resume
-        assert not build_parser().parse_args(["table1"]).resume
+        """Only ``tune`` has ``--resume`` (its ledger replay): a grid or
+        fuzz re-run already takes every cached record as a hit."""
+        for argv in (["figure5"], ["scaling"], ["table1"], ["breakdown"],
+                     ["centralized"], ["fuzz", "--budget", "1"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--resume"])
+        assert build_parser().parse_args(["tune", "--resume"]).resume
 
     def test_verify_options(self):
         args = build_parser().parse_args(
@@ -318,15 +322,19 @@ class TestCommands:
         assert "checked" in out and "quarantined: 0" in out
 
     def test_resume_second_run_skips_completed(self, capsys, tmp_path):
+        """A grid re-run after an interrupted one executes only the
+        cells the first run did not finish."""
         from repro.experiments import clear_cache
         from repro.harness import read_ledger
 
-        argv = ["table1", "--benchmarks", "compress", "--scale", "0.1"]
-        assert main(argv) == 0
+        argv = ["table1", "--scale", "0.1", "--benchmarks"]
+        assert main(argv + ["compress"]) == 0
         clear_cache()
-        assert main(argv + ["--resume"]) == 0
+        assert main(argv + ["compress,go"]) == 0
         entries = read_ledger(tmp_path / "cache" / "ledger.jsonl")
-        assert [e["cache"] for e in entries[-3:]] == ["resume"] * 3
+        assert [(e["benchmark"], e["cache"]) for e in entries[3:]] == (
+            [("compress", "hit")] * 3 + [("go", "miss")] * 3
+        )
 
     def test_unknown_benchmark_raises(self):
         with pytest.raises(SystemExit):
@@ -453,9 +461,11 @@ _BAD_INPUT = [
     (["fuzz", "--budget", "-2"], "'-2'", ">= 1"),
     (["verify", "compress", "--faults", "-3"], "'-3'", ">= 0"),
     (["cache", "prune", "--max-bytes", "-5"], "'-5'", ">= 0"),
-    (["table1", "--resume", "--no-cache"], "--no-cache", "--resume"),
-    (["fuzz", "--budget", "1", "--resume", "--no-cache"], "--no-cache",
-     "--resume"),
+    # grids and fuzz have no ``--resume``: a re-run takes finished cells
+    # as cache hits (the third column is the error's wording here)
+    (["table1", "--resume", "--no-cache"], "--resume", "unrecognized"),
+    (["fuzz", "--budget", "1", "--resume", "--no-cache"], "--resume",
+     "unrecognized"),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.compiler import HeuristicLevel, SelectionConfig
 from repro.experiments import clear_cache
-from repro.experiments.runner import _compile_cache
+from repro.experiments.runner import _compile_cache, cell_config
 from repro.harness import (
     ArtifactCache,
     HarnessError,
@@ -30,7 +30,7 @@ def _fresh_compile_cache():
 
 def small_specs(n_pus=(2, 4), levels=(HeuristicLevel.CONTROL_FLOW,)):
     return [
-        RunSpec("compress", level, n_pus=n, scale=SMALL)
+        RunSpec("compress", level, scale=SMALL, sim=cell_config(n_pus=n))
         for level in levels
         for n in n_pus
     ]
@@ -48,8 +48,10 @@ class TestSpecHashing:
         assert spec.spec_hash("a") != spec.spec_hash("b")
 
     def test_machine_fields_do_not_change_compile_hash(self):
-        a = RunSpec("compress", HeuristicLevel.CONTROL_FLOW, n_pus=4)
-        b = RunSpec("compress", HeuristicLevel.CONTROL_FLOW, n_pus=8)
+        a = RunSpec("compress", HeuristicLevel.CONTROL_FLOW,
+                    sim=cell_config(n_pus=4))
+        b = RunSpec("compress", HeuristicLevel.CONTROL_FLOW,
+                    sim=cell_config(n_pus=8))
         assert a.compile_hash() == b.compile_hash()
         assert a.spec_hash() != b.spec_hash()
 
@@ -171,12 +173,9 @@ class TestSchedulerFaults:
         assert len(excinfo.value.failures) == 2
 
     def test_pool_failures_are_recorded_once_per_cell(self, tmp_path):
-        specs = [
-            RunSpec("compress", level, n_pus=n, scale=SMALL)
-            for level in (HeuristicLevel.CONTROL_FLOW,
-                          HeuristicLevel.BASIC_BLOCK)
-            for n in (2, 4)
-        ]
+        specs = small_specs(
+            levels=(HeuristicLevel.CONTROL_FLOW, HeuristicLevel.BASIC_BLOCK)
+        )
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         with pytest.raises(HarnessError) as excinfo:
             run_specs(specs, jobs=2, worker=_always_failing_worker,
@@ -228,3 +227,64 @@ class TestSerialization:
         assert as_dict["n_pus"] == 2
         assert as_dict["ipc"] == pytest.approx(records[0].ipc)
         assert set(as_dict["breakdown"]) >= {"useful", "idle"}
+
+
+# -- every builder's record names the machine that ran ------------------
+
+TINY = 0.05
+DD = HeuristicLevel.DATA_DEPENDENCE
+
+
+def _builder_specs():
+    """One ``(specs, worker)`` param per spec builder, at a tiny scale."""
+    from repro import bench
+    from repro.experiments import ablations
+    from repro.experiments.breakdown import breakdown_specs
+    from repro.experiments.centralized import centralized_specs
+    from repro.experiments.figure5 import figure5_specs
+    from repro.experiments.scaling import scaling_specs
+    from repro.experiments.table1 import table1_specs
+    from repro.harness import execute_spec
+    from repro.synth.campaign import execute_fuzz_spec, fuzz_specs
+    from repro.tune.genome import GENE_SPACE, Genome
+
+    bench_ = ["compress"]
+    micro = bench.GRIDS["micro"]
+    rows = [
+        ("figure5", figure5_specs(bench_, scale=TINY)[1]),
+        ("table1", table1_specs(bench_, scale=TINY)[1]),
+        ("breakdown", breakdown_specs(bench_, scale=TINY)[1]),
+        ("centralized", centralized_specs(bench_, scale=TINY)[1]),
+        ("scaling", scaling_specs(bench_, ("paper-4x2", "big-little-8"),
+                                  levels=(DD,), scale=TINY)[1]),
+        ("micro", figure5_specs(micro.benchmarks, micro.configs,
+                                scale=micro.scale)[1]),
+        ("genome", [Genome(machine=m).to_spec("compress", scale=TINY)
+                    for m in GENE_SPACE["machine"]]),
+    ]
+    rows += [
+        (name, getattr(ablations, f"{name}_specs")(bench_, scale=TINY)[1])
+        for name in ("max_targets", "thresholds", "sync_table", "arb_size",
+                     "forward_policy", "profile_input")
+    ]
+    fuzz = fuzz_specs(1, levels=(), machines=("big-little-8",))[0]
+    return [pytest.param(specs, execute_spec, id=name)
+            for name, specs in rows] + [
+        pytest.param(fuzz, execute_fuzz_spec, id="fuzz")
+    ]
+
+
+@pytest.mark.parametrize("specs, worker", _builder_specs())
+def test_every_builder_record_names_its_machine(specs, worker):
+    """The machine a spec builds is ``spec.sim`` unchanged, and the
+    record reports that machine's PU count and issue order."""
+    from repro.experiments.runner import cell_machine
+
+    for spec, record in zip(specs, run_specs(specs, jobs=1,
+                                             worker=worker)):
+        _, machine = cell_machine(spec)
+        assert machine.config == spec.sim, spec.describe()
+        assert (record.n_pus, record.out_of_order) == (
+            spec.sim.n_pus, spec.sim.out_of_order
+        ), spec.describe()
+        assert record.n_pus == len(record.metrics["pu"]["useful"])

@@ -1,9 +1,9 @@
-"""Self-healing harness tests: resume, pool degradation, quarantine.
+"""Self-healing harness tests: re-runs, pool degradation, quarantine.
 
-Companion to test_harness.py, covering the recovery machinery: ledger
-replay (``--resume``), ``BrokenProcessPool`` degradation to serial
-execution, checksum quarantine + ``cache doctor``, and ledger schema
-tolerance.
+Companion to test_harness.py, covering the recovery machinery: an
+interrupted grid re-run against the artifact cache, ``BrokenProcessPool``
+degradation to serial execution, checksum quarantine + ``cache
+doctor``, and ledger schema tolerance.
 """
 
 import json
@@ -16,13 +16,14 @@ import pytest
 
 from repro.compiler import HeuristicLevel
 from repro.experiments import clear_cache
+from repro.experiments.runner import cell_config
 from repro.harness import (
     LEDGER_SCHEMA_VERSION,
     ArtifactCache,
+    HarnessError,
     LedgerEntry,
     RunLedger,
     RunSpec,
-    completed_spec_hashes,
     read_ledger,
     run_specs,
 )
@@ -40,7 +41,7 @@ def _fresh_compile_cache():
 def grid_specs():
     """Four cells in two compile groups (two heuristic levels)."""
     return [
-        RunSpec("compress", level, n_pus=n, scale=SMALL)
+        RunSpec("compress", level, scale=SMALL, sim=cell_config(n_pus=n))
         for level in (HeuristicLevel.CONTROL_FLOW, HeuristicLevel.BASIC_BLOCK)
         for n in (2, 4)
     ]
@@ -57,10 +58,23 @@ def _pool_only_crash_worker(spec):
     """
     if multiprocessing.parent_process() is not None:
         os._exit(1)
+    return _ok_worker(spec)
+
+
+def _ok_worker(spec):
     return ("ok", spec.benchmark, spec.level.value, spec.n_pus)
 
 
+def _basic_block_failing_worker(spec):
+    if spec.level is HeuristicLevel.BASIC_BLOCK:
+        raise RuntimeError("basic block cells fail")
+    return _ok_worker(spec)
+
+
 class TestResume:
+    """A re-run grid executes only the cells the cache has no record
+    of: the finished ones are hits."""
+
     def test_resume_executes_only_missing_cells(self, tmp_path):
         specs = grid_specs()
         cache = ArtifactCache(tmp_path, salt="s")
@@ -69,31 +83,45 @@ class TestResume:
         run_specs(specs[:2], jobs=1, cache=cache, ledger=ledger)
         clear_cache()
 
-        run_specs(specs, jobs=1, cache=cache, ledger=ledger, resume=True)
+        run_specs(specs, jobs=1, cache=cache, ledger=ledger)
         entries = read_ledger(tmp_path / "ledger.jsonl")
         labels = [e["cache"] for e in entries[2:]]
-        assert sorted(labels) == ["miss", "miss", "resume", "resume"]
-        done = completed_spec_hashes(tmp_path / "ledger.jsonl")
-        assert {spec.spec_hash("s") for spec in specs} <= done
+        assert sorted(labels) == ["hit", "hit", "miss", "miss"]
+        assert {e["spec_hash"] for e in entries[2:]} == {
+            spec.spec_hash("s") for spec in specs
+        }
+        assert all(e["outcome"] == "ok" for e in entries)
 
     def test_resume_with_no_prior_ledger_runs_everything(self, tmp_path):
         specs = grid_specs()[:2]
         cache = ArtifactCache(tmp_path, salt="s")
         ledger = RunLedger(tmp_path / "ledger.jsonl")
-        run_specs(specs, jobs=1, cache=cache, ledger=ledger, resume=True)
+        run_specs(specs, jobs=1, cache=cache, ledger=ledger)
         entries = read_ledger(tmp_path / "ledger.jsonl")
         assert [e["cache"] for e in entries] == ["miss", "miss"]
 
     def test_failed_cells_are_not_resumed(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(
-                {"spec_hash": "aaa", "outcome": "ok"}) + "\n")
-            handle.write(json.dumps(
-                {"spec_hash": "bbb", "outcome": "error"}) + "\n")
-            handle.write(json.dumps(
-                {"spec_hash": "ccc", "outcome": "timeout"}) + "\n")
-        assert completed_spec_hashes(path) == {"aaa"}
+        """A failed cell leaves no record, so the re-run executes it."""
+        specs = grid_specs()
+        cache = ArtifactCache(tmp_path, salt="s")
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        with pytest.raises(HarnessError):
+            run_specs(specs, jobs=1, cache=cache, ledger=ledger,
+                      worker=_basic_block_failing_worker)
+        run_specs(specs, jobs=1, cache=cache, ledger=ledger,
+                  worker=_ok_worker)
+        entries = read_ledger(tmp_path / "ledger.jsonl")
+        first = [(e["job"], e["outcome"]) for e in entries[:4]]
+        again = [(e["job"], e["cache"]) for e in entries[4:]]
+        failed = [spec.describe() for spec in specs[2:]]
+        assert sorted(first) == sorted(
+            [(s.describe(), "ok") for s in specs[:2]]
+            + [(job, "error") for job in failed]
+        )
+        assert sorted(again) == sorted(
+            [(s.describe(), "hit") for s in specs[:2]]
+            + [(job, "miss") for job in failed]
+        )
 
 
 class TestPoolDegradation:
@@ -134,8 +162,10 @@ class TestQuarantine:
             raw[-1] ^= 0xFF  # flip a payload byte under the checksum
             path.write_bytes(bytes(raw))
         fresh = ArtifactCache(tmp_path, salt="s")
-        with pytest.warns(RuntimeWarning, match="quarantined"):
+        with pytest.warns(RuntimeWarning, match="quarantined") as caught:
             assert fresh.get_record(spec) is None
+        # The warning names the reader's caller, not the cache module.
+        assert [w.filename for w in caught] == [__file__]
         assert fresh.stats()["quarantined"] == 1
         assert not list(cache.records_dir.glob("*.pkl"))
 
@@ -174,7 +204,8 @@ class TestQuarantine:
         corrupt = cache.compiled_dir / "corrupt.pkl"
         corrupt.write_bytes(b"\x80garbage")
 
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             report = cache.doctor()
         assert report["quarantined"] == 2
         assert report["ok"] >= 1
@@ -232,6 +263,6 @@ class TestLedgerSchema:
             handle.write(json.dumps(
                 {"spec_hash": "abc", "outcome": "ok"}) + "\n")
             handle.write("{torn line\n")
-        assert completed_spec_hashes(path) == {"abc"}
         entries = read_ledger(path)
         assert len(entries) == 2  # the torn line is skipped, events kept
+        assert [e.get("spec_hash") for e in entries] == [None, "abc"]

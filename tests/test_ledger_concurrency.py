@@ -19,7 +19,6 @@ from repro.harness.ledger import (
     LedgerEntry,
     RunLedger,
     append_jsonl_line,
-    completed_spec_hashes,
     read_ledger,
 )
 
@@ -80,7 +79,7 @@ def test_two_ledger_objects_share_one_file(tmp_path):
         b.record(_entry(f"spec-b{i}"))
     entries = read_ledger(path)
     assert len(entries) == 10
-    assert completed_spec_hashes(path) == {
+    assert {e["spec_hash"] for e in entries} == {
         f"spec-{w}{i}" for w in "ab" for i in range(5)
     }
     assert all(
@@ -101,7 +100,7 @@ def test_torn_tail_is_skipped_not_fatal(tmp_path):
         )
     entries = read_ledger(path)
     assert [e["spec_hash"] for e in entries] == ["spec-1", "spec-2"]
-    assert completed_spec_hashes(path) == {"spec-1", "spec-2"}
+    assert [e["outcome"] for e in entries] == ["ok", "ok"]
 
 
 def test_schema2_lines_still_read(tmp_path):
@@ -114,8 +113,9 @@ def test_schema2_lines_still_read(tmp_path):
     })
     ledger = RunLedger(path, progress=None)
     ledger.record(_entry("new-spec"))
-    hashes = completed_spec_hashes(path)
-    assert hashes == {"old-spec", "new-spec"}
+    entries = read_ledger(path)
+    assert [e["spec_hash"] for e in entries] == ["old-spec", "new-spec"]
+    assert [e.get("seq") for e in entries] == [None, 0]
 
 
 def test_append_creates_parent_dirs(tmp_path):

@@ -7,34 +7,7 @@ from repro.predict import (
     GsharePredictor,
     PathPredictor,
     ReturnAddressStack,
-    SaturatingCounter,
 )
-
-
-class TestSaturatingCounter:
-    def test_threshold_prediction(self):
-        c = SaturatingCounter(bits=2, initial=0)
-        assert not c.taken
-        c.update(True)
-        assert not c.taken  # weakly not-taken at 1
-        c.update(True)
-        assert c.taken
-
-    def test_saturation(self):
-        c = SaturatingCounter(bits=2, initial=3)
-        for _ in range(5):
-            c.update(True)
-        assert c.value == 3 and c.is_saturated
-        for _ in range(10):
-            c.update(False)
-        assert c.value == 0 and c.is_saturated
-
-    @given(st.lists(st.booleans(), max_size=200), st.integers(1, 4))
-    def test_counter_stays_in_range(self, outcomes, bits):
-        c = SaturatingCounter(bits=bits)
-        for outcome in outcomes:
-            c.update(outcome)
-            assert 0 <= c.value <= c.maximum
 
 
 class TestGshare:

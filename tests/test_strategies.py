@@ -174,7 +174,7 @@ def test_cache_key_covers_every_field():
     import dataclasses
 
     base = SelectionConfig()
-    key_fields = {item[0] for item in base.cache_key()[2:]}
+    key_fields = {item[0] for item in base.cache_key()[1:]}
     for f in dataclasses.fields(SelectionConfig):
         assert f.name in key_fields, f"cache_key misses field {f.name}"
 

@@ -11,7 +11,7 @@ from repro.compiler import HeuristicLevel
 from repro.harness.spec import RunSpec
 from repro.ir import Opcode
 from repro.ir.interp import run_program
-from repro.sim import native
+from repro.sim import SimConfig, native
 from repro.synth import check_program, fuzz_specs, generate_program, run_campaign
 from repro.synth.campaign import (
     FUZZ_STRATEGY_LEVEL,
@@ -79,7 +79,7 @@ def test_fuzz_specs_engine_column_order():
     assert [(s.benchmark, s.level) for s in specs] == [
         (name, level) for name in names for level in LEVELS2
     ]
-    assert all(s.sim is None for s in specs)
+    assert all(s.sim == SimConfig() for s in specs)
     assert len({s.spec_hash() for s in specs}) == len(specs)
 
 
@@ -92,7 +92,7 @@ def test_fuzz_specs_share_compile_groups():
     assert names == ["synth:default:1000003", "synth:default:1000004"]
     assert len(specs) == 2 * 2
     plain, machine = specs[0], specs[1]
-    assert machine.sim is not None and machine.sim.machine is not None
+    assert machine.sim.machine is not None
     assert plain.compile_hash() == machine.compile_hash()
     assert plain.spec_hash() != machine.spec_hash()
     hashes = [s.source_hash for s in specs]

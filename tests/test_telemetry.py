@@ -12,7 +12,11 @@ import json
 import pytest
 
 from repro.compiler import HeuristicLevel
-from repro.experiments.runner import compile_benchmark, run_benchmark
+from repro.experiments.runner import (
+    cell_config,
+    compile_benchmark,
+    run_benchmark,
+)
 from repro.harness.ledger import (
     LEDGER_SCHEMA_VERSION,
     LedgerEntry,
@@ -289,7 +293,7 @@ class TestLedgerSchema:
 
     def test_tolerant_reader_accepts_schema_2_lines(self, tmp_path):
         """Old ledgers (schema 2: no seq, no metrics) must still parse
-        for --resume and for LedgerEntry.from_dict."""
+        for ``repro report`` and for LedgerEntry.from_dict."""
         path = tmp_path / "old.jsonl"
         old_line = {
             "ts": 1699.2, "schema_version": 2, "spec_hash": "ab12",
@@ -396,7 +400,7 @@ class TestRecordMetrics:
     def test_cell_label_matches_spec_describe(self):
         spec = RunSpec(
             benchmark="go", level=HeuristicLevel.CONTROL_FLOW,
-            n_pus=8, out_of_order=False,
+            sim=cell_config(None, 8, False),
         )
         assert spec.describe() == cell_label(
             "go", HeuristicLevel.CONTROL_FLOW, 8, False
