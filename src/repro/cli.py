@@ -70,7 +70,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import bench
@@ -109,8 +109,9 @@ from repro.harness import (
     write_records_json,
 )
 from repro.harness.ledger import default_progress
-from repro.machines import PREDICTOR_KINDS, machine_names
-from repro.sim.config import ENGINES
+from repro.machines import machine_names
+from repro.predict import TASK_PREDICTOR_KINDS
+from repro.sim.config import ENGINES, check_pu_count
 from repro.workloads import all_benchmarks, get_benchmark
 
 _LEVELS = {level.value: level for level in HeuristicLevel}
@@ -165,7 +166,7 @@ def _extra_strategies() -> List[str]:
 _level = _named("level", lambda: sorted(_LEVELS))
 _engine = _named("engine", lambda: ENGINES)
 _machine = _named("machine preset", machine_names)
-_predictor = _named("predictor", lambda: PREDICTOR_KINDS)
+_predictor = _named("predictor", lambda: TASK_PREDICTOR_KINDS)
 _synth_preset = _named("synth preset", _synth_presets)
 
 
@@ -211,8 +212,17 @@ def _count(what: str, minimum: int) -> Callable[[str], int]:
     return parse
 
 
-_pu_count = _count("PU count", 1)
 _jobs = _count("worker count", 0)
+
+
+def _pu_count(value: str) -> int:
+    """argparse type: a PU count the machine lint accepts."""
+    count = _count("PU count", 1)(value)
+    try:
+        check_pu_count(count)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return count
 
 
 def _comma_list(item: Callable[[str], object]) -> Callable[[str], str]:
@@ -381,7 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--level", choices=sorted(_LEVELS), default="data_dependence"
     )
-    run_p.add_argument("--pus", type=_pu_count, default=4)
+    run_machine = run_p.add_mutually_exclusive_group()
+    run_machine.add_argument(
+        "--pus", type=_pu_count,
+        help="PU count of the paper's machine (default 4)",
+    )
+    run_machine.add_argument(
+        "--machine", type=_machine,
+        help="machine preset, which brings its own PU count (see "
+             "'repro list --machines')",
+    )
     run_p.add_argument("--in-order", action="store_true")
     run_p.add_argument("--scale", type=_scale, default=1.0)
     run_p.add_argument("--engine", choices=ENGINES, default="fast",
@@ -389,9 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--strategy", type=_named("strategy", strategy_names),
                        help="selection strategy name (see 'repro list "
                             "--strategies'; default: the --level reference)")
-    run_p.add_argument("--machine", type=_machine,
-                       help="machine-description preset (see 'repro list "
-                            "--machines'; overrides --pus)")
 
     for name, grid in _GRIDS.items():
         grid_p = sub.add_parser(name, help=grid.help)
@@ -653,13 +669,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="GA population size / random-search batch (default 8)",
     )
     tune_p.add_argument("--n-pus", type=_pu_count, default=4,
-                        help="processing units (default 4)")
+                        help="PU count of the paper machine, paper-4x2 "
+                             "(default 4; other presets bring their own)")
     tune_p.add_argument(
         "--machine", type=_named("tune machine", _tune_genes("machine"),
                                  "search"),
         default="paper-4x2",
         help="pin the machine gene to this preset (default "
-             "paper-4x2, the legacy machine; 'search' frees the gene "
+             "paper-4x2, the paper's machine; 'search' frees the gene "
              "so the GA explores the machine axis)",
     )
     tune_p.add_argument(
@@ -718,20 +735,16 @@ def _cmd_run(args: argparse.Namespace) -> str:
             level=_LEVELS[args.level], strategy=args.strategy
         )
     sim = _sim_for_engine(args.engine)
-    n_pus = args.pus
     machine_note = ""
     if args.machine:
-        from repro.machines import resolve_machine
-        from repro.sim import SimConfig
+        from repro.machines import get_machine
 
-        spec = resolve_machine(args.machine)
-        sim = SimConfig(engine=args.engine, machine=spec)
-        n_pus = spec.n_pus
-        machine_note = f" [{spec.name}, {spec.predictor} predictor]"
+        sim = replace(get_machine(args.machine), engine=args.engine)
+        machine_note = f" [{args.machine}, {sim.predictor} predictor]"
     record = run_benchmark(
         args.benchmark,
         _LEVELS[args.level],
-        n_pus=n_pus,
+        n_pus=args.pus,
         out_of_order=not args.in_order,
         scale=args.scale,
         selection=selection,
@@ -1145,29 +1158,29 @@ def _cmd_list(args: argparse.Namespace) -> str:
             return _json.dumps({"machines": described}, indent=2,
                                sort_keys=True)
         lines = [
-            f"{'name':<14} {'PUs':>4} {'predictor':<10} "
-            f"{'hop':>4} {'bw':>4} {'hash':<18} profile"
+            f"{'name':<14} {'PUs':>4} {'predictor':<10} {'issue':>5} "
+            f"{'hop':>4} {'bw':>4} {'arb':>4} {'arb-lat':>7}  profiles"
         ]
         for entry in described:
-            hop = entry["ring_hop_latency"]
-            bw = entry["ring_bandwidth"]
             profiles = {}
             for pu in entry["pus"]:
                 profiles[pu["name"]] = profiles.get(pu["name"], 0) + 1
             shape = " + ".join(
                 f"{count}x{name}" for name, count in profiles.items()
-            )
+            ) or "-"
             lines.append(
                 f"{entry['name']:<14} {entry['n_pus']:>4} "
-                f"{entry['predictor']:<10} "
-                f"{hop if hop is not None else '-':>4} "
-                f"{bw if bw is not None else '-':>4} "
-                f"{entry['hash']:<18} {shape}"
+                f"{entry['predictor']:<10} {entry['issue_width']:>5} "
+                f"{entry['ring_hop_latency']:>4} "
+                f"{entry['ring_bandwidth']:>4} "
+                f"{entry['arb_entries_per_pu']:>4} "
+                f"{entry['arb_latency']:>7}  {shape}"
             )
         lines.append(
             "use with 'repro run --machine <name>', 'repro scaling "
-            "--machines ...', or SimConfig(machine=<name>); '-' "
-            "topology fields inherit the SimConfig defaults"
+            "--machines ...', or repro.machines.get_machine(<name>); "
+            "issue is the width of every PU without a profile ('-': "
+            "all PUs alike)"
         )
         return "\n".join(lines)
     if getattr(args, "strategies", False):

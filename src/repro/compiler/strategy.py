@@ -290,7 +290,8 @@ class TunableStrategy(PaperStrategy):
 # ----------------------------------------------------------- cost model
 
 def policy_weights(machine) -> tuple:
-    """(saved, opened, squash) weights of one machine spec.
+    """(saved, opened, squash) weights of one machine (a
+    :class:`~repro.sim.config.SimConfig`).
 
     The cost model's constants encode the paper machine: forwarding a
     register one ring hop between narrow PUs is cheap, so an opened
@@ -310,17 +311,10 @@ def policy_weights(machine) -> tuple:
     constants — so a hinted default machine is bit-identical to the
     unhinted path.
     """
-    from repro.sim.config import SimConfig
-
-    defaults = SimConfig()
-    hop = (machine.ring_hop_latency
-           if machine.ring_hop_latency is not None
-           else defaults.ring_hop_latency)
+    hop = machine.ring_hop_latency
     n = machine.n_pus
     max_issue = max(
-        (pu.issue_width if pu.issue_width is not None
-         else defaults.issue_width)
-        for pu in machine.pus
+        machine.pu_field(i, "issue_width") for i in range(n)
     )
     saved = CostModelPolicy.COMM_SAVED_WEIGHT
     opened = max(1, (hop * (n // 2)) // 4)

@@ -4,8 +4,8 @@
 :class:`~repro.harness.spec.RunSpec`: build the workload, apply the
 task selection heuristics, execute functionally, split the trace into
 dynamic tasks, and replay it on the spec's machine.  ``run_benchmark``
-is the one-cell convenience over it, and ``cell_config`` resolves the
-paper's machine family for the spec builders.  The in-memory compile
+is the one-cell convenience over it, and ``cell_config`` sizes a
+cell's machine for the spec builders.  The in-memory compile
 cache keeps two things under two keys:
 
 * compilation products (partition / trace / stream / release) per
@@ -279,19 +279,21 @@ def _assemble_record(
 
 def cell_config(
     sim: Optional[SimConfig] = None,
-    n_pus: int = 4,
+    n_pus: Optional[int] = None,
     out_of_order: bool = True,
 ) -> SimConfig:
-    """The machine one cell of the paper family simulates.
+    """The machine one cell simulates: ``sim`` (default: the paper's)
+    in the given issue order.
 
     Spec builders call this once and store the result as
-    ``RunSpec.sim``; nothing rescales a spec's machine after that.  A
-    machine spec already fixed the PU count, topology and L1 scaling
-    at construction, so only ``out_of_order`` applies to it; the
-    homogeneous family scales the L1s for ``n_pus``.
+    ``RunSpec.sim``; nothing rescales a spec's machine after that.
+    Only an ``n_pus`` that is asked for resizes the machine (with
+    paper-scaled L1s, :meth:`SimConfig.scaled_for_pus`, which refuses
+    to resize a machine with per-PU profiles); otherwise it keeps its
+    own PU count.
     """
     config = sim or SimConfig()
-    if config.machine is None:
+    if n_pus is not None:
         config = config.scaled_for_pus(n_pus)
     return replace(config, out_of_order=out_of_order)
 
@@ -343,7 +345,7 @@ def run_cell(
 def run_benchmark(
     name: str,
     level: HeuristicLevel,
-    n_pus: int = 4,
+    n_pus: Optional[int] = None,
     out_of_order: bool = True,
     scale: float = 1.0,
     selection: Optional[SelectionConfig] = None,
@@ -354,9 +356,10 @@ def run_benchmark(
     fault_plan=None,
     tracer=None,
 ) -> RunRecord:
-    """One cell of the paper family: its spec's machine is
-    ``cell_config(sim, n_pus, out_of_order)``, and :func:`run_cell`
-    runs it as the harness does."""
+    """One cell: its spec's machine is ``cell_config(sim, n_pus,
+    out_of_order)`` (``n_pus`` omitted keeps ``sim``'s PU count, four
+    for the default machine), and :func:`run_cell` runs it as the
+    harness does."""
     from repro.harness.spec import RunSpec
 
     spec = RunSpec(

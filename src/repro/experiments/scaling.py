@@ -16,14 +16,14 @@ starve on heterogeneous presets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel
 from repro.experiments.figure5 import LEVELS
 from repro.experiments.runner import RunRecord
 from repro.harness.spec import RunSpec
-from repro.machines import get_machine, resolve_machine, with_predictor
+from repro.machines import get_machine
 
 #: default machine axis: the paper anchor, both heterogeneity shapes,
 #: and the first manycore ring (32 PUs — where acceptance demands a
@@ -129,22 +129,19 @@ def scaling_specs(
 ) -> Tuple[List[Key], List[RunSpec]]:
     """The grid's (keys, specs) in canonical submission order.
 
-    Machine names resolve (and lint) through the registry here, so a
-    bad machine name fails before any cell is queued; the predictor
-    axis derives per-cell variants of each preset, which hash
-    distinctly because the predictor kind is a spec field.
+    Machine names resolve through the registry here, and each
+    predictor variant is linted as it is built, so a bad name or kind
+    fails before any cell is queued; the variants hash distinctly
+    because the predictor kind is a config field.
     """
-    from repro.sim import SimConfig
-
     names = list(benchmarks) or list(DEFAULT_BENCHMARKS)
     keys: List[Key] = []
     specs: List[RunSpec] = []
     for name in names:
         for machine_name in machines:
-            base_spec = resolve_machine(machine_name)
+            preset = get_machine(machine_name)
             for predictor in predictors:
-                machine = with_predictor(base_spec, predictor)
-                sim = SimConfig(engine=engine, machine=machine)
+                sim = replace(preset, engine=engine, predictor=predictor)
                 for level in levels:
                     keys.append((name, machine_name, predictor, level))
                     specs.append(RunSpec(

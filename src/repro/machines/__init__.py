@@ -1,18 +1,12 @@
-"""Machine-description subsystem: per-PU profiles, presets, topology.
+"""Named machine presets, each a :class:`~repro.sim.config.SimConfig`.
 
-* :class:`~repro.machines.spec.MachineSpec` — a named, hashable,
-  schema-versioned machine: per-PU :class:`~repro.machines.spec
-  .PUProfile` overrides (issue/fetch width, FU counts, per-opclass
-  latency extras), ring/ARB topology, and the inter-task predictor
-  kind (``path`` | ``gshare`` | ``hybrid``).
-* :mod:`~repro.machines.registry` — named presets (``paper-4x2``,
-  ``big-little-8``, ``manycore-32/64/128``, ...), each validated at
-  import, resolved through :func:`resolve_machine`.
-
-``SimConfig(machine="big-little-8")`` resolves through this package;
-all three simulation engines honour the per-PU profiles, and a spec
-whose profiles inherit everything is bit-identical to the legacy
-homogeneous configuration.
+:mod:`~repro.machines.registry` holds the presets (``paper-4x2``,
+``big-little-8``, ``manycore-32/64/128``, ...): the paper's anchors,
+heterogeneous rings built from per-PU
+:class:`~repro.sim.config.PUProfile` overrides, and manycores whose
+ring hop latency and ARB shape scale with the PU count.  A preset is
+an ordinary config value: ``get_machine("paper-4x2") == SimConfig()``,
+and ``replace(get_machine(name), ...)`` returns what it asks for.
 """
 
 from repro.machines.registry import (
@@ -22,35 +16,17 @@ from repro.machines.registry import (
     get_machine,
     homogeneous,
     machine_names,
-    resolve_machine,
+    preset_name,
     ring_hop_for,
-)
-from repro.machines.spec import (
-    LAT_EXTRA_CLASSES,
-    PREDICTOR_KINDS,
-    SCHEMA_VERSION,
-    MachineSpec,
-    MachineSpecError,
-    PUProfile,
-    validate_machine,
-    with_predictor,
 )
 
 __all__ = [
-    "LAT_EXTRA_CLASSES",
     "MACHINE_PRESETS",
-    "MachineSpec",
-    "MachineSpecError",
-    "PREDICTOR_KINDS",
-    "PUProfile",
-    "SCHEMA_VERSION",
     "arb_entries_for",
     "describe_machines",
     "get_machine",
     "homogeneous",
     "machine_names",
-    "resolve_machine",
+    "preset_name",
     "ring_hop_for",
-    "validate_machine",
-    "with_predictor",
 ]

@@ -1,10 +1,10 @@
-"""Named machine presets and their resolution.
+"""Named machine presets: each one a :class:`~repro.sim.config.SimConfig`.
 
-The registry is the single place preset machines are defined; every
-entry is validated at import time, so a bad preset fails the module
-load, not a simulation.  ``resolve_machine`` is the front door used by
-:class:`~repro.sim.config.SimConfig` (a ``machine="name"`` string
-resolves here) and by every CLI surface that accepts ``--machine``.
+The registry is the single place preset machines are defined.  A
+preset is built from plain field values, so the config's own lint
+checks it when this module loads: a bad preset fails the import, not
+a simulation.  ``get_machine`` is the front door used by every CLI
+surface that accepts ``--machine``.
 
 Topology scaling: the paper's ring bypasses adjacent PUs in the same
 cycle, which stops being credible past one board — :func:`ring_hop_for`
@@ -15,13 +15,10 @@ centralized structure the paper argues away from).
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from dataclasses import asdict, replace
+from typing import Dict, List
 
-from repro.machines.spec import (
-    MachineSpec,
-    PUProfile,
-    validate_machine,
-)
+from repro.sim.config import PUProfile, SimConfig
 
 
 def ring_hop_for(n_pus: int) -> int:
@@ -40,16 +37,15 @@ def arb_entries_for(n_pus: int) -> int:
     return 32 if n_pus <= 8 else 16
 
 
-def homogeneous(name: str, n_pus: int, predictor: str = "path",
-                **profile_overrides) -> MachineSpec:
-    """A spec of ``n_pus`` identical PUs with topology scaled for n."""
-    profile = PUProfile(name="pu", **profile_overrides)
-    return MachineSpec(
-        name=name,
-        pus=(profile,) * n_pus,
+def homogeneous(n_pus: int) -> SimConfig:
+    """``n_pus`` of the paper's PUs, with L1s and topology scaled for n.
+
+    Up to 8 PUs this is the paper's own machine at that count.
+    """
+    return replace(
+        SimConfig().scaled_for_pus(n_pus),
         ring_hop_latency=ring_hop_for(n_pus),
         arb_entries_per_pu=arb_entries_for(n_pus),
-        predictor=predictor,
     )
 
 
@@ -60,37 +56,20 @@ _BIG = PUProfile(name="big", issue_width=4, fetch_width=4,
 _LITTLE = PUProfile(name="little", issue_width=1, fetch_width=1,
                     lat_extra=(1, 2, 1, 1))
 
-
-def _presets() -> Dict[str, MachineSpec]:
-    paper_4 = MachineSpec(name="paper-4x2", pus=(PUProfile(),) * 4)
-    paper_8 = MachineSpec(name="paper-8x2", pus=(PUProfile(),) * 8)
-    paper_8x1 = MachineSpec(
-        name="paper-8x1",
-        pus=(PUProfile(name="narrow", issue_width=1, fetch_width=1),) * 8,
-    )
-    big_little_8 = MachineSpec(
-        name="big-little-8",
-        pus=(_BIG,) * 4 + (_LITTLE,) * 4,
-    )
-    hetero_16 = MachineSpec(
-        name="hetero-16",
+MACHINE_PRESETS: Dict[str, SimConfig] = {
+    "paper-4x2": homogeneous(4),
+    "paper-8x2": homogeneous(8),
+    "paper-8x1": replace(homogeneous(8), issue_width=1, fetch_width=1),
+    "big-little-8": replace(homogeneous(8), pus=(_BIG,) * 4 + (_LITTLE,) * 4),
+    "hetero-16": replace(
+        homogeneous(16),
         pus=(_BIG,) * 4 + (PUProfile(),) * 8 + (_LITTLE,) * 4,
-        ring_hop_latency=ring_hop_for(16),
-        arb_entries_per_pu=arb_entries_for(16),
         predictor="hybrid",
-    )
-    manycores = [
-        homogeneous(f"manycore-{n}", n) for n in (32, 64, 128)
-    ]
-    specs = [paper_4, paper_8, paper_8x1, big_little_8, hetero_16]
-    specs.extend(manycores)
-    return {spec.name: spec for spec in specs}
-
-
-MACHINE_PRESETS: Dict[str, MachineSpec] = _presets()
-
-for _spec in MACHINE_PRESETS.values():
-    validate_machine(_spec)
+    ),
+    "manycore-32": homogeneous(32),
+    "manycore-64": homogeneous(64),
+    "manycore-128": homogeneous(128),
+}
 
 
 def machine_names() -> List[str]:
@@ -98,7 +77,7 @@ def machine_names() -> List[str]:
     return list(MACHINE_PRESETS)
 
 
-def get_machine(name: str) -> MachineSpec:
+def get_machine(name: str) -> SimConfig:
     """The preset called ``name`` (ValueError names the known set)."""
     try:
         return MACHINE_PRESETS[name]
@@ -109,35 +88,28 @@ def get_machine(name: str) -> MachineSpec:
         ) from None
 
 
-def resolve_machine(value: Union[str, MachineSpec]) -> MachineSpec:
-    """Resolve a preset name or pass through (and lint) a spec."""
-    if isinstance(value, str):
-        spec = get_machine(value)
-    elif isinstance(value, MachineSpec):
-        spec = value
-    else:
-        raise TypeError(
-            f"machine must be a preset name or MachineSpec, "
-            f"got {type(value).__name__}"
-        )
-    validate_machine(spec)
-    return spec
+def preset_name(config: SimConfig) -> str:
+    """The name of the preset equal to ``config`` ("" = none is)."""
+    return next(
+        (name for name, preset in MACHINE_PRESETS.items()
+         if preset == config),
+        "",
+    )
 
 
 def describe_machines() -> List[Dict]:
     """Machine-readable preset listing (``repro list --machines``)."""
     out: List[Dict] = []
-    for name in machine_names():
-        spec = MACHINE_PRESETS[name]
+    for name, config in MACHINE_PRESETS.items():
         out.append({
             "name": name,
-            "n_pus": spec.n_pus,
-            "predictor": spec.predictor,
-            "ring_hop_latency": spec.ring_hop_latency,
-            "ring_bandwidth": spec.ring_bandwidth,
-            "arb_entries_per_pu": spec.arb_entries_per_pu,
-            "arb_latency": spec.arb_latency,
-            "hash": spec.machine_hash(),
-            "pus": spec.as_dict()["pus"],
+            "n_pus": config.n_pus,
+            "predictor": config.predictor,
+            "issue_width": config.issue_width,
+            "ring_hop_latency": config.ring_hop_latency,
+            "ring_bandwidth": config.ring_bandwidth,
+            "arb_entries_per_pu": config.arb_entries_per_pu,
+            "arb_latency": config.arb_latency,
+            "pus": [asdict(pu) for pu in config.pus],
         })
     return out

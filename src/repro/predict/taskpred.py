@@ -164,9 +164,8 @@ class HybridTaskPredictor(_TaskPredictorStats):
 def make_task_predictor(kind: str = "path"):
     """Instantiate the inter-task predictor for ``kind``.
 
-    ``"path"`` returns a plain :class:`PathPredictor` — the exact
-    object every pre-machines run constructed, which is what keeps
-    homogeneous machine specs bit-identical to legacy configs.
+    ``"path"`` returns a plain :class:`PathPredictor`, the paper's
+    predictor, unwrapped.
     """
     if kind == "path":
         return PathPredictor()

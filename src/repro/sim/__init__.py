@@ -5,8 +5,9 @@ produces the exact dynamic instruction stream; this package replays it
 under a task partition on a model of the paper's hardware
 (Section 4.2):
 
-* :class:`~repro.sim.config.SimConfig` — machine parameters (defaults
-  mirror the paper's 4/8-PU configurations).
+* :class:`~repro.sim.config.SimConfig` — the whole machine (defaults
+  mirror the paper's 4/8-PU configurations; optional per-PU
+  :class:`~repro.sim.config.PUProfile` overrides and predictor kind).
 * :mod:`~repro.sim.taskstream` — splits the trace into dynamic task
   instances.
 * :mod:`~repro.sim.memory` — L1 I/D, L2, main memory hierarchy.
@@ -19,7 +20,7 @@ under a task partition on a model of the paper's hardware
 """
 
 from repro.sim.breakdown import CycleBreakdown, StallReason
-from repro.sim.config import SimConfig
+from repro.sim.config import PUProfile, SimConfig
 from repro.sim.machine import MultiscalarMachine, SimResult, simulate
 from repro.sim.taskstream import DynTask, TaskStream, build_task_stream
 
@@ -27,6 +28,7 @@ __all__ = [
     "CycleBreakdown",
     "DynTask",
     "MultiscalarMachine",
+    "PUProfile",
     "SimConfig",
     "SimResult",
     "StallReason",

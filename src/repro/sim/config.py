@@ -7,15 +7,58 @@ one memory functional unit.  The register communication ring carries
 The memory system: per-PU-banked L1 I/D caches (64 KB for 4 PUs,
 128 KB for 8), a 32-entry-per-PU ARB with a 256-entry synchronisation
 table, a 4 MB L2 with 12-cycle hits, and 58-cycle main memory.
+
+A :class:`SimConfig` is the one description of a machine.  Beyond the
+paper's knobs it holds optional per-PU :class:`PUProfile` overrides
+(heterogeneous rings) and the inter-task predictor kind; the named
+presets in :mod:`repro.machines` are values of it.  Construction runs
+the machine lint, so a config no simulation can run (or no machine
+may have) fails there, naming the rule it breaks.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from typing import Optional, Tuple
+
+from repro.predict.taskpred import TASK_PREDICTOR_KINDS
 
 #: the cycle-loop implementations :attr:`SimConfig.engine` accepts
 ENGINES = ("fast", "reference")
+
+#: opclass order of ``PUProfile.lat_extra`` (matches OPCLASS_* indices)
+LAT_EXTRA_CLASSES: Tuple[str, ...] = ("int", "fp", "mem", "branch")
+
+#: the per-PU widths and unit counts a :class:`PUProfile` may override
+_PU_FIELDS: Tuple[str, ...] = (
+    "issue_width", "fetch_width",
+    "int_units", "fp_units", "branch_units", "mem_units",
+)
+
+
+def check_pu_count(n_pus: int) -> None:
+    """Raise ValueError unless ``n_pus`` can be a machine's PU count:
+    at least one, and a power of two (the ring hop arithmetic and the
+    L1 bank scaling assume one)."""
+    if n_pus < 1:
+        raise ValueError(f"a machine needs at least one PU, got {n_pus}")
+    if n_pus & (n_pus - 1):
+        raise ValueError(
+            f"PU count {n_pus} is not a power of two (the ring hop "
+            "arithmetic and the L1 bank scaling assume one)"
+        )
+
+
+def _check_widths(owner, where: str) -> None:
+    """Every set width and unit count of ``owner`` (a config or a PU
+    profile, where None inherits) is at least one."""
+    for name in _PU_FIELDS:
+        value = getattr(owner, name)
+        if value is not None and value < 1:
+            rule = ("" if name.endswith("width") else
+                    " (every PU needs at least one unit of each class)")
+            raise ValueError(f"{where}{name} must be >= 1{rule}, got {value}")
 
 
 class ForwardPolicy(enum.Enum):
@@ -48,6 +91,27 @@ class CacheConfig:
     def sets(self) -> int:
         """Number of sets."""
         return max(1, self.size_bytes // (self.assoc * self.line_bytes))
+
+
+@dataclass(frozen=True)
+class PUProfile:
+    """One processing unit's overrides (``None`` = the config's value)."""
+
+    name: str = "pu"
+    issue_width: Optional[int] = None
+    fetch_width: Optional[int] = None
+    int_units: Optional[int] = None
+    fp_units: Optional[int] = None
+    branch_units: Optional[int] = None
+    mem_units: Optional[int] = None
+    #: extra execution cycles per opclass (:data:`LAT_EXTRA_CLASSES`
+    #: order) added to every instruction this PU issues; zeros = paper
+    #: timing
+    lat_extra: Tuple[int, ...] = (0, 0, 0, 0)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.lat_extra, tuple):
+            object.__setattr__(self, "lat_extra", tuple(self.lat_extra))
 
 
 @dataclass(frozen=True)
@@ -120,54 +184,79 @@ class SimConfig:
     #: the fast engine is validated against.
     engine: str = "fast"
 
-    #: optional machine description: a preset name (resolved through
-    #: :mod:`repro.machines.registry` at construction) or a
-    #: :class:`~repro.machines.MachineSpec`.  When set, the spec is
-    #: authoritative: ``n_pus`` becomes the spec's PU count, the L1s
-    #: scale with it, the spec's topology overrides (ring hop
-    #: latency/bandwidth, ARB shape) replace the global fields, and
-    #: per-PU profiles override the global widths/unit counts inside
-    #: the engines.  A spec whose profiles inherit everything is
-    #: bit-identical to this config with ``machine=None``.
-    machine: object = None
+    #: per-PU overrides, one :class:`PUProfile` per PU around the ring;
+    #: empty when every PU takes this config's own widths and units
+    pus: Tuple[PUProfile, ...] = ()
+    #: inter-task predictor kind (one of
+    #: :data:`~repro.predict.taskpred.TASK_PREDICTOR_KINDS`); "path"
+    #: is the paper's
+    predictor: str = "path"
 
     def __post_init__(self) -> None:
-        if self.machine is not None:
-            from repro.machines import resolve_machine
-
-            spec = resolve_machine(self.machine)
-            object.__setattr__(self, "machine", spec)
-            object.__setattr__(self, "n_pus", spec.n_pus)
-            l1_bytes = 16 * 1024 * spec.n_pus
-            object.__setattr__(
-                self, "l1d", replace(self.l1d, size_bytes=l1_bytes)
-            )
-            object.__setattr__(
-                self, "l1i", replace(self.l1i, size_bytes=l1_bytes)
-            )
-            for attr in ("ring_bandwidth", "ring_hop_latency",
-                         "arb_entries_per_pu", "arb_latency"):
-                value = getattr(spec, attr)
-                if value is not None:
-                    object.__setattr__(self, attr, value)
+        """The machine lint: a config the simulator cannot run, or one
+        no machine may have, fails here with the rule it breaks."""
         if self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be one of {', '.join(ENGINES)}, "
                 f"got {self.engine!r}"
             )
-        if self.n_pus < 1:
-            raise ValueError("n_pus must be >= 1")
-        if self.issue_width < 1 or self.fetch_width < 1:
-            raise ValueError("issue/fetch width must be >= 1")
+        check_pu_count(self.n_pus)
+        if self.pus and len(self.pus) != self.n_pus:
+            raise ValueError(
+                f"pus holds {len(self.pus)} PU profiles for "
+                f"n_pus={self.n_pus}"
+            )
         if self.rob_size < 1 or self.issue_list_size < 1:
             raise ValueError("window sizes must be >= 1")
+        for name, low in (("ring_bandwidth", 1), ("ring_hop_latency", 0),
+                          ("arb_entries_per_pu", 0), ("arb_latency", 1)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if self.predictor not in TASK_PREDICTOR_KINDS:
+            raise ValueError(
+                f"unknown predictor {self.predictor!r}; known: "
+                f"{', '.join(TASK_PREDICTOR_KINDS)}"
+            )
+        _check_widths(self, "")
+        for i, pu in enumerate(self.pus):
+            _check_widths(pu, f"PU {i} ({pu.name!r}): ")
+            if len(pu.lat_extra) != len(LAT_EXTRA_CLASSES):
+                raise ValueError(
+                    f"PU {i} ({pu.name!r}): lat_extra needs "
+                    f"{len(LAT_EXTRA_CLASSES)} entries "
+                    f"({'/'.join(LAT_EXTRA_CLASSES)}), "
+                    f"got {len(pu.lat_extra)}"
+                )
+            for cls_name, extra in zip(LAT_EXTRA_CLASSES, pu.lat_extra):
+                if not isinstance(extra, int) or extra < 0:
+                    raise ValueError(
+                        f"PU {i} ({pu.name!r}): lat_extra[{cls_name}] "
+                        f"must be a non-negative int, got {extra!r}"
+                    )
+
+    def pu_field(self, index: int, name: str) -> int:
+        """PU ``index``'s ``name`` (a width or unit count): its
+        profile's override, else this config's own value."""
+        if self.pus:
+            value = getattr(self.pus[index], name)
+            if value is not None:
+                return value
+        return getattr(self, name)
 
     def scaled_for_pus(self, n_pus: int) -> "SimConfig":
         """This configuration with ``n_pus`` PUs and paper-scaled L1s.
 
         The paper doubles L1 capacity from 64 KB (4 PUs) to 128 KB
-        (8 PUs); capacities scale linearly with PU count here.
+        (8 PUs); capacities scale linearly with PU count here.  A
+        machine with per-PU profiles has one profile per PU, so it
+        cannot be sized to another count.
         """
+        if self.pus and n_pus != len(self.pus):
+            raise ValueError(
+                f"a machine with {len(self.pus)} per-PU profiles cannot "
+                f"be sized to {n_pus} PUs"
+            )
         l1_bytes = 16 * 1024 * n_pus
         return replace(
             self,

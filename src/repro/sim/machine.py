@@ -141,21 +141,10 @@ class MultiscalarMachine:
         self.label = label
         self.state = RunState(stream, self.config, release)
         self.hierarchy = MemoryHierarchy(self.config)
-        # The machine spec (if any) supplies per-PU profiles and the
-        # inter-task predictor kind; without one, every PU inherits
-        # the global config and the predictor is the paper's
-        # path-based scheme — the exact pre-machines construction.
-        machine_spec = self.config.machine
-        if machine_spec is not None:
-            profiles = machine_spec.pus
-            predictor_kind = machine_spec.predictor
-        else:
-            profiles = (None,) * self.config.n_pus
-            predictor_kind = "path"
-        self.predictor = make_task_predictor(predictor_kind)
+        self.predictor = make_task_predictor(self.config.predictor)
         self.ras = ReturnAddressStack()
         self.pus = [
-            ProcessingUnit(i, self.config, self.state, profile=profiles[i])
+            ProcessingUnit(i, self.config, self.state)
             for i in range(self.config.n_pus)
         ]
         for pu in self.pus:

@@ -52,40 +52,28 @@ _N_REASONS = len(REASON_INDEX)
 class ProcessingUnit:
     """Execution state of one PU."""
 
-    def __init__(self, index: int, config: SimConfig, state: RunState,
-                 profile=None) -> None:
+    def __init__(self, index: int, config: SimConfig,
+                 state: RunState) -> None:
         self.index = index
         self.config = config
         self.state = state
-        self.profile = profile
         forward_policy = config.forward_policy.value
         self._schedule_fp = forward_policy == "schedule"
         self._lazy_fp = forward_policy == "lazy"
-        # Per-PU profile overrides (heterogeneous machines): a None
-        # profile — or a profile field left None — inherits the global
-        # config value, so homogeneous machines build exactly the
-        # constants they always did.
-        def _of(attr, default):
-            if profile is None:
-                return default
-            value = getattr(profile, attr)
-            return default if value is None else value
-
-        issue_width = _of("issue_width", config.issue_width)
-        fetch_width = _of("fetch_width", config.fetch_width)
+        # This PU's widths and units (its profile's overrides on a
+        # heterogeneous machine, else the config's own values).
+        self.issue_width = config.pu_field(index, "issue_width")
+        self.fetch_width = config.pu_field(index, "fetch_width")
         # Extra execution latency per opclass (OPCLASS_* order); the
         # all-zeros default adds nothing on the issue paths below.
-        lat_extra = (
-            tuple(profile.lat_extra) if profile is not None else (0, 0, 0, 0)
+        self.lat_extra = (
+            config.pus[index].lat_extra if config.pus else (0, 0, 0, 0)
         )
-        self.issue_width = issue_width
-        self.fetch_width = fetch_width
-        self.lat_extra = lat_extra
         self._fu_budget = [
-            _of("int_units", config.int_units),
-            _of("fp_units", config.fp_units),
-            _of("mem_units", config.mem_units),
-            _of("branch_units", config.branch_units),
+            config.pu_field(index, "int_units"),
+            config.pu_field(index, "fp_units"),
+            config.pu_field(index, "mem_units"),
+            config.pu_field(index, "branch_units"),
         ]
         #: optional telemetry collector (set by the machine, survives
         #: reset_idle; consulted only on the rare mispredict path)

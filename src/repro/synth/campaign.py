@@ -55,6 +55,7 @@ from repro.harness.spec import RunSpec
 from repro.ir.asmtext import parse_program, program_to_text
 from repro.ir.program import Program
 from repro.ir.validate import well_formed
+from repro.machines import get_machine, preset_name
 from repro.reliability.verify import check_run
 from repro.sim import CycleBreakdown, SimConfig, build_task_stream
 from repro.synth.generator import (
@@ -169,15 +170,18 @@ def fuzz_specs(
     program, one cell per named machine preset (at
     :data:`FUZZ_STRATEGY_LEVEL`) — heterogeneous machines share the
     level's compilation but drive the differential oracle through
-    per-PU profiles, scaled rings and non-path predictors.
+    per-PU profiles, scaled rings and non-path predictors.  A preset
+    equal to the default machine adds no cell: the level's own cell
+    already runs it.
     """
     if preset not in PRESETS:
         known = ", ".join(PRESETS)
         raise ValueError(f"unknown synth preset {preset!r} (known: {known})")
-    from repro.machines import resolve_machine
-
-    # Resolve (and lint) machine names before any program is queued.
-    machine_specs = [resolve_machine(m) for m in machines]
+    # Resolve machine names before any program is queued.
+    machine_configs = [
+        config for config in map(get_machine, machines)
+        if config != SimConfig()
+    ]
     params = PRESETS[preset]
     specs: List[RunSpec] = []
     names: List[str] = []
@@ -203,20 +207,22 @@ def fuzz_specs(
                 selection=selection,
                 source_hash=source,
             ))
-        for machine in machine_specs:
+        for machine in machine_configs:
             specs.append(RunSpec(
                 benchmark=name,
                 level=FUZZ_STRATEGY_LEVEL,
-                sim=SimConfig(machine=machine),
+                sim=machine,
                 source_hash=source,
             ))
     return specs, names
 
 
 def _spec_machine(spec: RunSpec) -> str:
-    """The machine-preset tag of a fuzz cell ("" = the legacy 4x2)."""
-    machine = spec.sim.machine
-    return machine.name if machine is not None else ""
+    """The machine-preset tag of a fuzz cell ("" = the default
+    machine, which every level cell runs)."""
+    if spec.sim == SimConfig():
+        return ""
+    return preset_name(spec.sim)
 
 
 def execute_fuzz_spec(spec: RunSpec) -> RunRecord:
@@ -429,7 +435,7 @@ def check_program(
     selections += [
         (f"{FUZZ_STRATEGY_LEVEL.value}/{machine}",
          SelectionConfig(level=FUZZ_STRATEGY_LEVEL),
-         SimConfig(machine=machine))
+         get_machine(machine))
         for machine in machines
     ]
     traces = TraceMemo()

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler import HeuristicLevel
-from repro.experiments.runner import cell_config
 from repro.harness.scheduler import run_specs
 from repro.harness.spec import RunSpec
 from repro.tune.genome import (
@@ -250,16 +249,16 @@ def tune(
     if pop_size < 2:
         raise ValueError("pop_size must be >= 2")
     pin = _pinner(machine, predictor)
-    baseline_sim = cell_config(
-        machine_sim(machine or "paper-4x2", predictor or "path"),
-        n_pus, out_of_order,
-    )
+    baseline_sim = machine_sim(machine or "paper-4x2", predictor or "path",
+                               n_pus, out_of_order)
 
     if ledger is not None:
+        # The header names the machine the baseline runs: a pinned
+        # preset other than paper-4x2 brings its own PU count.
         ledger.header(
             seed=seed, algo=algo, budget=budget, pop_size=pop_size,
-            targets=list(targets), n_pus=n_pus,
-            out_of_order=out_of_order, scale=scale,
+            targets=list(targets), n_pus=baseline_sim.n_pus,
+            out_of_order=baseline_sim.out_of_order, scale=scale,
             machine=machine, predictor=predictor,
         )
 

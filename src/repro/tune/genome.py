@@ -19,12 +19,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import asdict, dataclass, fields
-from typing import Dict, Optional, Tuple
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Dict, Tuple
 
 from repro.compiler import HeuristicLevel, SelectionConfig
 from repro.experiments.runner import cell_config
 from repro.harness.spec import RunSpec
+from repro.machines import get_machine
+from repro.predict import TASK_PREDICTOR_KINDS
 from repro.sim import SimConfig
 
 #: gene name -> ordered value space (order matters: index-stable draws)
@@ -49,11 +51,10 @@ GENE_SPACE: Dict[str, Tuple] = {
     # intra-block communication scheduling on/off
     "schedule_communication": (True, False),
     # machine preset the genome is scored on (registry names; the
-    # default aliases the legacy 4x2 configuration bit-for-bit, so
-    # PAPER_GENOME's cached evaluations stay valid)
+    # default is the paper's machine at the campaign's PU count)
     "machine": ("paper-4x2", "paper-8x1", "big-little-8"),
     # inter-task predictor kind wired into the machine
-    "predictor": ("path", "gshare", "hybrid"),
+    "predictor": TASK_PREDICTOR_KINDS,
 }
 
 
@@ -124,39 +125,32 @@ class Genome:
         )
 
     def to_spec(self, benchmark: str, n_pus: int = 4,
-                out_of_order: bool = True, scale: float = 1.0,
-                sim: Optional[SimConfig] = None) -> RunSpec:
-        """The harness job evaluating this genome on ``benchmark``.
-
-        An explicit ``sim`` wins over the genome's machine / predictor
-        genes.  The spec's machine is ``cell_config`` of that, so
-        ``n_pus`` sizes only the paper family: a machine preset brings
-        its own PU count.
-        """
+                out_of_order: bool = True,
+                scale: float = 1.0) -> RunSpec:
+        """The harness job evaluating this genome on ``benchmark``, on
+        the machine :func:`machine_sim` decodes from its genes."""
         selection = self.to_selection()
-        machine = sim or machine_sim(self.machine, self.predictor)
         return RunSpec(
             benchmark=benchmark,
             level=selection.level,
             scale=scale,
             selection=selection,
-            sim=cell_config(machine, n_pus, out_of_order),
+            sim=machine_sim(self.machine, self.predictor, n_pus,
+                            out_of_order),
         )
 
 
-def machine_sim(machine: str,
-                predictor: str = "path") -> Optional[SimConfig]:
-    """The SimConfig a (machine, predictor) gene pair decodes to.
+def machine_sim(machine: str, predictor: str = "path", n_pus: int = 4,
+                out_of_order: bool = True) -> SimConfig:
+    """The machine a (machine, predictor) gene pair decodes to, in the
+    campaign's issue order.
 
-    ``("paper-4x2", "path")`` — the legacy machine — decodes to
-    ``None``, the paper family, which ``cell_config`` sizes for the
-    campaign's PU count and issue order.
+    ``paper-4x2`` stands for the paper's machine at the campaign's
+    ``n_pus``; every other preset brings its own PU count.
     """
-    if machine == "paper-4x2" and predictor == "path":
-        return None
-    from repro.machines import get_machine, with_predictor
-
-    return SimConfig(machine=with_predictor(get_machine(machine), predictor))
+    config = replace(get_machine(machine), predictor=predictor)
+    sized = n_pus if machine == "paper-4x2" else None
+    return cell_config(config, sized, out_of_order)
 
 
 #: the paper's TASK_SIZE configuration, encoded as a genome

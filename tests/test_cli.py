@@ -25,7 +25,8 @@ class TestParser:
         args = build_parser().parse_args(["run", "compress"])
         assert args.benchmark == "compress"
         assert args.level == "data_dependence"
-        assert args.pus == 4
+        # neither flag: the paper's machine at its own 4 PUs
+        assert args.pus is None and args.machine is None
         assert not args.in_order
 
     def test_figure5_options(self):
@@ -172,7 +173,7 @@ class TestCommands:
 
     def test_run_in_order(self, capsys):
         assert main(["run", "compress", "--scale", "0.1", "--in-order"]) == 0
-        assert "in-order" in capsys.readouterr().out
+        assert "4 PUs, in-order" in capsys.readouterr().out
 
     def test_run_reference_engine_output_matches_fast(self, capsys):
         assert main(
@@ -416,6 +417,45 @@ class TestCacheAndListCLI:
                     "description"):
             assert key in sample
 
+    def test_list_machines(self, capsys):
+        """The listing names every preset with its PU count, predictor
+        and concrete topology (no field left to a default)."""
+        from repro.machines import MACHINE_PRESETS
+
+        assert main(["list", "--machines"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = {line.split()[0]: line.split() for line in lines[1:-1]}
+        assert list(rows) == list(MACHINE_PRESETS)
+        for name, config in MACHINE_PRESETS.items():
+            assert rows[name][1:8] == [str(v) for v in (
+                config.n_pus, config.predictor, config.issue_width,
+                config.ring_hop_latency, config.ring_bandwidth,
+                config.arb_entries_per_pu, config.arb_latency,
+            )]
+        assert rows["hetero-16"][8:] == ["4xbig", "+", "8xpu", "+",
+                                         "4xlittle"]
+        assert rows["manycore-32"][8:] == ["-"]
+
+    def test_list_machines_json(self, capsys):
+        from repro.machines import MACHINE_PRESETS
+
+        assert main(["list", "--machines", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["machines"]
+        assert [m["name"] for m in payload] == list(MACHINE_PRESETS)
+        for entry in payload:
+            config = MACHINE_PRESETS[entry["name"]]
+            assert entry["n_pus"] == config.n_pus
+            assert entry["predictor"] == config.predictor
+            assert entry["ring_hop_latency"] == config.ring_hop_latency
+            assert entry["arb_entries_per_pu"] == config.arb_entries_per_pu
+            assert len(entry["pus"]) in (0, config.n_pus)
+
+    def test_run_machine_preset(self, capsys):
+        assert main(["run", "compress", "--machine", "big-little-8",
+                     "--scale", "0.05"]) == 0
+        out = capsys.readouterr().out
+        assert "8 PUs, out-of-order [big-little-8, path predictor]" in out
+
     def test_list_json_synth(self, capsys):
         assert main(["list", "--synth", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -438,6 +478,9 @@ _BAD_INPUT = [
     (["run", "compress", "--scale", "0"], "'0'", "> 0"),
     (["run", "compress", "--scale", "-1"], "'-1'", "> 0"),
     (["table1", "--pus", "0"], "'0'", ">= 1"),
+    (["run", "compress", "--pus", "3"], "PU count 3", "power of two"),
+    (["run", "compress", "--machine", "hetero-16", "--pus", "8"], "--pus",
+     "not allowed with argument --machine"),
     (["bench", "--engines", "warp"], "warp", "fast, reference"),
     (["run", "compress", "--machine", "bogus"], "bogus", "paper-4x2"),
     (["run", "compress", "--strategy", "bogus"], "bogus", "cost_model"),

@@ -20,6 +20,7 @@ import subprocess
 import sys
 import warnings
 from array import array
+from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from repro.harness import cache as cache_module
 from repro.harness.serialize import record_to_dict
 from repro.ir.asmtext import parse_program
 from repro.ir.interp import run_program
+from repro.machines import get_machine
 from repro.predict import GshareTaskPredictor, HybridTaskPredictor
 from repro.reliability import verify_workload
 from repro.sim import (SimConfig, build_task_stream, native, simulate,
@@ -218,14 +220,12 @@ def test_python_mirrors_equal_the_kernel_layouts():
     assert len(native._pu_params(m)) == c["PU_PARAMS"] * m.config.n_pus
 
 
-def _machine_pair(machine=None, **sim):
+def _machine_pair(machine="paper-4x2", **sim):
     compiled = compile_benchmark("li", HeuristicLevel.CONTROL_FLOW,
                                  scale=SMALL)
     machines = {}
     for engine in ("fast", "reference"):
-        config = SimConfig(engine=engine, machine=machine, **sim)
-        if machine is None:
-            config = config.scaled_for_pus(4)
+        config = replace(get_machine(machine), engine=engine, **sim)
         machines[engine] = MultiscalarMachine(
             compiled.stream, config, compiled.release
         )
@@ -264,9 +264,9 @@ def _post_run_state(m):
 
 
 @pytest.mark.parametrize("machine,sim", [
-    (None, {}),
+    ("paper-4x2", {}),
     ("hetero-16", {}),
-    (None, {"sync_table_size": 2}),
+    ("paper-4x2", {"sync_table_size": 2}),
 ], ids=["paper-4", "hetero-16-hybrid", "sync-table-2"])
 def test_post_run_state_matches_tick(machine, sim):
     """After a kernel run the machine reads as after a ``_tick`` run."""
@@ -281,9 +281,9 @@ def test_post_run_state_matches_tick(machine, sim):
 
 
 @pytest.mark.parametrize("machine,sim", [
-    (None, {}),
+    ("paper-4x2", {}),
     ("manycore-32", {}),
-    (None, {"out_of_order": False}),
+    ("paper-4x2", {"out_of_order": False}),
 ], ids=["paper-4", "manycore-32", "paper-4-in-order"])
 def test_scan_counters_add_up(machine, sim, monkeypatch):
     """The kernel's PU states cover every PU every cycle, and its issue

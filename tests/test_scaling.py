@@ -1,5 +1,6 @@
 """The scaling study's rankings and report, on hand-built records."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 from repro.experiments.figure5 import LEVELS
@@ -8,6 +9,7 @@ from repro.experiments.scaling import (
     format_scaling,
     scaling_specs,
 )
+from repro.machines import get_machine
 
 
 def _record(cycles, pu=None):
@@ -97,7 +99,5 @@ def test_specs_cross_every_axis_in_key_order():
     assert len(keys) == len(specs) == 2 * 2 * len(LEVELS)
     for (bench, machine, predictor, level), spec in zip(keys, specs):
         assert spec.benchmark == bench and spec.level is level
-        assert spec.sim.machine.name == machine
-        assert spec.sim.machine.predictor == predictor
-        assert spec.n_pus == spec.sim.machine.n_pus
+        assert spec.sim == replace(get_machine(machine), predictor=predictor)
     assert [key[1] for key in keys[::8]] == ["paper-4x2", "big-little-8"]

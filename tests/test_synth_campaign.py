@@ -11,6 +11,7 @@ from repro.compiler import HeuristicLevel
 from repro.harness.spec import RunSpec
 from repro.ir import Opcode
 from repro.ir.interp import run_program
+from repro.machines import get_machine
 from repro.sim import SimConfig, native
 from repro.synth import check_program, fuzz_specs, generate_program, run_campaign
 from repro.synth.campaign import (
@@ -92,7 +93,7 @@ def test_fuzz_specs_share_compile_groups():
     assert names == ["synth:default:1000003", "synth:default:1000004"]
     assert len(specs) == 2 * 2
     plain, machine = specs[0], specs[1]
-    assert machine.sim.machine is not None
+    assert machine.sim == get_machine("big-little-8")
     assert plain.compile_hash() == machine.compile_hash()
     assert plain.spec_hash() != machine.spec_hash()
     hashes = [s.source_hash for s in specs]

@@ -191,6 +191,17 @@ def test_ledger_header_schema_versioned(tmp_path):
     assert "gene_space" in header
 
 
+def test_ledger_header_names_the_machine_that_runs(tmp_path):
+    """A pinned preset brings its own PU count; the header records the
+    machine the campaign's records ran, not the n_pus argument."""
+    result, path = run_tune(tmp_path, budget=2, machine="paper-8x1")
+    header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+    assert (header["n_pus"], header["out_of_order"]) == (8, True)
+    records = [*result.baseline_records.values(),
+               *result.best_records.values()]
+    assert {(r.n_pus, r.out_of_order) for r in records} == {(8, True)}
+
+
 def test_random_algo_draws_budget_genomes(tmp_path):
     result, path = run_tune(tmp_path, "rand.jsonl", algo="random",
                             budget=6, pop_size=2)
