@@ -554,16 +554,17 @@ def build_parser() -> argparse.ArgumentParser:
         "list",
         help="list the available benchmarks with static code counts",
     )
-    list_p.add_argument(
+    listing = list_p.add_mutually_exclusive_group()
+    listing.add_argument(
         "--synth", action="store_true",
         help="list the synthetic-generator presets instead",
     )
-    list_p.add_argument(
+    listing.add_argument(
         "--strategies", action="store_true",
         help="list the registered selection strategies with their "
              "tunable parameters and defaults instead",
     )
-    list_p.add_argument(
+    listing.add_argument(
         "--machines", action="store_true",
         help="list the machine-description presets with their per-PU "
              "profiles, topology and predictor instead",
@@ -668,9 +669,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--pop", type=int, default=8,
         help="GA population size / random-search batch (default 8)",
     )
-    tune_p.add_argument("--n-pus", type=_pu_count, default=4,
-                        help="PU count of the paper machine, paper-4x2 "
-                             "(default 4; other presets bring their own)")
+    tune_p.add_argument("--n-pus", type=_pu_count,
+                        help="PU count of the paper machine (default 4); "
+                             "only with --machine paper-4x2, since every "
+                             "other preset brings its own")
     tune_p.add_argument(
         "--machine", type=_named("tune machine", _tune_genes("machine"),
                                  "search"),
@@ -1097,7 +1099,7 @@ def _cmd_tune(args: argparse.Namespace) -> str:
         result = tune(
             targets, budget=args.budget, seed=args.seed, algo=args.algo,
             jobs=args.jobs or None, pop_size=args.pop, ledger=ledger,
-            cache=cache, n_pus=args.n_pus,
+            cache=cache, n_pus=args.n_pus or 4,
             out_of_order=not args.in_order, scale=args.scale,
             machine=None if args.machine == "search" else args.machine,
             predictor=(None if args.predictor == "search"
@@ -1298,7 +1300,11 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "tune" and args.n_pus and args.machine != "paper-4x2":
+        parser.error(f"argument --n-pus: not allowed with argument "
+                     f"--machine {args.machine} (it sizes only paper-4x2)")
     output = _COMMANDS[args.command](args)
     try:
         print(output)

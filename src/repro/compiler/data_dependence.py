@@ -103,6 +103,19 @@ class DependenceBook:
         """A fresh growth policy for one task growth."""
         return DependencePolicy(self)
 
+    def reconverges(self, label: str) -> bool:
+        """``label`` is a static join point (>= 2 CFG predecessors).
+
+        Reconverging paths are the control flow heuristic's core asset
+        ("reconverging control flow paths can be exploited") and the
+        data dependence heuristic is applied *in conjunction with* it,
+        so join blocks stay included even when no dependence pulls
+        growth toward them — including joins whose other arm is cold
+        (a never-profiled side path has no ranked dependences at all).
+        The cost model admits them unscored for the same reason.
+        """
+        return len(self.cfg.preds.get(label, ())) >= 2
+
 
 class DependencePolicy(GrowthPolicy):
     """Stateful dependence steering for a single task growth."""
@@ -128,18 +141,6 @@ class DependencePolicy(GrowthPolicy):
             else:
                 self.open.add(idx)
 
-    def _reconverges(self, child: str) -> bool:
-        """``child`` is a static join point (>= 2 CFG predecessors).
-
-        Reconverging paths are the control flow heuristic's core asset
-        ("reconverging control flow paths can be exploited") and the
-        data dependence heuristic is applied *in conjunction with* it,
-        so join blocks stay included even when no dependence pulls
-        growth toward them — including joins whose other arm is cold
-        (a never-profiled side path has no ranked dependences at all).
-        """
-        return len(self.book.cfg.preds.get(child, ())) >= 2
-
     def allow(self, parent: str, child: str) -> bool:
         if self.open:
             # Steer along codependent sets toward open consumers;
@@ -147,11 +148,11 @@ class DependencePolicy(GrowthPolicy):
             deps = self.book.dependences
             if any(child in deps[idx].codependent for idx in self.open):
                 return True
-            return self._reconverges(child)
+            return self.book.reconverges(child)
         if self.closed_any:
             # Dependences enclosed, nothing open: stop growing except
             # through joins ("terminates tasks as soon as a dependence
             # is included", tempered by the control flow heuristic).
-            return self._reconverges(child)
+            return self.book.reconverges(child)
         # No dependence encountered yet: plain control flow growth.
         return True

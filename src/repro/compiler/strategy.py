@@ -43,7 +43,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Type
 
 from repro.compiler.control_flow import GrowthContext, GrowthPolicy
-from repro.compiler.data_dependence import DependenceBook, ranked_dependences
+from repro.compiler.data_dependence import DependenceBook
 from repro.compiler.heuristics import HeuristicLevel, SelectionConfig
 from repro.compiler.sched import schedule_register_communication
 from repro.compiler.task import Task, TaskPartition
@@ -322,12 +322,13 @@ def policy_weights(machine) -> tuple:
     return (saved, opened, squash)
 
 
-class CostBook:
-    """Per-function profiled cost index shared by all task growths."""
+class CostBook(DependenceBook):
+    """A :class:`DependenceBook` plus the profiled block and edge counts
+    and the machine's cost weights, shared by all task growths."""
 
     def __init__(self, function: Function, cfg: CFG, profile: Profile,
                  config: SelectionConfig) -> None:
-        self.cfg = cfg
+        super().__init__(function, cfg, profile, config)
         self.profile = profile
         self.function_name = function.name
         if config.machine_hint:
@@ -340,19 +341,6 @@ class CostBook:
                 CostModelPolicy.COMM_OPENED_WEIGHT,
                 CostModelPolicy.SQUASH_WEIGHT,
             )
-        self.dependences = ranked_dependences(function, cfg, profile, config)
-        #: block label -> indices of dependences produced there
-        self.by_producer: Dict[str, List[int]] = {}
-        #: block label -> indices of dependences consumed there
-        self.by_consumer: Dict[str, List[int]] = {}
-        for idx, dep in enumerate(self.dependences):
-            self.by_producer.setdefault(dep.edge.def_block, []).append(idx)
-            self.by_consumer.setdefault(dep.edge.use_block, []).append(idx)
-        #: static instruction count per block (size pressure term)
-        self.static_size: Dict[str, int] = {
-            block.label: len(block.instructions)
-            for block in function.blocks()
-        }
 
     def block_count(self, label: str) -> int:
         return self.profile.block_count((self.function_name, label))
@@ -409,13 +397,10 @@ class CostModelPolicy(GrowthPolicy):
     def on_include(self, label: str) -> None:
         self.members.add(label)
 
-    def _reconverges(self, child: str) -> bool:
-        return len(self.book.cfg.preds.get(child, ())) >= 2
-
     def allow(self, parent: str, child: str) -> bool:
-        if self._reconverges(child):
-            return True
         book = self.book
+        if book.reconverges(child):
+            return True
         deps = book.dependences
         saved = 0
         for idx in book.by_consumer.get(child, ()):

@@ -34,7 +34,8 @@ Two engines run these phases:
   until a known cycle or an event can change the outcome), and leaves
   its scan counters in :attr:`MultiscalarMachine.kernel_counters`.
   The machine's counters and arrays are written back after the run,
-  and an attached tracer gets the run's events replayed in order.
+  and a traced machine's :attr:`~MultiscalarMachine.events` becomes
+  the kernel's lifecycle log.
   Only ``_tick`` reads the Python packing
   (:mod:`repro.sim.packed`) and the trace's and stream's object views
   it is built from, so a native run builds none of them.
@@ -47,6 +48,7 @@ Two engines run these phases:
 from __future__ import annotations
 
 import gc
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -61,6 +63,10 @@ from repro.sim.breakdown import (
 )
 from repro.sim.config import SimConfig
 from repro.sim import native
+from repro.sim.native import (
+    EV_ARB_VIOLATION, EV_ASSIGN, EV_COMMIT, EV_RETIRE, EV_SQUASH,
+    EV_TASK_MISPREDICT, EV_WRONG_ASSIGN, EV_WRONG_SQUASH,
+)
 from repro.sim.memory import MemoryHierarchy
 from repro.sim.pu import ProcessingUnit
 from repro.sim.runstate import RunState
@@ -143,8 +149,13 @@ class MultiscalarMachine:
         self.hierarchy = MemoryHierarchy(self.config)
         self.predictor = make_task_predictor(self.config.predictor)
         self.ras = ReturnAddressStack()
+        #: the lifecycle log, None when untraced (DESIGN.md §10): the
+        #: kernel's records, appended by ``_tick`` or left by the kernel
+        self.events: Optional[array] = (
+            None if tracer is None else array("q")
+        )
         self.pus = [
-            ProcessingUnit(i, self.config, self.state)
+            ProcessingUnit(i, self.config, self.state, self.events)
             for i in range(self.config.n_pus)
         ]
         for pu in self.pus:
@@ -195,9 +206,9 @@ class MultiscalarMachine:
         #: ``native.KERNEL_COUNTERS``); None after a ``_tick`` run.
         #: Host-side work, not a result: kept out of ``SimResult``.
         self.kernel_counters: Optional[Dict[str, int]] = None
-        # Optional telemetry collector (duck-typed; see repro.telemetry).
-        # Same contract as the monitor: the simulator never imports the
-        # telemetry package and every hook site costs one None test.
+        # Optional tracer (duck-typed; see repro.telemetry), called
+        # twice: ``attach`` here and ``on_finish`` after the run.  The
+        # simulator never imports it; a record site is one None test.
         self.tracer = tracer
         if faults is not None:
             faults.bind(len(stream.tasks))
@@ -205,8 +216,6 @@ class MultiscalarMachine:
             monitor.attach(self)
         if tracer is not None:
             tracer.attach(self)
-            for pu in self.pus:
-                pu.tracer = tracer
 
     # ------------------------------------------------------------- services
 
@@ -263,10 +272,9 @@ class MultiscalarMachine:
                 self.monitor.on_squash_victim(
                     seq, pu.index, cycle, penalty, memory
                 )
-            if self.tracer is not None:
-                self.tracer.on_squash(
-                    seq, pu.index, cycle, penalty, memory, pu.first_issue
-                )
+            if self.events is not None:
+                self.events.extend((EV_SQUASH, seq, pu.index, cycle,
+                                    penalty, memory, pu.first_issue))
             self._active_span -= self.stream.tasks[seq].length
             self.state.clear_span(seq)
             pu.reset_idle()
@@ -290,8 +298,9 @@ class MultiscalarMachine:
                 self.breakdown.charge_control_squash(penalty)
                 if self.monitor is not None:
                     self.monitor.on_wrong_squash(pu.index, cycle, penalty)
-                if self.tracer is not None:
-                    self.tracer.on_wrong_squash(pu.index, cycle, penalty)
+                if self.events is not None:
+                    self.events.extend((EV_WRONG_SQUASH, pu.index, cycle,
+                                        penalty, 0, 0, 0))
                 pu.reset_idle()
 
     def _check_store_violation(self, store_idx: int, cycle: int) -> None:
@@ -315,8 +324,9 @@ class MultiscalarMachine:
         self.memory_squashes += 1
         if self.monitor is not None:
             self.monitor.on_memory_violation(victim_seq)
-        if self.tracer is not None:
-            self.tracer.on_arb_violation(victim_seq, cycle)
+        if self.events is not None:
+            self.events.extend((EV_ARB_VIOLATION, victim_seq, cycle,
+                                0, 0, 0, 0))
         self._learn_sync(store_idx, victim_load)
         self._squash_from(victim_seq, cycle, memory=True)
 
@@ -328,8 +338,10 @@ class MultiscalarMachine:
         self.memory_squashes += 1
         if self.monitor is not None:
             self.monitor.on_memory_violation(victim, injected=True)
-        if self.tracer is not None:
-            self.tracer.on_arb_violation(victim, cycle, injected=True)
+        if self.events is not None:
+            # The third field is ``injected``.
+            self.events.extend((EV_ARB_VIOLATION, victim, cycle,
+                                1, 0, 0, 0))
         self._squash_from(victim, cycle, memory=True)
 
     # --------------------------------------------------------------- assign
@@ -361,8 +373,9 @@ class MultiscalarMachine:
             self.control_squashes += 1
             if self.monitor is not None:
                 self.monitor.on_control_mispredict(seq)
-            if self.tracer is not None:
-                self.tracer.on_task_mispredict(seq, cycle)
+            if self.events is not None:
+                self.events.extend((EV_TASK_MISPREDICT, seq, cycle,
+                                    0, 0, 0, 0))
 
     def _assign(self, cycle: int) -> None:
         """Phase C: occupy the next PU around the ring, if it is free."""
@@ -375,8 +388,9 @@ class MultiscalarMachine:
             pu.assign_wrong(cycle)
             if self.monitor is not None:
                 self.monitor.on_wrong_assign(pu.index, cycle)
-            if self.tracer is not None:
-                self.tracer.on_wrong_assign(pu.index, cycle)
+            if self.events is not None:
+                self.events.extend((EV_WRONG_ASSIGN, pu.index, cycle,
+                                    0, 0, 0, 0))
             self.next_assign_pu = (self.next_assign_pu + 1) % self.config.n_pus
             return
         if self.next_seq >= len(self.stream.tasks):
@@ -387,8 +401,8 @@ class MultiscalarMachine:
         self.in_flight[seq] = pu
         if self.monitor is not None:
             self.monitor.on_assign(seq, pu.index, cycle)
-        if self.tracer is not None:
-            self.tracer.on_assign(seq, pu.index, cycle)
+        if self.events is not None:
+            self.events.extend((EV_ASSIGN, seq, pu.index, cycle, 0, 0, 0))
         self._active_span += dyn.length
         self.next_seq += 1
         self.next_assign_pu = (self.next_assign_pu + 1) % self.config.n_pus
@@ -413,11 +427,10 @@ class MultiscalarMachine:
             seq = pu.seq
             self._active_span -= self.stream.tasks[seq].length
             del self.in_flight[seq]
-            if self.tracer is not None:
+            if self.events is not None:
                 # Capture per-task state before reset_idle clears it.
-                self.tracer.on_retire(
-                    seq, pu.index, cycle, pu.first_issue, pu.done_cycle
-                )
+                self.events.extend((EV_RETIRE, seq, pu.index, cycle,
+                                    pu.first_issue, pu.done_cycle, 0))
             pu.reset_idle()
             if self.monitor is not None:
                 self.monitor.on_retire(seq, cycle)
@@ -429,8 +442,9 @@ class MultiscalarMachine:
             pu.retiring = True
             self._retiring_pu = pu
             self._retire_finish = cycle + self.config.task_end_overhead
-            if self.tracer is not None:
-                self.tracer.on_commit_start(pu.seq, pu.index, cycle)
+            if self.events is not None:
+                self.events.extend((EV_COMMIT, pu.seq, pu.index, cycle,
+                                    0, 0, 0))
 
     # ------------------------------------------------------------- run loop
 

@@ -36,9 +36,9 @@
  * run derives every instruction's task and has_remote_consumer flag
  * from the per-task spans.  The run's mutable arrays (complete,
  * forward, generation, pu_of_seq) are caller-owned int64 buffers,
- * copied back into the machine afterwards.  Lifecycle events for an
- * attached tracer go into an in-order log that the machine replays
- * after the run.
+ * copied back into the machine afterwards.  A traced run logs each
+ * lifecycle event as an EV_WORDS-word record, in order; the log
+ * becomes the machine's `events`, record for record what _tick writes.
  *
  * Entry points (called through ctypes by repro.sim.native):
  *   ms_interp(iparams, ibufs, iout) -> handle   interpret a program
@@ -135,7 +135,9 @@ enum {
 };
 #define N_OUT (O_COUNTERS + N_COUNTERS)
 
-/* Tracer event kinds; each event is EV_WORDS int64 words. */
+/* Lifecycle record kinds.  A record is EV_WORDS int64 words: the kind,
+ * then its fields, zero-padded (DESIGN.md §10).  An ARB violation's
+ * `injected` field is 0 here: only _tick runs a fault plan. */
 enum {
     EV_ASSIGN, EV_WRONG_ASSIGN, EV_TASK_MISPREDICT, EV_BRANCH_MISPREDICT,
     EV_ARB_VIOLATION, EV_SQUASH, EV_WRONG_SQUASH, EV_COMMIT, EV_RETIRE
@@ -1219,8 +1221,8 @@ static void fetch(Machine *m, PU *pu, i64 cycle)
             pu->pending_branch = idx;
             pu->fetch_resume = NEVER;
             if (m->trace)
-                event(m, EV_BRANCH_MISPREDICT, pu->seq, idx, cycle,
-                      pu->index, 0, 0);
+                event(m, EV_BRANCH_MISPREDICT, pu->seq, idx, pu->index,
+                      cycle, 0, 0);
             break;
         }
         if (pu->fetch_resume > cycle)

@@ -39,8 +39,8 @@ The kernel does three jobs:
   predictor statistics are written back, the sync table takes the
   kernel's final LRU order (the kernel fills its own table in C, so
   ``_learn_sync`` runs only under ``_tick``), the run state's
-  ``complete`` and ``forward`` become the kernel's own arrays, an
-  attached tracer receives the run's lifecycle events in order, and
+  ``complete`` and ``forward`` become the kernel's own arrays, a
+  traced machine's ``events`` becomes the kernel's lifecycle log, and
   ``machine.kernel_counters`` holds the kernel's scan counters
   (:data:`KERNEL_COUNTERS`).
 
@@ -81,8 +81,8 @@ SOURCE = Path(__file__).with_name("native.c")
 COMMAND: Tuple[str, ...] = ("cc", "-O2", "-std=c99", "-shared", "-fPIC")
 
 # Layouts shared with native.c (its P_*, B_*, L_*, LI_*, LO_*, T_*,
-# O_*, IP_*, IB_*, IO_*, IC_*, RP_* and RB_* enums); tests/test_native.py
-# checks each mirror against the C source.
+# O_*, IP_*, IB_*, IO_*, IC_*, RP_*, RB_* and EV_* enums);
+# tests/test_native.py checks each mirror against the C source.
 _N_BUFS, _N_TRACE_BUFS = 23, 14
 _N_LIN = 10
 _N_IBUFS = 14
@@ -115,7 +115,13 @@ KERNEL_COUNTERS = (
     "scans", "fruitless_scans", "skipped_asleep", "entries_examined",
 )
 _N_OUT = _O_COUNTERS + len(KERNEL_COUNTERS)
-_EV_WORDS = 7
+#: the lifecycle record kinds (its EV_*).  A record is EV_WORDS int64
+#: words: the kind, then the kind's fields, zero-padded (DESIGN.md
+#: §10 lists them); ``_tick`` and the kernel write the same records.
+(EV_ASSIGN, EV_WRONG_ASSIGN, EV_TASK_MISPREDICT, EV_BRANCH_MISPREDICT,
+ EV_ARB_VIOLATION, EV_SQUASH, EV_WRONG_SQUASH, EV_COMMIT,
+ EV_RETIRE) = range(9)
+EV_WORDS = 7
 _COPY_EVENTS, _COPY_DEPTHS, _COPY_SYNC, _COPY_RAS = range(4)
 #: breakdown.REASONS order the kernel's R_* slots assume
 _SLOTS = ("USEFUL", "TASK_START", "TASK_END", "INTRA_DEP", "INTER_COMM",
@@ -692,7 +698,7 @@ def _params(machine) -> array:
         config.memory_latency,
         config.max_cycles,
         _predictor_kind(machine.predictor),
-        int(machine.tracer is not None),
+        int(machine.events is not None),
     ])
 
 
@@ -753,7 +759,7 @@ def run(machine) -> Optional[int]:
                 lib.ms_copy(handle, what, dst.buffer_info()[0])
             return dst
 
-        events = copy(_COPY_EVENTS, _EV_WORDS * out[_O_N_EVENTS])
+        events = copy(_COPY_EVENTS, EV_WORDS * out[_O_N_EVENTS])
         depths = copy(_COPY_DEPTHS, out[_O_N_DEPTHS])
         sync = copy(_COPY_SYNC, 2 * out[_O_N_SYNC])
         ras = copy(_COPY_RAS, out[_O_N_RAS])
@@ -773,8 +779,8 @@ def run(machine) -> Optional[int]:
     state.gshare_accuracy = low.gshare_accuracy
     machine._pu_useful[:] = pu_useful
     machine._pu_occupied[:] = pu_occupied
-    if machine.tracer is not None:
-        _replay(machine.tracer, events)
+    if machine.events is not None:
+        machine.events = events
     cycle = out[_O_CYCLE]
     if out[_O_STATUS]:
         raise machine._stuck(
@@ -825,25 +831,9 @@ def _write_back(machine, out, depths, sync, ras, roots) -> None:
     )
 
 
-def _replay(tracer, events: array) -> None:
-    """Call ``tracer``'s hooks with the kernel's events, in order."""
-    hooks = (
-        lambda e: tracer.on_assign(e[1], e[2], e[3]),
-        lambda e: tracer.on_wrong_assign(e[1], e[2]),
-        lambda e: tracer.on_task_mispredict(e[1], e[2]),
-        lambda e: tracer.on_branch_mispredict(e[1], e[2], e[3], e[4]),
-        lambda e: tracer.on_arb_violation(e[1], e[2]),
-        lambda e: tracer.on_squash(e[1], e[2], e[3], e[4], bool(e[5]),
-                                   e[6]),
-        lambda e: tracer.on_wrong_squash(e[1], e[2], e[3]),
-        lambda e: tracer.on_commit_start(e[1], e[2], e[3]),
-        lambda e: tracer.on_retire(e[1], e[2], e[3], e[4], e[5]),
-    )
-    for k in range(0, len(events), _EV_WORDS):
-        event = events[k:k + _EV_WORDS]
-        hooks[event[0]](event)
-
-
-__all__ = ["COMMAND", "KERNEL_COUNTERS", "SOURCE", "Encoding", "Lowering",
-           "digest", "interpret", "kernel", "library_path", "loop_name",
-           "lowering", "release_flags", "run"]
+__all__ = ["COMMAND", "EV_ARB_VIOLATION", "EV_ASSIGN",
+           "EV_BRANCH_MISPREDICT", "EV_COMMIT", "EV_RETIRE", "EV_SQUASH",
+           "EV_TASK_MISPREDICT", "EV_WORDS", "EV_WRONG_ASSIGN",
+           "EV_WRONG_SQUASH", "KERNEL_COUNTERS", "SOURCE", "Encoding",
+           "Lowering", "digest", "interpret", "kernel", "library_path",
+           "loop_name", "lowering", "release_flags", "run"]

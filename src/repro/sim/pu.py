@@ -36,11 +36,13 @@ change the outcome, which changes no result (DESIGN.md §9).
 from __future__ import annotations
 
 import heapq
+from array import array
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.breakdown import REASON_INDEX, StallReason
 from repro.sim.config import SimConfig
+from repro.sim.native import EV_BRANCH_MISPREDICT
 from repro.sim.runstate import RunState
 from repro.sim.taskstream import DynTask
 
@@ -52,11 +54,14 @@ _N_REASONS = len(REASON_INDEX)
 class ProcessingUnit:
     """Execution state of one PU."""
 
-    def __init__(self, index: int, config: SimConfig,
-                 state: RunState) -> None:
+    def __init__(self, index: int, config: SimConfig, state: RunState,
+                 events: Optional[array] = None) -> None:
         self.index = index
         self.config = config
         self.state = state
+        #: the machine's lifecycle log (None when untraced), which the
+        #: wrong-path fetch stall appends its record to
+        self.events = events
         forward_policy = config.forward_policy.value
         self._schedule_fp = forward_policy == "schedule"
         self._lazy_fp = forward_policy == "lazy"
@@ -75,9 +80,6 @@ class ProcessingUnit:
             config.pu_field(index, "mem_units"),
             config.pu_field(index, "branch_units"),
         ]
-        #: optional telemetry collector (set by the machine, survives
-        #: reset_idle; consulted only on the rare mispredict path)
-        self.tracer = None
         self.reset_idle()
 
     # Per-run constants for the hot methods, bundled so each call
@@ -320,10 +322,9 @@ class ProcessingUnit:
                 # Wrong-path fetch: stall until the branch resolves.
                 self.pending_branch = idx
                 self.fetch_resume = _NEVER
-                if self.tracer is not None:
-                    self.tracer.on_branch_mispredict(
-                        self.seq, idx, cycle, self.index
-                    )
+                if self.events is not None:
+                    self.events.extend((EV_BRANCH_MISPREDICT, self.seq, idx,
+                                        self.index, cycle, 0, 0))
                 break
             if self.fetch_resume > cycle:
                 break

@@ -4,13 +4,14 @@ The paper's artefacts (Figure 5, Table 1, the Figure 2 breakdown) are
 aggregate views; this package explains *individual runs*:
 
 * :mod:`~repro.telemetry.collector` — :class:`TraceCollector`, a
-  duck-typed machine hook (the same pattern as the reliability
+  duck-typed machine tracer (attached like the reliability
   ``InvariantMonitor``: ``sim`` never imports telemetry, and an
-  unattached machine pays nothing) that records every task's
-  assign → first-issue → squash/retire lifecycle per PU, plus instant
-  events for task/branch mispredictions and ARB violations.  Both
-  engines emit identical event streams on the same cell — the
-  bit-identity guarantee extends to telemetry.
+  unattached machine pays nothing) that decodes the machine's
+  lifecycle log after the run: every task's assign → first-issue →
+  squash/retire lifecycle per PU, plus instant events for
+  task/branch mispredictions and ARB violations.  Both engines write
+  word-for-word identical logs on the same cell — the bit-identity
+  guarantee extends to telemetry.
 * :mod:`~repro.telemetry.export` — Chrome trace-event JSON (loadable
   in Perfetto / ``chrome://tracing``): PUs map to tracks, simulated
   cycles to microsecond timestamps (``repro trace``).

@@ -238,7 +238,7 @@ def tune(
     to let the search explore the corresponding axis.  The baseline
     races on the pinned machine (or the paper machine while the gene
     floats) — tuning *for* a machine compares against the paper
-    heuristic *on* that machine.
+    heuristic *on* that machine.  ``n_pus`` sizes only ``paper-4x2``.
     """
     if not targets:
         raise ValueError("tune needs at least one target benchmark")
@@ -248,6 +248,9 @@ def tune(
         raise ValueError("budget must be >= 1")
     if pop_size < 2:
         raise ValueError("pop_size must be >= 2")
+    if n_pus != 4 and machine != "paper-4x2":
+        raise ValueError(f"n_pus={n_pus} sizes only the paper-4x2 "
+                         f"machine, not machine={machine!r}")
     pin = _pinner(machine, predictor)
     baseline_sim = machine_sim(machine or "paper-4x2", predictor or "path",
                                n_pus, out_of_order)

@@ -493,6 +493,13 @@ _BAD_INPUT = [
      "big-little-8"),
     (["tune", "compress", "--machine", "bogus"], "bogus", "search"),
     (["tune", "compress", "--predictor", "bogus"], "bogus", "hybrid"),
+    # --n-pus sizes only paper-4x2: other presets bring their own count
+    (["tune", "compress", "--machine", "big-little-8", "--n-pus", "16"],
+     "--n-pus", "--machine big-little-8"),
+    (["tune", "compress", "--n-pus", "8", "--machine", "search"],
+     "--n-pus", "--machine search"),
+    (["list", "--synth", "--machines"], "--machines",
+     "not allowed with argument --synth"),
     (["gen", "1", "--preset", "bogus"], "bogus", "loops"),
     (["fuzz", "--budget", "1", "--preset", "bogus"], "bogus", "loops"),
     (["tune", "--synth", "bogus"], "bogus", "loops"),

@@ -19,7 +19,6 @@ import re
 import subprocess
 import sys
 import warnings
-from array import array
 from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
@@ -163,20 +162,28 @@ def test_python_mirrors_equal_the_kernel_layouts():
     native.c equals its C value: each ``_NAME`` int of native.py whose
     NAME the C source defines, taskstream's ``T_*`` / ``K_*``, the
     REASONS slots, the number of scan counters, the trace buffers, the
-    predictor and policy codes, the tracer hooks and the parameter
-    counts.  The buffers and parameters the wrappers pass by position
-    are checked by the runs of every other test."""
+    predictor and policy codes, the lifecycle record kinds and width
+    (``EV_*``) and the parameter counts.  The buffers and parameters
+    the wrappers pass by position are checked by the runs of every
+    other test."""
     c = _c_constants()
     mirrors = {name[1:]: value for name, value in vars(native).items()
                if name[:1] == "_" and name[1:] in c and type(value) is int}
     mirrors.update((name, value) for name, value in vars(taskstream).items()
                    if re.fullmatch(r"[TK]_[A-Z_]+", name))
+    records = {name: value for name, value in vars(native).items()
+               if re.fullmatch(r"EV_[A-Z_]+", name)}
+    mirrors.update(records)
     assert {name: c[name] for name in mirrors} == mirrors
     assert {"N_BUFS", "N_TRACE_BUFS", "N_LIN", "N_IBUFS", "N_RBUFS",
             "N_IOUT", "N_LOUT", "N_OUT", "O_RETIRE_SEQ", "O_REASONS",
-            "O_COUNTERS", "COPY_RAS", "EV_WORDS", "OP_HALT", "IMM_FLOAT",
+            "O_COUNTERS", "COPY_RAS", "OP_HALT", "IMM_FLOAT",
             "KIND_COND", "IC_TAKEN", "LO_GSHARE_MISPREDICTIONS",
             "T_COLS", "K_OTHER"} <= set(mirrors)
+    # Every record kind the kernel defines has its mirror.
+    assert set(records) == {name for name in c if name.startswith("EV_")}
+    assert sorted(value for name, value in records.items()
+                  if name != "EV_WORDS") == list(range(len(records) - 1))
 
     assert [c["R_" + slot] for slot in native._SLOTS] == list(
         range(c["N_REASONS"]))
@@ -188,24 +195,6 @@ def test_python_mirrors_equal_the_kernel_layouts():
     }
     assert native._predictor_kind(GshareTaskPredictor()) == c["PRED_GSHARE"]
     assert native._predictor_kind(HybridTaskPredictor()) == c["PRED_HYBRID"]
-
-    hooks = {"EV_ASSIGN": "on_assign", "EV_WRONG_ASSIGN": "on_wrong_assign",
-             "EV_TASK_MISPREDICT": "on_task_mispredict",
-             "EV_BRANCH_MISPREDICT": "on_branch_mispredict",
-             "EV_ARB_VIOLATION": "on_arb_violation",
-             "EV_SQUASH": "on_squash", "EV_WRONG_SQUASH": "on_wrong_squash",
-             "EV_COMMIT": "on_commit_start", "EV_RETIRE": "on_retire"}
-    called = []
-
-    class Recorder:
-        def __getattr__(self, hook):
-            return lambda *args: called.append(hook)
-
-    native._replay(Recorder(), array("q", [
-        word for kind in range(len(hooks))
-        for word in [kind] + [0] * (c["EV_WORDS"] - 1)
-    ]))
-    assert called == [hooks[name] for name in sorted(hooks, key=c.get)]
 
     partition = select_tasks(parse_program(_FORWARD),
                              SelectionConfig(level=HeuristicLevel.BASIC_BLOCK))

@@ -1,10 +1,12 @@
 """Telemetry subsystem: collector, exporter, metrics, ledger, report.
 
-The load-bearing guarantee is engine equivalence: the native loop's
-replayed event stream must equal the reference loop's live stream,
-cell by cell — the stream is a far finer-grained probe than the
+The load-bearing guarantee is engine equivalence: the kernel's
+lifecycle log must equal the one ``_tick`` writes, word for word,
+cell by cell — the log is a far finer-grained probe than the
 aggregate ``SimResult`` the fastpath tests compare, so an event that
-lands a cycle late or out of order fails here first.
+lands a cycle late or out of order fails here first.  A tracer is
+called twice, ``attach`` and ``on_finish``; a tracer that answers
+nothing else pins that protocol.
 """
 
 import json
@@ -25,7 +27,8 @@ from repro.harness.ledger import (
 )
 from repro.harness.serialize import record_to_dict
 from repro.harness.spec import RunSpec, cell_label
-from repro.sim import SimConfig
+from repro.reliability import FaultPlan
+from repro.sim import SimConfig, native
 from repro.sim.machine import MultiscalarMachine
 from repro.telemetry import (
     Histogram,
@@ -50,16 +53,40 @@ SWEEP_BENCHMARKS = ("compress", "go", "m88ksim", "tomcatv")
 ALL_LEVELS = list(HeuristicLevel)
 
 
-def _traced_run(name, level, engine, scale=SMALL, n_pus=4):
-    compiled = compile_benchmark(name, level, scale=scale)
-    collector = TraceCollector()
-    config = SimConfig(engine=engine).scaled_for_pus(n_pus)
+def _traced_machine(name, level, engine, tracer=None, faults=None):
+    compiled = compile_benchmark(name, level, scale=SMALL)
     machine = MultiscalarMachine(
-        compiled.stream, config, compiled.release,
-        label=name, tracer=collector,
+        compiled.stream, SimConfig(engine=engine), compiled.release,
+        faults=faults, label=name,
+        tracer=TraceCollector() if tracer is None else tracer,
     )
     result = machine.run()
-    return collector, result
+    return machine, result
+
+
+def _traced_run(name, level, engine):
+    machine, result = _traced_machine(name, level, engine)
+    return machine.tracer, result
+
+
+class TwoCallTracer:
+    """A tracer with only the two calls a machine makes; asking it for
+    anything else fails the test."""
+
+    def __init__(self) -> None:
+        self.calls = []
+        self.collector = TraceCollector()
+
+    def attach(self, machine) -> None:
+        self.calls.append("attach")
+        self.collector.attach(machine)
+
+    def on_finish(self, machine, result) -> None:
+        self.calls.append("on_finish")
+        self.collector.on_finish(machine, result)
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a machine asked its tracer for {name!r}")
 
 
 # ---------------------------------------------------------------- metrics
@@ -164,8 +191,10 @@ class TestCollector:
             compiled.stream, SimConfig(), compiled.release
         )
         assert machine.tracer is None
-        assert all(pu.tracer is None for pu in machine.pus)
+        assert machine.events is None
+        assert all(pu.events is None for pu in machine.pus)
         machine.run()  # must not touch any telemetry path
+        assert machine.events is None
 
     def test_squash_event_carries_cause_and_first_issue(self):
         collector, result = _traced_run(
@@ -187,17 +216,61 @@ class TestCollector:
     "level", ALL_LEVELS, ids=[lvl.value for lvl in ALL_LEVELS]
 )
 def test_engines_emit_identical_event_streams(name, level):
-    """The native loop's replayed stream equals ``_tick``'s live
-    stream event by event, cell by cell."""
-    fast, fast_result = _traced_run(name, level, "fast")
-    reference, ref_result = _traced_run(name, level, "reference")
+    """The kernel's log equals ``_tick``'s word for word, and so do the
+    decoded streams event by event, cell by cell."""
+    fast_machine, fast_result = _traced_machine(name, level, "fast")
+    ref_machine, ref_result = _traced_machine(name, level, "reference")
     assert fast_result.cycles == ref_result.cycles
+    if native.kernel() is not None:
+        assert fast_machine.kernel_counters is not None  # a kernel run
+    words = native.EV_WORDS
+    fast_log, ref_log = fast_machine.events, ref_machine.events
+    for k in range(0, min(len(fast_log), len(ref_log)), words):
+        assert fast_log[k:k + words] == ref_log[k:k + words], (
+            f"{name}/{level.value}: record {k // words} differs: "
+            f"fast={fast_log[k:k + words].tolist()} "
+            f"reference={ref_log[k:k + words].tolist()}"
+        )
+    assert fast_log == ref_log
+    fast, reference = fast_machine.tracer, ref_machine.tracer
     for k, (got, want) in enumerate(zip(fast.events, reference.events)):
         assert got == want, (
             f"{name}/{level.value}: event {k} differs: "
             f"fast={got} reference={want}"
         )
     assert len(fast.events) == len(reference.events)
+
+
+class TestTracerProtocol:
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_machine_calls_only_attach_and_on_finish(self, engine):
+        tracer = TwoCallTracer()
+        machine, result = _traced_machine(
+            "compress", HeuristicLevel.DATA_DEPENDENCE, engine, tracer
+        )
+        assert tracer.calls == ["attach", "on_finish"]
+        assert tracer.collector.counts()["retire"] == result.dynamic_tasks
+        assert len(machine.events) == native.EV_WORDS * len(
+            tracer.collector.events
+        )
+
+    def test_fault_injected_violations_are_marked_injected(self):
+        """A fault plan forces ``_tick``; each spurious violation it
+        injects is logged with its ``injected`` word set, and a real
+        one with it clear."""
+        tracer, plan = TwoCallTracer(), FaultPlan(seed=7, faults=20)
+        machine, _ = _traced_machine(
+            "m88ksim", HeuristicLevel.DATA_DEPENDENCE, "fast", tracer, plan
+        )
+        assert tracer.calls == ["attach", "on_finish"]
+        assert machine.kernel_counters is None  # a _tick run
+        injected = [("arb_violation", fault.seq, fault.cycle, True)
+                    for fault in plan.injected if fault.kind == "memory"]
+        assert injected
+        violations = [event for event in tracer.collector.events
+                      if event[0] == "arb_violation"]
+        assert [event for event in violations if event[3]] == injected
+        assert len(violations) > len(injected)  # a real one, not injected
 
 
 # ----------------------------------------------------------------- export

@@ -242,6 +242,11 @@ def test_tune_argument_validation(tmp_path):
         tune([synth_target()], budget=0)
     with pytest.raises(ValueError, match="pop_size"):
         tune([synth_target()], pop_size=1)
+    # n_pus sizes only the paper machine: a preset or a floating
+    # machine gene brings its own PU count.
+    for machine in ("big-little-8", None):
+        with pytest.raises(ValueError, match="n_pus=16"):
+            tune([synth_target()], n_pus=16, machine=machine)
 
 
 # ----------------------------------------------------------------- reports
