@@ -23,8 +23,8 @@ from typing import List, Optional, Set, Tuple
 
 from repro.compiler.heuristics import SelectionConfig
 from repro.compiler.task import Target, TargetKind
+from repro.ir.analysis import FunctionAnalysis
 from repro.ir.block import BasicBlock, BlockId
-from repro.ir.cfg import CFG
 from repro.ir.program import Program
 
 
@@ -45,19 +45,24 @@ class GrowthPolicy:
 
 
 class GrowthContext:
-    """Per-function state shared by all task-growth calls."""
+    """Per-function state shared by all task-growth calls.
+
+    ``analysis`` holds the function's CFG and the facts the growth
+    policies read (:mod:`repro.ir.analysis`).
+    """
 
     def __init__(
         self,
         program: Program,
         function_name: str,
-        cfg: CFG,
+        analysis: FunctionAnalysis,
         config: SelectionConfig,
         absorbed_functions: Optional[Set[str]] = None,
     ) -> None:
         self.program = program
         self.function_name = function_name
-        self.cfg = cfg
+        self.analysis = analysis
+        self.cfg = analysis.cfg
         self.config = config
         self.absorbed_functions = absorbed_functions or set()
 

@@ -16,69 +16,23 @@ this yields the growth policy implemented here:
   included) and nothing remains open, stop growing.
 
 Dependences are the function's register def-use chains, ranked by
-profiled dynamic frequency; loop-carried dependences (consumer only
-reachable through a back edge) have an empty codependent set and are
-ignored here — they are inherently inter-task and are handled by
-induction hoisting and the register ring.
+profiled dynamic frequency
+(:meth:`~repro.ir.analysis.FunctionAnalysis.ranking`, shared by every
+selection of one transformed program); loop-carried dependences
+(consumer only reachable through a back edge) have an empty
+codependent set and are ignored here — they are inherently inter-task
+and are handled by induction hoisting and the register ring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List
 
 from repro.compiler.control_flow import GrowthPolicy
 from repro.compiler.heuristics import SelectionConfig
-from repro.ir.cfg import CFG
-from repro.ir.dataflow import DefUseEdge, codependent_set, def_use_chains
+from repro.ir.analysis import FunctionAnalysis
 from repro.ir.function import Function
 from repro.profiling import Profile
-
-
-@dataclass(frozen=True)
-class RankedDependence:
-    """A profiled def-use dependence with its codependent block set."""
-
-    frequency: int
-    edge: DefUseEdge
-    codependent: FrozenSet[str]
-
-
-def ranked_dependences(
-    function: Function, cfg: CFG, profile: Profile, config: SelectionConfig
-) -> List[RankedDependence]:
-    """Inter-block def-use edges, most dynamically frequent first.
-
-    Never-executed dependences and dependences with no forward
-    producer→consumer path (loop-carried) are dropped; ties break on
-    the edge's deterministic sort key.  At most
-    ``config.max_dependences`` are returned (a compile-time guard).
-    """
-    ranked: List[Tuple[int, DefUseEdge]] = []
-    for edge in def_use_chains(function, cfg):
-        if not edge.crosses_blocks:
-            continue
-        freq = profile.defuse_count(function.name, edge)
-        if freq > 0:
-            ranked.append((freq, edge))
-    ranked.sort(
-        key=lambda item: (
-            -item[0],
-            item[1].def_block,
-            item[1].def_index,
-            item[1].use_block,
-            item[1].use_index,
-            item[1].register,
-        )
-    )
-    out: List[RankedDependence] = []
-    for freq, edge in ranked:
-        if len(out) >= config.max_dependences:
-            break
-        codep = frozenset(codependent_set(cfg, edge))
-        if codep:
-            out.append(RankedDependence(freq, edge, codep))
-    return out
 
 
 class DependenceBook:
@@ -87,12 +41,16 @@ class DependenceBook:
     def __init__(
         self,
         function: Function,
-        cfg: CFG,
+        analysis: FunctionAnalysis,
         profile: Profile,
         config: SelectionConfig,
     ) -> None:
-        self.cfg = cfg
-        self.dependences = ranked_dependences(function, cfg, profile, config)
+        self.cfg = analysis.cfg
+        # At most ``config.max_dependences`` (a compile-time guard): a
+        # capped ranking is a prefix of the shared uncapped one.
+        self.dependences = analysis.ranking(function, profile)[
+            : config.max_dependences
+        ]
         self.by_producer: Dict[str, List[int]] = {}
         self.by_consumer: Dict[str, List[int]] = {}
         for idx, dep in enumerate(self.dependences):

@@ -82,6 +82,10 @@ class SelectionConfig:
             raise ValueError("max_targets must be >= 1")
         if self.max_unroll < 1:
             raise ValueError("max_unroll must be >= 1")
+        if self.max_dependences < 1:
+            # A cap below one ranks no dependence, and would silently
+            # turn the data dependence level into control flow growth.
+            raise ValueError("max_dependences must be >= 1")
         if self.traversal not in ("bfs", "dfs"):
             raise ValueError(
                 f"traversal must be 'bfs' or 'dfs', got {self.traversal!r}"

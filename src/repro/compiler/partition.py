@@ -13,8 +13,11 @@ Pipeline (Figure 3, Sections 3.1–3.4):
    CALL_THRESH, cost models), take it from the :class:`TraceMemo`:
    the transformed program is interpreted and profiled only the first
    time a selection yields it;
-5. strategy decides absorbed (small) callees;
-6. strategy builds the partition — for the paper strategies a
+5. take the program's analysis (per function: CFG, def-use chains,
+   reachability, dependence ranking) from the same memo entry, built
+   the first time a selection yields the program;
+6. strategy decides absorbed (small) callees;
+7. strategy builds the partition — for the paper strategies a
    coverage traversal growing a task at every exposed target, steered
    by :class:`~repro.compiler.data_dependence.DependencePolicy` at
    the DATA_DEPENDENCE / TASK_SIZE levels.
@@ -36,76 +39,98 @@ from repro.compiler.heuristics import SelectionConfig
 from repro.compiler.strategy import get_strategy
 from repro.compiler.task import TaskPartition
 from repro.compiler.transforms import clone_program
+from repro.ir.analysis import FunctionAnalysis, analyze_program
 from repro.ir.asmtext import program_to_text
-from repro.ir.cfg import build_cfg
 from repro.ir.program import Program
 from repro.ir.interp import Trace, run_program
 from repro.profiling import Profile, profile_trace
 
 
 @dataclass
-class _Run:
-    trace: Trace
+class _Entry:
+    """What the memo keeps for one program text, each built on first
+    request."""
+
+    trace: Optional[Trace] = None
     profile: Optional[Profile] = None
+    analysis: Optional[Dict[str, FunctionAnalysis]] = None
 
 
 class TraceMemo:
-    """Functional runs of transformed programs, shared across selections.
+    """Functional runs and analyses of transformed programs, shared
+    across selections.
 
     A program's trace depends only on its code and its memory image;
     task selection only decides where that trace is cut into tasks
     (DESIGN.md §5).  Every selection whose transforms yield the same
     program therefore shares one trace, one profile and the timing
-    model's lowering of the trace.
+    model's lowering of the trace.  It also shares the program's
+    :mod:`~repro.ir.analysis` (per function: the CFG, def-use chains,
+    acyclic reachability and the profiled dependence ranking), which
+    is built without interpreting the program.
 
-    Runs are keyed by a digest of :func:`~repro.ir.asmtext.program_to_text`,
-    which round-trips the whole program: code, function and block
-    order (and so pcs), fallthroughs, ``main_name`` and the memory
-    image.  The instruction limit is not part of the key: the
-    interpreter raises at its limit, so a trace that exists is
-    complete.  A program must never be mutated once its trace is
-    memoized, so each program object is rendered and digested once
-    (selection profiles ``partition.program`` and the compile then
-    asks for its trace).
+    Entries are keyed by a digest of
+    :func:`~repro.ir.asmtext.program_to_text`, which round-trips the
+    whole program: code, function and block order (and so pcs),
+    fallthroughs, ``main_name`` and the memory image.  The instruction
+    limit is not part of the key: the interpreter raises at its limit,
+    so a trace that exists is complete.  A program must never be
+    mutated once it is memoized, so each program object is rendered
+    and digested once (a selection asks for ``partition.program``'s
+    analysis, and maybe its profile, and the compile then asks for
+    its trace).
     """
 
     def __init__(self) -> None:
-        self._runs: Dict[bytes, _Run] = {}
+        self._entries: Dict[bytes, _Entry] = {}
         self._digests: "weakref.WeakKeyDictionary[Program, bytes]" = (
             weakref.WeakKeyDictionary()
         )
 
-    def _run(self, program: Program, max_instructions: int) -> _Run:
+    def _entry(self, program: Program) -> _Entry:
         key = self._digests.get(program)
         if key is None:
             key = self._digests[program] = hashlib.sha256(
                 program_to_text(program).encode()
             ).digest()
-        run = self._runs.get(key)
-        if run is None:
-            run = self._runs[key] = _Run(
-                run_program(program, max_instructions=max_instructions)
-            )
-        return run
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = _Entry()
+        return entry
 
     def trace(
         self, program: Program, max_instructions: int = 2_000_000
     ) -> Trace:
         """The trace of ``program``, interpreted on first request."""
-        return self._run(program, max_instructions).trace
+        entry = self._entry(program)
+        if entry.trace is None:
+            entry.trace = run_program(
+                program, max_instructions=max_instructions
+            )
+        return entry.trace
 
     def profile(
         self, program: Program, max_instructions: int = 2_000_000
     ) -> Profile:
         """The profile of ``program``'s trace, built on first request."""
-        run = self._run(program, max_instructions)
-        if run.profile is None:
-            run.profile = profile_trace(run.trace)
-        return run.profile
+        entry = self._entry(program)
+        if entry.profile is None:
+            entry.profile = profile_trace(
+                self.trace(program, max_instructions)
+            )
+        return entry.profile
+
+    def analysis(self, program: Program) -> Dict[str, FunctionAnalysis]:
+        """The analysis of each of ``program``'s functions, by name,
+        built on first request."""
+        entry = self._entry(program)
+        if entry.analysis is None:
+            entry.analysis = analyze_program(program)
+        return entry.analysis
 
     def clear(self) -> None:
-        """Forget every run."""
-        self._runs.clear()
+        """Forget every entry."""
+        self._entries.clear()
         self._digests.clear()
 
 
@@ -117,10 +142,11 @@ def select_tasks(
 ) -> TaskPartition:
     """Partition ``program`` into Multiscalar tasks.
 
-    ``traces`` shares functional runs with other selections (and with
-    the caller, who can take the measured trace of
-    ``partition.program`` from it); without one the call profiles
-    through a fresh memo of its own.
+    ``traces`` shares functional runs and analyses with other
+    selections (and with the caller, who can take the measured trace
+    of ``partition.program`` from it); without one the call profiles
+    through a fresh memo of its own, and analyses the program without
+    digesting it when it does not profile.
     """
     config = config or SelectionConfig()
     strategy = get_strategy(config)
@@ -130,13 +156,20 @@ def select_tasks(
 
     profile = None
     if strategy.wants_profile(config):
-        memo = traces if traces is not None else TraceMemo()
-        profile = memo.profile(prog, max_profile_instructions)
+        if traces is None:
+            traces = TraceMemo()
+        profile = traces.profile(prog, max_profile_instructions)
+    analysis = (
+        traces.analysis(prog) if traces is not None
+        else analyze_program(prog)
+    )
 
     absorbed: Set[str] = strategy.absorbed_functions(prog, profile, config)
 
     contexts: Dict[str, GrowthContext] = {
-        fn.name: GrowthContext(prog, fn.name, build_cfg(fn), config, absorbed)
+        fn.name: GrowthContext(
+            prog, fn.name, analysis[fn.name], config, absorbed
+        )
         for fn in prog.functions()
     }
 

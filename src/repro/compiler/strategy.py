@@ -52,8 +52,8 @@ from repro.compiler.transforms import (
     hoist_induction_increments,
     unroll_small_loops,
 )
+from repro.ir.analysis import FunctionAnalysis
 from repro.ir.block import BlockId
-from repro.ir.cfg import CFG
 from repro.ir.function import Function
 from repro.ir.program import Program
 from repro.profiling import Profile
@@ -253,7 +253,7 @@ class PaperStrategy(SelectionStrategy):
             program = partition.program
             books = {
                 fn.name: DependenceBook(
-                    fn, contexts[fn.name].cfg, profile, config
+                    fn, contexts[fn.name].analysis, profile, config
                 )
                 for fn in program.functions()
             }
@@ -326,9 +326,9 @@ class CostBook(DependenceBook):
     """A :class:`DependenceBook` plus the profiled block and edge counts
     and the machine's cost weights, shared by all task growths."""
 
-    def __init__(self, function: Function, cfg: CFG, profile: Profile,
-                 config: SelectionConfig) -> None:
-        super().__init__(function, cfg, profile, config)
+    def __init__(self, function: Function, analysis: FunctionAnalysis,
+                 profile: Profile, config: SelectionConfig) -> None:
+        super().__init__(function, analysis, profile, config)
         self.profile = profile
         self.function_name = function.name
         if config.machine_hint:
@@ -459,7 +459,7 @@ class CostModelStrategy(SelectionStrategy):
     ) -> None:
         assert profile is not None
         books = {
-            fn.name: CostBook(fn, contexts[fn.name].cfg, profile, config)
+            fn.name: CostBook(fn, contexts[fn.name].analysis, profile, config)
             for fn in partition.program.functions()
         }
         cover_program(

@@ -6,18 +6,22 @@ task selection heuristics, execute functionally, split the trace into
 dynamic tasks, and replay it on the spec's machine.  ``run_benchmark``
 is the one-cell convenience over it, and ``cell_config`` sizes a
 cell's machine for the spec builders.  The in-memory compile
-cache keeps two things under two keys:
+cache keeps three things under three keys:
 
+* source programs per ``(benchmark, scale, input_set)``, so that
+  every selection of one benchmark builds it once (selection clones
+  it before transforming, so the shared build is never mutated);
 * compilation products (partition / trace / stream / release) per
   :func:`compile_cache_key` — benchmark, scale, input sets and every
   selection field — so that machine sweeps (PU counts, in-order vs
   out-of-order) reuse them;
-* functional runs (trace and profile) per *transformed program*, in
-  a :class:`~repro.compiler.partition.TraceMemo` keyed by the
-  program's text, so that selections whose transforms yield the same
-  program interpret and profile it once, the native loop lowers its
-  trace once, and only the work that depends on the partition is
-  redone.
+* functional runs (trace and profile) and analyses (CFG, def-use
+  chains, reachability, dependence ranking) per *transformed
+  program*, in a :class:`~repro.compiler.partition.TraceMemo` keyed
+  by the program's text, so that selections whose transforms yield
+  the same program interpret, profile and analyse it once, the
+  native loop lowers its trace once, and only the work that depends
+  on the partition is redone.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.compiler.transforms import clone_program
 # ``run_program`` is not called here (the trace memo interprets), but
 # perf/spans.py wraps ``runner.run_program`` by this name.
 from repro.ir.interp import Trace, run_program  # noqa: F401
+from repro.ir.program import Program
 from repro.metrics import normalized_branch_misprediction, window_span
 from repro.sim import (
     CycleBreakdown,
@@ -112,14 +117,31 @@ class RunRecord:
 
 
 class CompileCache:
-    """Compilation products per compile key, functional runs per program."""
+    """Source builds per benchmark, compilation products per compile
+    key, functional runs and analyses per program."""
 
     def __init__(self) -> None:
+        self.builds: Dict[Tuple[str, float, str], Program] = {}
         self.compiled: Dict[_CompileKey, Compiled] = {}
         self.traces = TraceMemo()
 
+    def build(self, name: str, scale: float, input_set: str) -> Program:
+        """The source program of ``name``, built on first request.
+
+        Never mutate it: every later compile of the benchmark at this
+        scale and input reads it.
+        """
+        key = (name, scale, input_set)
+        program = self.builds.get(key)
+        if program is None:
+            program = self.builds[key] = get_benchmark(name).build(
+                scale, input_set=input_set
+            )
+        return program
+
     def clear(self) -> None:
-        """Forget every compilation and every functional run."""
+        """Forget every build, compilation, functional run and analysis."""
+        self.builds.clear()
         self.compiled.clear()
         self.traces.clear()
 
@@ -128,7 +150,8 @@ _compile_cache = CompileCache()
 
 
 def clear_cache() -> None:
-    """Drop all cached compilations and functional runs.
+    """Drop all cached builds, compilations, functional runs and
+    analyses.
 
     Tests use this for isolation, and benchmark passes to start cold.
     """
@@ -217,8 +240,7 @@ def compile_benchmark(
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        benchmark = get_benchmark(name)
-        program = benchmark.build(scale, input_set=profile_input)
+        program = _compile_cache.build(name, scale, profile_input)
         partition = select_tasks(program, selection, traces=traces)
         if profile_input != input_set:
             # Same static code, different data: measure the ref input
@@ -227,7 +249,7 @@ def compile_benchmark(
             # because the profiled one is memoized with its trace.
             measured = clone_program(partition.program)
             measured.memory_image = dict(
-                benchmark.build(scale, input_set=input_set).memory_image
+                _compile_cache.build(name, scale, input_set).memory_image
             )
             partition.program = measured
         trace = traces.trace(partition.program)

@@ -20,7 +20,8 @@ Two hashes matter:
 
 Both are content hashes over a canonical encoding of the value tree
 (no ``hash()``, no ``pickle``), so they are stable across processes
-and interpreter invocations.
+and interpreter invocations.  A spec is frozen, so it encodes each
+once and keeps the unsalted encoding: a later hash is one SHA-256.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import dataclasses
 import enum
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 from repro.compiler import HeuristicLevel, SelectionConfig
@@ -79,8 +81,14 @@ def canonical(value):
 
 def digest(value, salt: str = "") -> str:
     """SHA-256 hex digest of ``canonical(value)`` plus a salt."""
-    payload = repr(canonical(value)) + "\x00" + salt
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _salted(repr(canonical(value)), salt)
+
+
+def _salted(payload: str, salt: str) -> str:
+    """SHA-256 hex digest of an encoded value plus a salt."""
+    return hashlib.sha256(
+        (payload + "\x00" + salt).encode("utf-8")
+    ).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -120,12 +128,22 @@ class RunSpec:
             self.input_set, self.profile_input, self.source_hash,
         )
 
+    @cached_property
+    def _compile_payload(self) -> str:
+        return repr(canonical(self.compile_signature()))
+
+    @cached_property
+    def _spec_payload(self) -> str:
+        return repr(canonical(("run", self.compile_signature(), self.sim)))
+
     def compile_hash(self, salt: str = "") -> str:
-        return digest(self.compile_signature(), salt)
+        """``digest(self.compile_signature(), salt)``."""
+        return _salted(self._compile_payload, salt)
 
     def spec_hash(self, salt: str = "") -> str:
-        """Content hash of the whole cell (compile + machine)."""
-        return digest(("run", self.compile_signature(), self.sim), salt)
+        """Content hash of the whole cell (compile + machine):
+        ``digest(("run", self.compile_signature(), self.sim), salt)``."""
+        return _salted(self._spec_payload, salt)
 
     def describe(self) -> str:
         """Short human label for progress lines and errors.

@@ -19,6 +19,8 @@ Public surface:
 * :mod:`~repro.ir.cfg` — DFS numbering, dominators, natural loops.
 * :mod:`~repro.ir.dataflow` — reaching definitions, def-use chains,
   liveness, codependent sets.
+* :mod:`~repro.ir.analysis` — those facts per function, built once
+  and shared by every selection of one program.
 * :class:`~repro.ir.interp.Interpreter` — functional execution and
   trace capture.
 """

@@ -10,7 +10,9 @@ Task selection (Section 3 of the paper) needs, per function:
   terminate tasks).
 
 All analyses are pure functions of the :class:`~repro.ir.function.Function`
-and return a :class:`CFG` snapshot; rebuild after IR transforms.
+and return a :class:`CFG` snapshot; rebuild after IR transforms.  A
+snapshot keeps no reference to the function, so one can describe
+every copy of it (:mod:`repro.ir.analysis`).
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ class Loop:
 class CFG:
     """Immutable CFG snapshot of one function."""
 
-    function: Function
     succs: Dict[str, List[str]]
     preds: Dict[str, List[str]]
     dfs_num: Dict[str, int]
@@ -111,7 +112,10 @@ class CFG:
 
         Paths may not traverse back edges (tasks are acyclic inside,
         so the codependent set of a def-use pair only needs forward
-        paths).  Returns the empty set if no such path exists.
+        paths).  Returns the empty set if no such path exists.  This
+        per-pair search is the reference for
+        :meth:`~repro.ir.analysis.FunctionAnalysis.codependent`, which
+        selection uses.
         """
         forward: Set[str] = set()
         stack = [src]
@@ -154,7 +158,6 @@ def build_cfg(function: Function) -> CFG:
     idom = _dominators(function.entry_label or "", rpo, preds)
     loops = _natural_loops(back_edges, preds, idom, rpo)
     return CFG(
-        function=function,
         succs=succs,
         preds=preds,
         dfs_num=dfs_num,

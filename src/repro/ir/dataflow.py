@@ -184,7 +184,8 @@ def codependent_set(cfg: CFG, edge: DefUseEdge) -> Set[str]:
     This is the paper's *codependent set*: to enclose a def-use edge in
     a task, every block on every control-flow path from its producer
     to its consumer must be included (Section 3.4).  For an intra-block
-    edge this is just the block itself.
+    edge this is just the block itself.  Selection takes the same set
+    from a shared :class:`~repro.ir.analysis.FunctionAnalysis`.
     """
     if not edge.crosses_blocks:
         return {edge.def_block}

@@ -4,7 +4,7 @@ from repro.compiler.control_flow import GrowthContext, GrowthPolicy
 from repro.compiler.heuristics import HeuristicLevel, SelectionConfig
 from repro.compiler.task import TargetKind
 from repro.ir import IRBuilder
-from repro.ir.cfg import build_cfg
+from repro.ir.analysis import FunctionAnalysis
 from tests.conftest import build_call_program, build_diamond_loop
 
 
@@ -12,7 +12,7 @@ def make_context(program, func="main", level=HeuristicLevel.CONTROL_FLOW,
                  absorbed=None, **cfg_kwargs):
     config = SelectionConfig(level=level, **cfg_kwargs)
     return GrowthContext(
-        program, func, build_cfg(program.function(func)), config,
+        program, func, FunctionAnalysis(program.function(func)), config,
         absorbed_functions=absorbed or set(),
     )
 

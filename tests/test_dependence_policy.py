@@ -1,13 +1,9 @@
 """Unit tests for the data dependence growth policy."""
 
-from repro.compiler.data_dependence import (
-    DependenceBook,
-    DependencePolicy,
-    ranked_dependences,
-)
+from repro.compiler.data_dependence import DependenceBook
 from repro.compiler.heuristics import HeuristicLevel, SelectionConfig
 from repro.ir import IRBuilder
-from repro.ir.cfg import build_cfg
+from repro.ir.analysis import FunctionAnalysis
 from repro.profiling import profile_program
 from tests.conftest import build_diamond_loop
 
@@ -58,44 +54,39 @@ def producer_consumer_program():
     return b.build()
 
 
-def make_book(program, func="main"):
-    config = SelectionConfig(level=HeuristicLevel.DATA_DEPENDENCE)
+def make_book(program, func="main", **config_kwargs):
+    config = SelectionConfig(
+        level=HeuristicLevel.DATA_DEPENDENCE, **config_kwargs
+    )
     profile = profile_program(program)
-    cfg = build_cfg(program.function(func))
-    return DependenceBook(program.function(func), cfg, profile, config)
+    function = program.function(func)
+    return DependenceBook(
+        function, FunctionAnalysis(function), profile, config
+    )
+
+
+def ranking(program):
+    return FunctionAnalysis(program.main).ranking(
+        program.main, profile_program(program)
+    )
 
 
 class TestRankedDependences:
     def test_sorted_by_frequency(self, diamond_loop):
-        config = SelectionConfig(level=HeuristicLevel.DATA_DEPENDENCE)
-        profile = profile_program(diamond_loop)
-        cfg = build_cfg(diamond_loop.main)
-        ranked = ranked_dependences(diamond_loop.main, cfg, profile, config)
-        freqs = [dep.frequency for dep in ranked]
+        freqs = [dep.frequency for dep in ranking(diamond_loop)]
         assert freqs == sorted(freqs, reverse=True)
 
     def test_zero_frequency_dropped(self, diamond_loop):
-        config = SelectionConfig(level=HeuristicLevel.DATA_DEPENDENCE)
-        profile = profile_program(diamond_loop)
-        cfg = build_cfg(diamond_loop.main)
-        ranked = ranked_dependences(diamond_loop.main, cfg, profile, config)
-        assert all(dep.frequency > 0 for dep in ranked)
+        assert all(dep.frequency > 0 for dep in ranking(diamond_loop))
 
     def test_loop_carried_dropped(self, diamond_loop):
-        config = SelectionConfig(level=HeuristicLevel.DATA_DEPENDENCE)
-        profile = profile_program(diamond_loop)
-        cfg = build_cfg(diamond_loop.main)
-        ranked = ranked_dependences(diamond_loop.main, cfg, profile, config)
-        assert all(dep.codependent for dep in ranked)
+        assert all(dep.codependent for dep in ranking(diamond_loop))
 
     def test_max_dependences_cap(self, diamond_loop):
-        config = SelectionConfig(
-            level=HeuristicLevel.DATA_DEPENDENCE, max_dependences=1
-        )
-        profile = profile_program(diamond_loop)
-        cfg = build_cfg(diamond_loop.main)
-        ranked = ranked_dependences(diamond_loop.main, cfg, profile, config)
-        assert len(ranked) == 1
+        whole = ranking(diamond_loop)
+        assert len(whole) > 1
+        book = make_book(diamond_loop, max_dependences=1)
+        assert book.dependences == whole[:1]
 
 
 class TestPolicyLifecycle:

@@ -1,12 +1,19 @@
 """Tests of the execution harness: hashing, cache, ledger, scheduler."""
 
+import pickle
+import random
 from dataclasses import replace
 
 import pytest
 
 from repro.compiler import HeuristicLevel, SelectionConfig
-from repro.experiments import clear_cache
+from repro.experiments import ablations, clear_cache
+from repro.experiments.breakdown import breakdown_specs
+from repro.experiments.centralized import centralized_specs
+from repro.experiments.figure5 import figure5_specs
 from repro.experiments.runner import _compile_cache, cell_config
+from repro.experiments.scaling import scaling_specs
+from repro.experiments.table1 import table1_specs
 from repro.harness import (
     ArtifactCache,
     HarnessError,
@@ -16,7 +23,10 @@ from repro.harness import (
     record_to_dict,
     run_specs,
 )
+from repro.harness.spec import digest
 from repro.sim import SimConfig
+from repro.synth.campaign import fuzz_specs
+from repro.tune.genome import PAPER_GENOME, random_genome
 
 SMALL = 0.1
 
@@ -83,6 +93,45 @@ class TestSpecHashing:
         a = RunSpec("compress", HeuristicLevel.CONTROL_FLOW)
         b = replace(a, sim=SimConfig())
         assert a.spec_hash() == b.spec_hash()
+
+    def test_memoized_hashes_equal_the_digests(self):
+        """A spec keeps its encoding after the first hash; every later
+        hash, of a pickled copy or of a replaced spec too, is still the
+        digest of the fields the spec holds then."""
+
+        def assert_digests(spec):
+            for salt in ("", "salt"):
+                assert spec.spec_hash(salt) == digest(
+                    ("run", spec.compile_signature(), spec.sim), salt
+                )
+                assert spec.compile_hash(salt) == digest(
+                    spec.compile_signature(), salt
+                )
+
+        names = ("compress", "tomcatv")
+        specs = []
+        for build in (figure5_specs, scaling_specs, table1_specs,
+                      breakdown_specs, centralized_specs,
+                      ablations.max_targets_specs,
+                      ablations.thresholds_specs,
+                      ablations.sync_table_specs,
+                      ablations.arb_size_specs,
+                      ablations.forward_policy_specs,
+                      ablations.profile_input_specs):
+            specs += build(names, scale=SMALL)[1]
+        specs += fuzz_specs(2, strategies=("cost_model",),
+                            machines=("big-little-8",))[0]
+        rng = random.Random(1)
+        genomes = [PAPER_GENOME] + [random_genome(rng) for _ in range(8)]
+        specs += [g.to_spec("compress", scale=SMALL) for g in genomes]
+        for spec in specs:
+            assert_digests(spec)
+            assert_digests(spec)
+            assert_digests(pickle.loads(pickle.dumps(spec)))
+            moved = replace(spec, scale=spec.scale * 2)
+            assert_digests(moved)
+            assert moved.spec_hash() != spec.spec_hash()
+            assert moved.compile_hash() != spec.compile_hash()
 
 
 class TestArtifactCache:

@@ -128,6 +128,14 @@ def test_config_rejects_bad_max_targets():
         SelectionConfig(max_targets=0)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_config_rejects_bad_max_dependences(cap):
+    # A cap below one would rank no dependence: the data dependence
+    # level would silently grow tasks like the control flow level.
+    with pytest.raises(ValueError, match="max_dependences"):
+        SelectionConfig(max_dependences=cap)
+
+
 # -------------------------------------------------------------- cache keys
 
 
